@@ -242,7 +242,9 @@ std::map<std::string, double> parse_metrics_record(const std::filesystem::path& 
   check_single_json_object(text, path.string());
   for (const char* section : {"counters", "gauges"}) {
     check_no_duplicate_key(text, section, path.string());
-    const std::string needle = "\"" + std::string(section) + "\"";
+    std::string needle = "\"";
+    needle += section;
+    needle += '"';
     const std::size_t at = text.find(needle);
     if (at == std::string::npos) continue;
     const std::size_t open = text.find('{', at + needle.size());

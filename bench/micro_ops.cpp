@@ -490,7 +490,7 @@ void BM_FleetSoAStepping(benchmark::State& state) {
   repo.get(specs.front());  // pre-generate: measure stepping, not encoding
   ThreadPool pool(1);
   for (auto _ : state) {
-    fleet::SharedDecisionCache cache(1 << 12, 1);
+    DecisionMemo cache(1 << 12, 1);
     fleet::FleetOptions options;
     options.traces = &repo;
     options.pool = &pool;
@@ -540,7 +540,7 @@ void BM_FleetCrossSessionSteal(benchmark::State& state) {
   repo.get(specs.front());
   ThreadPool pool(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
-    fleet::SharedDecisionCache cache(1 << 12, 4);
+    DecisionMemo cache(1 << 12, 4);
     fleet::FleetOptions options;
     options.traces = &repo;
     options.pool = &pool;

@@ -4,6 +4,27 @@
 
 namespace rispp::cpu {
 
+namespace {
+
+// The emulated 32-bit ALU wraps modulo 2^32 like the hardware. The
+// arithmetic runs in uint32_t, where wrap-around is defined, and converts
+// back; in int32_t an overflow would be undefined behaviour.
+std::int32_t wrap_add(std::int32_t a, std::int32_t b) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) + static_cast<std::uint32_t>(b));
+}
+std::int32_t wrap_sub(std::int32_t a, std::int32_t b) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) - static_cast<std::uint32_t>(b));
+}
+std::int32_t wrap_mul(std::int32_t a, std::int32_t b) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) * static_cast<std::uint32_t>(b));
+}
+/// Memory operand address rs + imm.
+std::uint32_t address_of(std::int32_t rs, std::int32_t imm) {
+  return static_cast<std::uint32_t>(wrap_add(rs, imm));
+}
+
+}  // namespace
+
 Core::Core(std::size_t memory_bytes, PipelineTiming timing)
     : timing_(timing), memory_(memory_bytes, 0) {}
 
@@ -91,10 +112,10 @@ RunResult Core::run(const Program& program, std::uint64_t max_instructions) {
     const auto rs = regs_[inst.rs];
     const auto rt = regs_[inst.rt];
     switch (inst.op) {
-      case Opcode::kAdd: set_reg(static_cast<Reg>(inst.rd), rs + rt); break;
-      case Opcode::kSub: set_reg(static_cast<Reg>(inst.rd), rs - rt); break;
+      case Opcode::kAdd: set_reg(static_cast<Reg>(inst.rd), wrap_add(rs, rt)); break;
+      case Opcode::kSub: set_reg(static_cast<Reg>(inst.rd), wrap_sub(rs, rt)); break;
       case Opcode::kMul:
-        set_reg(static_cast<Reg>(inst.rd), rs * rt);
+        set_reg(static_cast<Reg>(inst.rd), wrap_mul(rs, rt));
         cost += timing_.mul_extra_cycles;
         break;
       case Opcode::kAnd: set_reg(static_cast<Reg>(inst.rd), rs & rt); break;
@@ -110,19 +131,19 @@ RunResult Core::run(const Program& program, std::uint64_t max_instructions) {
                 static_cast<std::int32_t>(static_cast<std::uint32_t>(rs) >> inst.imm));
         break;
       case Opcode::kSra: set_reg(static_cast<Reg>(inst.rd), rs >> inst.imm); break;
-      case Opcode::kAddi: set_reg(static_cast<Reg>(inst.rd), rs + inst.imm); break;
+      case Opcode::kAddi: set_reg(static_cast<Reg>(inst.rd), wrap_add(rs, inst.imm)); break;
       case Opcode::kAndi: set_reg(static_cast<Reg>(inst.rd), rs & inst.imm); break;
       case Opcode::kOri: set_reg(static_cast<Reg>(inst.rd), rs | inst.imm); break;
       case Opcode::kSlti: set_reg(static_cast<Reg>(inst.rd), rs < inst.imm ? 1 : 0); break;
       case Opcode::kLw:
-        set_reg(static_cast<Reg>(inst.rd), load_word(static_cast<std::uint32_t>(rs + inst.imm)));
+        set_reg(static_cast<Reg>(inst.rd), load_word(address_of(rs, inst.imm)));
         break;
       case Opcode::kLbu:
-        set_reg(static_cast<Reg>(inst.rd), load_byte(static_cast<std::uint32_t>(rs + inst.imm)));
+        set_reg(static_cast<Reg>(inst.rd), load_byte(address_of(rs, inst.imm)));
         break;
-      case Opcode::kSw: store_word(static_cast<std::uint32_t>(rs + inst.imm), rt); break;
+      case Opcode::kSw: store_word(address_of(rs, inst.imm), rt); break;
       case Opcode::kSb:
-        store_byte(static_cast<std::uint32_t>(rs + inst.imm), static_cast<std::uint8_t>(rt));
+        store_byte(address_of(rs, inst.imm), static_cast<std::uint8_t>(rt));
         break;
       case Opcode::kBeq: taken = rs == rt; break;
       case Opcode::kBne: taken = rs != rt; break;

@@ -23,13 +23,20 @@ const char* content_name(Content content) {
   return content == Content::kH264 ? "h264" : "jpeg";
 }
 
+/// The memo every batch that names none shares (leaked: never destroyed
+/// while sessions may still run at exit).
+SharedDecisionCache& global_memo() {
+  static SharedDecisionCache* memo = new SharedDecisionCache();
+  return *memo;
+}
+
 }  // namespace
 
 SessionBatch::SessionBatch(std::vector<SessionSpec> specs, const FleetOptions& options)
     : specs_(std::move(specs)), options_(options) {
   if (options_.traces == nullptr) options_.traces = &TraceRepository::global();
   if (options_.share_decision_cache && options_.shared_cache == nullptr)
-    options_.shared_cache = &SharedDecisionCache::global();
+    options_.shared_cache = &global_memo();
   const std::size_t n = specs_.size();
 
   // Validate scheduler names up front: a bad spec must fail at construction,
@@ -125,8 +132,7 @@ void SessionBatch::run_block(const Block& block) {
     config.container_count = spec.container_count;
     config.scheduler = schedulers[i].get();
     config.forecast_mode = spec.forecast_mode;
-    config.shared_decision_cache =
-        options_.share_decision_cache ? options_.shared_cache : nullptr;
+    config.decision_memo = options_.share_decision_cache ? options_.shared_cache : nullptr;
     config.session_id = block.sessions[i];
     backends[i] = std::make_unique<RunTimeManager>(&entry.set, trace.hot_spots.size(), config);
     for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)

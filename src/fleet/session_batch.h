@@ -20,9 +20,9 @@
 //    deals across workers, so stealing moves whole session groups *between*
 //    sessions rather than splitting one session (a session's replay is
 //    inherently serial — simulated time is a chain).
-//  - Shared decisions: all sessions memoize through one
-//    fleet::SharedDecisionCache, so a session's decisions are mostly replays
-//    of decisions other sessions already computed.
+//  - Shared decisions: all sessions memoize through one DecisionMemo
+//    (rtm/decision_memo.h), so a session's decisions are mostly replays of
+//    decisions other sessions already computed.
 //
 // Correctness contract: every session's simulated results are bit-identical
 // to the same session run alone through sim::run_trace on a fresh backend —
@@ -37,11 +37,14 @@
 
 #include "base/parallel.h"
 #include "fleet/session.h"
-#include "fleet/shared_decision_cache.h"
 #include "fleet/trace_repository.h"
+#include "rtm/decision_memo.h"
 #include "sim/stats.h"
 
 namespace rispp::fleet {
+
+/// The fleet's name for a decision memo shared across sessions.
+using SharedDecisionCache = DecisionMemo;
 
 struct FleetOptions {
   /// Sessions per work-stealing block (the stealing granularity).
@@ -50,10 +53,10 @@ struct FleetOptions {
   /// equivalence tests use this; throughput runs leave it off to take the
   /// whole-instance span fast path.
   bool collect_stats = false;
-  /// Memoize decisions through a process-wide SharedDecisionCache. Off gives
-  /// every session its own per-RTM cache (bit-exact either way).
+  /// Memoize decisions through one memo shared by every session. Off gives
+  /// every session its own private memo (bit-exact either way).
   bool share_decision_cache = true;
-  /// Cache to share; null with share_decision_cache uses the global one.
+  /// Memo to share; null with share_decision_cache uses a process-wide one.
   SharedDecisionCache* shared_cache = nullptr;
   /// Trace repository; null uses the global one.
   TraceRepository* traces = nullptr;

@@ -57,18 +57,28 @@ using simd::i16x16;
 using simd::i32x16;
 using simd::u8x16;
 
-inline i16x16 row_i16(const Pixel* p) { return simd::widen_i16(simd::load_u8x16(p)); }
-inline i32x16 row_i32(const Pixel* p) { return simd::widen_i32(simd::load_u8x16(p)); }
-
-/// 6-tap horizontal filter of 16 adjacent samples starting at p, 16-bit
-/// lanes (raw value range [-2550, 5610], well inside int16).
-inline i16x16 filter_h16(const Pixel* p) {
-  return row_i16(p - 2) - 5 * row_i16(p - 1) + 20 * row_i16(p) + 20 * row_i16(p + 1) -
-         5 * row_i16(p + 2) + row_i16(p + 3);
+/// The 6-tap filter (1, -5, 20, 20, -5, 1) over 16 lanes: taps[k] points at
+/// the 16 samples the k-th coefficient weighs. Raw value range [-2550,
+/// 5610], well inside int16.
+template <typename V>
+inline void filter6(const Pixel* const taps[6], V& out) {
+  V t[6]{};
+  for (int k = 0; k < 6; ++k) simd::widen(simd::load_u8x16(taps[k]), t[k]);
+  out = t[0] - 5 * t[1] + 20 * t[2] + 20 * t[3] - 5 * t[4] + t[5];
 }
 
-inline void store_clipped(Pixel* dst, i16x16 v) {
-  simd::store_u8x16(dst, simd::narrow_u8(simd::clamp_pixel_lanes(v)));
+/// Horizontal 6-tap filter of 16 adjacent samples starting at p.
+template <typename V>
+inline void filter_h(const Pixel* p, V& out) {
+  const Pixel* const taps[6] = {p - 2, p - 1, p, p + 1, p + 2, p + 3};
+  filter6(taps, out);
+}
+
+/// Rounds a raw 6-tap value ((v + 16) >> 5), clips it to a pixel and stores.
+inline void store_rounded(Pixel* dst, i16x16& v) {
+  v = (v + 16) >> 5;
+  simd::clamp_pixel_lanes(v);
+  simd::store_u8x16(dst, simd::narrow_u8(v));
 }
 
 }  // namespace
@@ -92,35 +102,34 @@ void motion_compensate_16x16_simd(const Plane& ref, int mb_px_x, int mb_px_y,
   }
   if (half_x && !half_y) {
     for (int y = 0; y < 16; ++y) {
-      const i16x16 v = filter_h16(ref.row(base_y + y) + base_x);
-      store_clipped(dst + y * 16, (v + 16) >> 5);
+      i16x16 v{};
+      filter_h(ref.row(base_y + y) + base_x, v);
+      store_rounded(dst + y * 16, v);
     }
     return;
   }
   if (!half_x && half_y) {
     for (int y = 0; y < 16; ++y) {
       const int ry = base_y + y;
-      const i16x16 v = row_i16(ref.row(ry - 2) + base_x) - 5 * row_i16(ref.row(ry - 1) + base_x) +
-                       20 * row_i16(ref.row(ry) + base_x) +
-                       20 * row_i16(ref.row(ry + 1) + base_x) -
-                       5 * row_i16(ref.row(ry + 2) + base_x) + row_i16(ref.row(ry + 3) + base_x);
-      store_clipped(dst + y * 16, (v + 16) >> 5);
+      const Pixel* const taps[6] = {ref.row(ry - 2) + base_x, ref.row(ry - 1) + base_x,
+                                    ref.row(ry) + base_x,     ref.row(ry + 1) + base_x,
+                                    ref.row(ry + 2) + base_x, ref.row(ry + 3) + base_x};
+      i16x16 v{};
+      filter6(taps, v);
+      store_rounded(dst + y * 16, v);
     }
     return;
   }
   // half_x && half_y: vertical 6-tap over raw horizontal intermediates
   // (range exceeds int16, so 32-bit lanes), then the combined (v+512)>>10.
   i32x16 hrow[21];
-  for (int r = 0; r < 21; ++r) {
-    const Pixel* p = ref.row(base_y - 2 + r) + base_x;
-    hrow[r] = row_i32(p - 2) - 5 * row_i32(p - 1) + 20 * row_i32(p) + 20 * row_i32(p + 1) -
-              5 * row_i32(p + 2) + row_i32(p + 3);
-  }
+  for (int r = 0; r < 21; ++r) filter_h(ref.row(base_y - 2 + r) + base_x, hrow[r]);
   for (int y = 0; y < 16; ++y) {
-    const i32x16 v = hrow[y] - 5 * hrow[y + 1] + 20 * hrow[y + 2] + 20 * hrow[y + 3] -
-                     5 * hrow[y + 4] + hrow[y + 5];
-    const i32x16 c = simd::clamp_pixel_lanes((v + 512) >> 10);
-    simd::store_u8x16(dst + y * 16, simd::narrow_u8(c));
+    i32x16 v = hrow[y] - 5 * hrow[y + 1] + 20 * hrow[y + 2] + 20 * hrow[y + 3] -
+               5 * hrow[y + 4] + hrow[y + 5];
+    v = (v + 512) >> 10;
+    simd::clamp_pixel_lanes(v);
+    simd::store_u8x16(dst + y * 16, simd::narrow_u8(v));
   }
 }
 

@@ -118,7 +118,7 @@ using simd::i32x16;
 /// 4-point Hadamard butterfly within each 4-lane group of one vector, via
 /// shuffles. Output lanes come out as {y0, y2, y1, y3} of the scalar
 /// hadamard4 — a within-group permutation, invisible to the abs-sum.
-inline i16x16 hadamard4_groups(i16x16 v) {
+inline void hadamard4_groups(i16x16& v) {
   const i16x16 u =
       __builtin_shufflevector(v, v, 2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13);
   const i16x16 s = v + u;  // lanes 0,1 of each group: a+c, b+d
@@ -129,8 +129,16 @@ inline i16x16 hadamard4_groups(i16x16 v) {
       __builtin_shufflevector(w, w, 1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14);
   const i16x16 s2 = w + u2;
   const i16x16 t2 = w - u2;
-  return __builtin_shufflevector(s2, t2, 0, 16, 2, 18, 4, 20, 6, 22, 8, 24, 10, 26, 12, 28, 14,
-                                 30);  // {s0+s1, s0-s1, s2+s3, s2-s3}
+  v = __builtin_shufflevector(s2, t2, 0, 16, 2, 18, 4, 20, 6, 22, 8, 24, 10, 26, 12, 28, 14,
+                              30);  // {s0+s1, s0-s1, s2+s3, s2-s3}
+}
+
+/// Lanewise difference of 16 pixels of `a` and `b`, widened to 16 bits.
+inline void row_diff(const Pixel* a, const Pixel* b, i16x16& out) {
+  i16x16 wb{};
+  simd::widen(simd::load_u8x16(a), out);
+  simd::widen(simd::load_u8x16(b), wb);
+  out -= wb;
 }
 
 /// SATD contribution of one 4-row band (four 4x4 blocks side by side): the
@@ -138,25 +146,24 @@ inline i16x16 hadamard4_groups(i16x16 v) {
 /// integer-equal in abs-sum to the scalar rows-first order — and each
 /// block's abs-sum is halved separately, exactly like the scalar kernel.
 inline std::uint32_t satd_band(const Pixel* cur[4], const Pixel* pred[4]) {
-  i16x16 d0 = simd::widen_i16(simd::load_u8x16(cur[0])) -
-              simd::widen_i16(simd::load_u8x16(pred[0]));
-  i16x16 d1 = simd::widen_i16(simd::load_u8x16(cur[1])) -
-              simd::widen_i16(simd::load_u8x16(pred[1]));
-  i16x16 d2 = simd::widen_i16(simd::load_u8x16(cur[2])) -
-              simd::widen_i16(simd::load_u8x16(pred[2]));
-  i16x16 d3 = simd::widen_i16(simd::load_u8x16(cur[3])) -
-              simd::widen_i16(simd::load_u8x16(pred[3]));
+  i16x16 d0{}, d1{}, d2{}, d3{};
+  row_diff(cur[0], pred[0], d0);
+  row_diff(cur[1], pred[1], d1);
+  row_diff(cur[2], pred[2], d2);
+  row_diff(cur[3], pred[3], d3);
   // Vertical (column) butterflies, lanewise across the four rows.
   const i16x16 s0 = d0 + d2, s1 = d1 + d3, s2 = d0 - d2, s3 = d1 - d3;
-  i16x16 v0 = s0 + s1, v1 = s2 + s3, v2 = s0 - s1, v3 = s2 - s3;
-  // Horizontal butterflies within each 4-lane group.
-  v0 = hadamard4_groups(v0);
-  v1 = hadamard4_groups(v1);
-  v2 = hadamard4_groups(v2);
-  v3 = hadamard4_groups(v3);
+  i16x16 v[4] = {s0 + s1, s2 + s3, s0 - s1, s2 - s3};
+  // Horizontal butterflies within each 4-lane group, then abs-sum.
   // Coefficients reach +-4080, so per-lane column totals need 32 bits.
-  const i32x16 tot = simd::widen_i32(simd::abs_lanes(v0)) + simd::widen_i32(simd::abs_lanes(v1)) +
-                     simd::widen_i32(simd::abs_lanes(v2)) + simd::widen_i32(simd::abs_lanes(v3));
+  i32x16 tot{};
+  for (i16x16& vi : v) {
+    hadamard4_groups(vi);
+    simd::abs_lanes(vi);
+    i32x16 wide{};
+    simd::widen(vi, wide);
+    tot += wide;
+  }
   std::uint32_t acc = 0;
   for (int b = 0; b < 4; ++b) {
     const std::uint32_t s = static_cast<std::uint32_t>(tot[4 * b + 0] + tot[4 * b + 1] +
@@ -173,9 +180,10 @@ std::uint32_t sad_16x16_simd(const Plane& cur, int cx, int cy, const Plane& ref,
   if (!inside) return sad_16x16_scalar(cur, cx, cy, ref, rx, ry);
   i16x16 acc{};  // per-lane max 16 * 255 = 4080, no i16 overflow
   for (int y = 0; y < 16; ++y) {
-    const i16x16 c = simd::widen_i16(simd::load_u8x16(cur.row(cy + y) + cx));
-    const i16x16 r = simd::widen_i16(simd::load_u8x16(ref.row(ry + y) + rx));
-    acc += simd::abs_lanes(c - r);
+    i16x16 d{};
+    row_diff(cur.row(cy + y) + cx, ref.row(ry + y) + rx, d);
+    simd::abs_lanes(d);
+    acc += d;
   }
   return simd::horizontal_sum_u32(acc);
 }

@@ -9,6 +9,11 @@
 //
 // When the extensions are unavailable RISPP_SIMD stays undefined and the
 // dispatching kernels (kernels.h) keep the scalar path.
+//
+// 32- and 64-byte vectors (i16x16, i32x16) never cross a function boundary
+// by value: helpers take them by reference and write results through an
+// out-parameter or in place. By value their calling convention depends on
+// whether AVX is enabled, which GCC reports as an ABI change (-Wpsabi).
 #pragma once
 
 #include <cstdint>
@@ -43,30 +48,27 @@ inline i32x4 load_i32x4(const int* p) {
 
 inline void store_i32x4(int* p, i32x4 v) { std::memcpy(p, &v, sizeof v); }
 
-inline i16x16 widen_i16(u8x16 v) { return __builtin_convertvector(v, i16x16); }
-inline i32x16 widen_i32(u8x16 v) { return __builtin_convertvector(v, i32x16); }
-inline i32x16 widen_i32(i16x16 v) { return __builtin_convertvector(v, i32x16); }
-inline u8x16 narrow_u8(i16x16 v) { return __builtin_convertvector(v, u8x16); }
-inline u8x16 narrow_u8(i32x16 v) { return __builtin_convertvector(v, u8x16); }
+/// Lanewise widening conversions.
+inline void widen(u8x16 v, i16x16& out) { out = __builtin_convertvector(v, i16x16); }
+inline void widen(u8x16 v, i32x16& out) { out = __builtin_convertvector(v, i32x16); }
+inline void widen(const i16x16& v, i32x16& out) { out = __builtin_convertvector(v, i32x16); }
+/// Lanewise truncating narrowing conversions (lanes must fit a pixel).
+inline u8x16 narrow_u8(const i16x16& v) { return __builtin_convertvector(v, u8x16); }
+inline u8x16 narrow_u8(const i32x16& v) { return __builtin_convertvector(v, u8x16); }
 
-/// Lanewise |v| via sign-mask arithmetic (no lane may be INT_MIN — pixel
-/// differences and Hadamard coefficients are far smaller).
-inline i16x16 abs_lanes(i16x16 v) {
+/// In-place lanewise |v| via sign-mask arithmetic (no lane may be INT_MIN —
+/// pixel differences and Hadamard coefficients are far smaller).
+inline void abs_lanes(i16x16& v) {
   const i16x16 m = v >> 15;
-  return (v ^ m) - m;
+  v = (v ^ m) - m;
 }
 
-inline i32x4 abs_lanes(i32x4 v) {
-  const i32x4 m = v >> 31;
-  return (v ^ m) - m;
-}
-
-/// Lanewise clamp to the pixel range [0, 255] via mask arithmetic.
+/// In-place lanewise clamp to the pixel range [0, 255] via mask arithmetic.
 template <typename V>
-inline V clamp_pixel_lanes(V v) {
+inline void clamp_pixel_lanes(V& v) {
   v &= ~(v >> (sizeof(v[0]) * 8 - 1));  // negative lanes -> 0
   const V over = (255 - v) >> (sizeof(v[0]) * 8 - 1);
-  return (v & ~over) | (over & 255);
+  v = (v & ~over) | (over & 255);
 }
 
 /// In-place 4x4 transpose of four row vectors.
@@ -82,7 +84,7 @@ inline void transpose4(i32x4& a, i32x4& b, i32x4& c, i32x4& d) {
 }
 
 template <typename V>
-inline std::uint32_t horizontal_sum_u32(V v) {
+inline std::uint32_t horizontal_sum_u32(const V& v) {
   std::uint32_t acc = 0;
   for (std::size_t i = 0; i < sizeof(v) / sizeof(v[0]); ++i)
     acc += static_cast<std::uint32_t>(v[i]);

@@ -6,8 +6,9 @@
 // the whole device but whose *enabled* subset is the tenant's current quota.
 // Container ids are stable across quota changes — shrinking a quota disables
 // containers (evicting their atoms) instead of renumbering, so in-flight
-// loads and LRU bookkeeping never chase moving ids. The solo path constructs
-// the file fully enabled and behaves exactly as before.
+// loads and LRU bookkeeping never chase moving ids. A solo RTM is the
+// 1-tenant case (its quota is the whole device); the Molen and OneChip
+// baselines construct a fully enabled file directly.
 #pragma once
 
 #include <optional>
@@ -29,7 +30,7 @@ struct AtomContainer {
 
 class ContainerFile {
  public:
-  /// Fully enabled file (the solo path).
+  /// Fully enabled file (the baselines' own fabric).
   ContainerFile(unsigned count, std::size_t atom_type_dimension);
   /// Tenant view: `count` physical slots, the first `enabled_count` enabled.
   ContainerFile(unsigned count, std::size_t atom_type_dimension, unsigned enabled_count);

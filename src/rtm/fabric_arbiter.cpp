@@ -33,6 +33,15 @@ MetricCounter& horizon_counter() {
   return c;
 }
 
+MetricCounter& port_loads_counter() {
+  static MetricCounter& c = metric_counter("port.loads_started");
+  return c;
+}
+
+// Stride scheduling: a tenant's pass advances by kStrideScale / weight per
+// grant, so over time port grants converge to the weight ratio.
+constexpr std::uint64_t kStrideScale = 1u << 16;
+
 }  // namespace
 
 FabricArbiter::FabricArbiter(const ArbiterConfig& config) : config_(config) {
@@ -49,7 +58,20 @@ FabricArbiter::FabricArbiter(const ArbiterConfig& config) : config_(config) {
   port_wait_counter();
 }
 
+FabricArbiter::FabricArbiter(unsigned containers, const BitstreamModel& bitstream)
+    : solo_(true) {
+  config_.total_containers = containers;
+  config_.bitstream = bitstream;
+  // add_tenant's checks would reject a zero-container device, and the
+  // reserve that keeps tenant references stable is moot for a device that
+  // never takes a second tenant.
+  Tenant& t = tenants_.emplace_back();
+  t.config = TenantConfig{containers, /*floor=*/0, /*weight=*/1};
+  t.stride = kStrideScale;
+}
+
 TenantId FabricArbiter::add_tenant(const TenantConfig& config) {
+  RISPP_CHECK_MSG(!solo_, "a solo device has exactly one tenant");
   RISPP_CHECK_MSG(tenants_.size() < kMaxTenants,
                   "at most " << kMaxTenants << " tenants per device");
   RISPP_CHECK(config.quota > 0);
@@ -63,9 +85,6 @@ TenantId FabricArbiter::add_tenant(const TenantConfig& config) {
                                     << config_.total_containers << " containers)");
   Tenant t;
   t.config = config;
-  // Stride scheduling: pass advances inversely to weight, so over time port
-  // grants converge to the weight ratio.
-  constexpr std::uint64_t kStrideScale = 1u << 16;
   t.stride = kStrideScale / config.weight;
   if (t.stride == 0) t.stride = 1;
   tenants_.push_back(std::move(t));
@@ -83,8 +102,15 @@ void FabricArbiter::bind(TenantId t, const AtomLibrary* library,
   ten.lru_stamps = lru_stamps;
   ten.file.emplace(config_.total_containers, atom_type_dimension, ten.config.quota);
   ten.lane = trace_new_lane();
-  trace_name_lane(TraceTrack::kArbiter, ten.lane,
-                  trace_intern("tenant " + std::to_string(t)));
+  // With tracing off, binding a solo device takes no lock: a solo RTM is
+  // built per session, thousands of times per fleet run.
+  if (solo_) {
+    trace_name_lane(TraceTrack::kReconfigPort, ten.lane, "atom loads");
+    return;
+  }
+  if (trace_enabled())
+    trace_name_lane(TraceTrack::kArbiter, ten.lane,
+                    trace_intern("tenant " + std::to_string(t)));
   ten.port_wait_hist = &metric_histogram("rtm.arbiter.port_wait_cycles", {"tenant", t});
   ten.victim_age_hist =
       &metric_histogram("rtm.arbiter.eviction_victim_age_cycles", {"tenant", t});
@@ -148,19 +174,22 @@ std::optional<Cycles> FabricArbiter::try_start(TenantId t, AtomTypeId type,
   busy_until_ = done;
   ++grants_;
   grants_counter().add();
+  if (solo_) port_loads_counter().add();
   if (trace_enabled()) {
     if (ten.traced_type_names.empty()) {
       ten.traced_type_names.reserve(ten.library->size());
       for (AtomTypeId ty = 0; ty < ten.library->size(); ++ty)
         ten.traced_type_names.push_back(trace_intern(ten.library->type(ty).name));
     }
-    trace_complete(TraceTrack::kArbiter, ten.lane, ten.traced_type_names[type],
-                   us_from_cycles(now), us_from_cycles(duration));
+    trace_complete(solo_ ? TraceTrack::kReconfigPort : TraceTrack::kArbiter, ten.lane,
+                   ten.traced_type_names[type], us_from_cycles(now), us_from_cycles(duration));
   }
   return std::nullopt;
 }
 
 Cycles FabricArbiter::deny(Tenant& ten, Cycles now, Cycles duration) {
+  // A solo tenant only asks once its own load retired: the port is free.
+  RISPP_CHECK(!solo_);
   // Denied: the claim stands until the queue drains or the tenant wins.
   if (!ten.claim) {
     ten.claim = true;

@@ -20,14 +20,19 @@
 //    A tenant denied `starvation_bound` consecutive grant epochs wins the
 //    next free port unconditionally.
 //
-// A 1-tenant arbiter degenerates exactly to the solo path: the quota is the
-// whole device, round-robin has one contender, and every grant decision
-// reduces to "is the port free" — tests/multitenant_test.cpp asserts the
-// resulting SimStats are byte-identical to the pre-arbiter RunTimeManager.
+// The paper's single-application system is the 1-tenant case: the quota is
+// the whole device, round-robin has one contender, and every grant decision
+// reduces to "is the port free". A RunTimeManager without a shared device
+// builds exactly that for itself (the solo constructor below), so solo and
+// multi-tenant runs share one fabric path; tests/golden_test.cpp pins the
+// solo numbers and tests/multitenant_test.cpp checks run_trace against
+// run_tenants on a 1-tenant device.
 //
 // Observability: rtm.arbiter.{grants,evictions,port_wait_cycles} counters
 // and one simulated-time lane per tenant on the "fabric arbiter" track (the
-// multi-tenant version of Figure 4's port timeline).
+// multi-tenant version of Figure 4's port timeline). A solo device's loads
+// are Figure 4 itself: they go to the "reconfig port" track and count as
+// port.loads_started.
 #pragma once
 
 #include <atomic>
@@ -81,6 +86,12 @@ class FabricArbiter {
   static constexpr std::size_t kMaxTenants = 64;
 
   explicit FabricArbiter(const ArbiterConfig& config);
+
+  /// The paper's device (§3.1): one application owning all `containers`
+  /// (zero allowed) and the port — tenant 0 under a static partition. The
+  /// device never takes a second tenant, and its single tenant never waits
+  /// for the port or loses containers to a rebalance.
+  FabricArbiter(unsigned containers, const BitstreamModel& bitstream);
 
   /// Registers a tenant (call every add_tenant before constructing the
   /// tenants' RunTimeManagers). Quotas must sum to total_containers by the
@@ -218,7 +229,8 @@ class FabricArbiter {
     TraceLane lane = 0;
     std::vector<const char*> traced_type_names;
     // Per-tenant distribution series (DESIGN §7), resolved once in bind() so
-    // the grant/eviction hot paths never touch the registry lock.
+    // the grant/eviction hot paths never touch the registry lock. Null on a
+    // solo device, which records neither.
     MetricHistogram* port_wait_hist = nullptr;
     MetricHistogram* victim_age_hist = nullptr;
   };
@@ -237,6 +249,7 @@ class FabricArbiter {
   unsigned shrink_tenant(TenantId t, unsigned count, Cycles now);
 
   ArbiterConfig config_;
+  bool solo_ = false;  // built by the solo constructor
   std::vector<Tenant> tenants_;
   Cycles busy_until_ = 0;
   std::uint64_t grants_ = 0;

@@ -11,10 +11,18 @@
 
 namespace rispp {
 
+namespace {
+
+/// Entry bound of an RTM's private memo; past it the least-recently-used
+/// decision is evicted (misses recompute, so any bound stays bit-exact).
+/// Steady-state workloads sit far below it.
+constexpr std::size_t kPrivateMemoCapacity = 4096;
+
+}  // namespace
+
 std::uint64_t rtm_domain_digest(const RtmConfig& config) {
-  // See the declaration: fold every knob that changes decide()'s output for
-  // an identical key. Seeded with an arbitrary odd constant so digest 0
-  // never collides with "no digest".
+  // Seeded with an arbitrary odd constant so digest 0 never collides with
+  // "no digest".
   return fingerprint_mix(0x9e3779b97f4a7c15ull,
                          static_cast<std::uint64_t>(config.forecast_mode));
 }
@@ -25,9 +33,6 @@ RunTimeManager::RunTimeManager(const SpecialInstructionSet* set, std::size_t hot
       config_(config),
       monitor_(hot_spot_count, set->si_count()),
       seeds_(hot_spot_count, std::vector<std::uint64_t>(set->si_count(), 0)),
-      containers_(config.arbiter != nullptr ? 0 : config.container_count,
-                  set->atom_type_count()),
-      port_(&set->library(), config.bitstream),
       demand_(set->atom_type_count()),
       soft_demand_(set->atom_type_count()),
       hot_spot_sup_(hot_spot_count, Molecule(set->atom_type_count())),
@@ -38,28 +43,37 @@ RunTimeManager::RunTimeManager(const SpecialInstructionSet* set, std::size_t hot
       prefetch_demand_(set->atom_type_count()),
       type_last_used_(set->atom_type_count(), 0),
       cached_molecule_(set->si_count(), kSoftwareMolecule),
+      upgrade_lane_(trace_new_lane()),
       span_step_gen_(set->si_count(), 0),
       span_step_(set->si_count(), 0),
       span_touch_gen_(set->si_count(), 0),
-      span_last_start_(set->si_count(), 0),
-      upgrade_lane_(trace_new_lane()) {
+      span_last_start_(set->si_count(), 0) {
   RISPP_CHECK(config_.scheduler != nullptr);
   trace_name_lane(TraceTrack::kExecutor, upgrade_lane_, "SI upgrades");
-  if (config_.arbiter != nullptr) {
-    config_.arbiter->bind(config_.tenant, &set_->library(), set_->atom_type_count(),
-                          &type_last_used_);
-    cf_ = &config_.arbiter->containers(config_.tenant);
-  } else {
-    cf_ = &containers_;
+  // Without a shared device the RTM owns the paper's: one tenant, every
+  // container, the single port.
+  if (!config_.arbiter) {
+    config_.arbiter = &own_fabric_.emplace(config_.container_count, config_.bitstream);
+    config_.tenant = 0;
   }
+  config_.arbiter->bind(config_.tenant, &set_->library(), set_->atom_type_count(),
+                        &type_last_used_);
+  cf_ = &config_.arbiter->containers(config_.tenant);
+  inflight_ = &config_.arbiter->inflight(config_.tenant);
   if (config_.payback_horizon > 0)
     payback_cycles_per_atom_ =
         cycles_from_us(config_.bitstream.average_reconfig_us(set_->library())) /
         config_.payback_horizon;
-  if (config_.shared_decision_cache != nullptr)
-    shared_domain_ = config_.shared_decision_cache->register_domain(
+  // A shared memo keys every decision on this RTM's domain. The RTM's own
+  // memo serves it alone, so its keys use domain 0 unregistered — the SI-set
+  // fingerprint would cost more than building the rest of the RTM.
+  if (config_.decision_memo)
+    memo_domain_ = config_.decision_memo->register_domain(
         fingerprint(*set_), config_.scheduler->name(), payback_cycles_per_atom_,
         rtm_domain_digest(config_));
+  else
+    config_.decision_memo =
+        &own_memo_.emplace(kPrivateMemoCapacity, 1, DecisionMemo::Scope::kPrivate);
 }
 
 void RunTimeManager::seed_forecast(HotSpotId hs, SiId si, std::uint64_t expected) {
@@ -103,18 +117,16 @@ void RunTimeManager::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t i
       break;
   }
 
-  // Multi-tenant: report the forecast mass (the benefit signal) to the
-  // arbiter, which may rebalance quotas — so read the budget only after.
-  if (config_.arbiter != nullptr) {
-    std::uint64_t mass = 0;
-    for (SiId si : info.sis) mass += (*forecast)[si];
-    config_.arbiter->on_decision_point(config_.tenant, mass, now);
-  }
+  // Report the forecast mass (the benefit signal) to the arbiter, which may
+  // rebalance quotas under contention — so read the budget only after.
+  std::uint64_t mass = 0;
+  for (SiId si : info.sis) mass += (*forecast)[si];
+  config_.arbiter->on_decision_point(config_.tenant, mass, now);
 
   // III) determine re-loading decisions: selection, then scheduling (memoized
   // — monitored forecasts converge after warm-up, so the steady state of a
   // long replay is pure cache hits).
-  const DecisionEntry& decision = decide(info.sis, *forecast, cf_->active());
+  const DecisionMemo::Decision& decision = decide(info.sis, *forecast, cf_->active());
   selection_ = decision.selection;
 
   // Mispredict → reconfig churn (ROADMAP traffic-robustness metric): the
@@ -153,30 +165,16 @@ void RunTimeManager::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t i
 
 void RunTimeManager::on_hot_spot_exit(Cycles) { monitor_.end_hot_spot(); }
 
-ReconfigPort::InflightLoad RunTimeManager::fabric_retire(Cycles now) {
-  return config_.arbiter != nullptr ? config_.arbiter->retire(config_.tenant, now)
-                                    : port_.retire(now);
-}
-
-std::optional<Cycles> RunTimeManager::fabric_try_start(AtomTypeId type, ContainerId victim,
-                                                       Cycles now) {
-  if (config_.arbiter != nullptr)
-    return config_.arbiter->try_start(config_.tenant, type, victim, now);
-  port_.start(type, victim, now);
-  return std::nullopt;
-}
-
 std::optional<Cycles> RunTimeManager::fabric_stall_bound(Cycles now) const {
-  if (fabric_loading()) return fabric_finishes_at();
+  if (inflight_->has_value()) return (*inflight_)->finishes_at;
   // After advance_reconfig a standing denial's hint is strictly in the
   // future (the arbiter hints at least one load duration ahead), so the
   // fast-forward windows always make progress.
-  if (config_.arbiter != nullptr && denied_until_ > now) return denied_until_;
+  if (denied_until_ > now) return denied_until_;
   return std::nullopt;
 }
 
 void RunTimeManager::sync_fabric() {
-  if (config_.arbiter == nullptr) return;
   const std::uint64_t gen = config_.arbiter->fabric_generation(config_.tenant);
   if (gen != fabric_gen_seen_) {
     // A quota rebalance evicted ready atoms behind our back.
@@ -188,84 +186,66 @@ void RunTimeManager::sync_fabric() {
 
 void RunTimeManager::advance_reconfig(Cycles now) {
   sync_fabric();
-  while (fabric_loading() && fabric_finishes_at() <= now) {
-    const auto done = fabric_retire(now);
+  while (inflight_->has_value() && (*inflight_)->finishes_at <= now) {
+    const auto done = config_.arbiter->retire(config_.tenant, now);
     cf_->complete_load(done.container);
     if (cache_valid_) cache_event_now_ = done.finishes_at;
     cache_valid_ = false;
     start_pending_loads(done.finishes_at);
   }
-  if (!fabric_loading()) start_pending_loads(now);
+  if (!inflight_->has_value()) start_pending_loads(now);
+}
+
+bool RunTimeManager::start_load(AtomTypeId type, const Molecule& hard_demand, Cycles now) {
+  // Ask for the port before scanning for a victim: on the contended retry
+  // path nearly every ask is a denial, and precheck performs the identical
+  // denial bookkeeping without the O(containers) victim scan.
+  if (const auto hint = config_.arbiter->precheck(config_.tenant, type, now)) {
+    denied_until_ = *hint;
+    return false;
+  }
+  const auto victim = pick_victim(*cf_, hard_demand, soft_demand_, type_last_used_);
+  if (!victim.has_value()) {
+    // Every container is pinned (in-flight loads); retry at the next
+    // reconfiguration event.
+    RISPP_DEBUG("load of atom type " << type << " deferred: no victim container");
+    return false;
+  }
+  // A clean precheck guarantees the grant at the same `now`.
+  const bool granted = !config_.arbiter->try_start(config_.tenant, type, *victim, now);
+  RISPP_CHECK(granted);
+  denied_until_ = 0;
+  cf_->begin_load(*victim, type);
+  if (cache_valid_) cache_event_now_ = now;
+  cache_valid_ = false;  // eviction may have removed a ready atom
+  return true;
 }
 
 void RunTimeManager::start_pending_loads(Cycles now) {
-  while (!fabric_loading() && !pending_loads_.empty()) {
-    const AtomTypeId type = pending_loads_.front();
-    // Ask for the port before scanning for a victim: on the contended retry
-    // path nearly every ask is a denial, and precheck performs the identical
-    // denial bookkeeping without the O(containers) victim scan. On nullopt
-    // an immediate try_start at the same `now` is guaranteed to grant.
-    if (config_.arbiter != nullptr) {
-      if (const auto hint = config_.arbiter->precheck(config_.tenant, type, now)) {
-        denied_until_ = *hint;
-        return;
-      }
-    }
-    const auto victim = pick_victim(*cf_, demand_, soft_demand_, type_last_used_);
-    if (!victim.has_value()) {
-      // Every container is pinned (in-flight loads); retry at the next
-      // reconfiguration event.
-      RISPP_DEBUG("load of atom type " << type << " deferred: no victim container");
-      return;
-    }
-    // A denial must leave the container untouched (the claim stands; retry
-    // at the hint) — unreachable after a clean precheck, kept for solo mode.
-    if (const auto hint = fabric_try_start(type, *victim, now)) {
-      denied_until_ = *hint;
-      return;
-    }
-    denied_until_ = 0;
+  while (!inflight_->has_value() && !pending_loads_.empty()) {
+    if (!start_load(pending_loads_.front(), demand_, now)) return;
     pending_loads_.pop_front();
-    cf_->begin_load(*victim, type);
-    if (cache_valid_) cache_event_now_ = now;
-    cache_valid_ = false;  // eviction may have removed a ready atom
   }
 
   // Port drained the current schedule: optionally prefetch the predicted
   // next hot spot's atoms. The current demand stays hard-pinned, so
   // prefetching can only consume containers the current hot spot spares.
-  if (config_.enable_prefetch && !fabric_loading() && pending_loads_.empty()) {
+  if (config_.enable_prefetch && !inflight_->has_value() && pending_loads_.empty()) {
     if (!prefetch_computed_) compute_prefetch();
     if (!prefetch_loads_.empty()) {
       // Neither demand changes while the loads drain; join once.
       Molecule hard = demand_;
       join_into(hard, prefetch_demand_);
-      while (!fabric_loading() && !prefetch_loads_.empty()) {
-        const AtomTypeId type = prefetch_loads_.front();
-        if (config_.arbiter != nullptr) {
-          if (const auto hint = config_.arbiter->precheck(config_.tenant, type, now)) {
-            denied_until_ = *hint;
-            return;
-          }
-        }
-        const auto victim = pick_victim(*cf_, hard, soft_demand_, type_last_used_);
-        if (!victim.has_value()) return;
-        if (const auto hint = fabric_try_start(type, *victim, now)) {
-          denied_until_ = *hint;
-          return;
-        }
-        denied_until_ = 0;
+      while (!inflight_->has_value() && !prefetch_loads_.empty()) {
+        if (!start_load(prefetch_loads_.front(), hard, now)) return;
         prefetch_loads_.pop_front();
-        cf_->begin_load(*victim, type);
-        if (cache_valid_) cache_event_now_ = now;
-        cache_valid_ = false;
       }
     }
   }
 
   // Both queues drained: nothing left to ask the port for, so any standing
   // claim from an earlier denial lapses (other tenants stop yielding to us).
-  if (config_.arbiter != nullptr && pending_loads_.empty() && prefetch_loads_.empty()) {
+  if (pending_loads_.empty() && prefetch_loads_.empty()) {
     config_.arbiter->withdraw_claim(config_.tenant);
     denied_until_ = 0;
   }
@@ -316,7 +296,7 @@ void RunTimeManager::compute_prefetch() {
   for (SiId si = 0; si < set_->si_count(); ++si)
     if ((*forecast)[si] > 0) prefetch_sis_.push_back(si);
   if (prefetch_sis_.empty()) return;
-  const DecisionEntry& decision = decide(prefetch_sis_, *forecast, budget);
+  const DecisionMemo::Decision& decision = decide(prefetch_sis_, *forecast, budget);
   if (decision.selection.empty()) return;
 
   prefetch_demand_.assign_zero(set_->atom_type_count());
@@ -328,151 +308,67 @@ void RunTimeManager::compute_prefetch() {
 
 bool RunTimeManager::entry_is_port_silent(const WorkloadTrace& trace,
                                           std::size_t instance) const {
-  // Only meaningful under an arbiter, and only sound while quotas are
-  // frozen: a pending rebalance could shrink cf_ between this probe and the
-  // entry it predicts, invalidating the budget baked into the key below.
-  if (config_.arbiter == nullptr || config_.arbiter->rebalance_possible()) return false;
+  // Only sound while quotas are frozen: a pending rebalance could shrink cf_
+  // between this probe and the entry it predicts, invalidating the budget
+  // baked into the key below.
+  if (config_.arbiter->rebalance_possible()) return false;
   // Prefetch keeps asking the port after the schedule drains; the oracle
-  // forecast is rebuilt per instance (cheap to probe but decide() bypasses
-  // the memo's steady state far more often); the shared cache mutates under
-  // a lock on every lookup. All three fall back to normal stepping.
-  if (config_.enable_prefetch || config_.forecast_mode == ForecastMode::kOracle) return false;
-  if (!config_.enable_decision_cache || config_.shared_decision_cache != nullptr) return false;
+  // forecast is rebuilt per instance from the trace, so the probe cannot
+  // rebuild the entry's key; with the memo off the entry never consults it.
+  // All three fall back to normal stepping.
+  if (config_.enable_prefetch || config_.forecast_mode == ForecastMode::kOracle ||
+      !config_.enable_decision_cache)
+    return false;
   // Anything queued or in flight makes the entry port-active by definition.
   if (!reconfig_idle()) return false;
 
   const HotSpotId hs = trace.instances[instance].hot_spot;
-  const HotSpotInfo& info = trace.hot_spots[hs];
   // The forecast the entry will read. monitor_.forecast() is a plain getter
   // (folding happens at end_hot_spot, which already ran for the previous
   // instance), so this equals what on_hot_spot_entry sees.
   const std::vector<std::uint64_t>& forecast = config_.forecast_mode == ForecastMode::kMonitored
                                                    ? monitor_.forecast(hs)
                                                    : seeds_[hs];
-  const Molecule& ready = cf_->ready_atoms();
-  const unsigned budget = cf_->active();
-
-  // decide()'s key digest, byte-for-byte (see the cached branch there).
-  std::uint64_t hash = fingerprint_mix(0, info.sis.size());
-  for (SiId si : info.sis) hash = fingerprint_mix(hash, si);
-  for (std::uint64_t f : forecast) hash = fingerprint_mix(hash, f);
-  for (std::size_t t = 0; t < ready.dimension(); ++t) hash = fingerprint_mix(hash, ready[t]);
-  hash = fingerprint_mix(hash, budget);
-
-  const auto bucket_it = decision_cache_.find(hash);
-  if (bucket_it == decision_cache_.end()) return false;
-  for (const auto entry_it : bucket_it->second) {
-    if (entry_it->budget == budget && entry_it->sis == info.sis &&
-        entry_it->forecast == forecast && entry_it->ready == ready) {
-      // No splice, no counters: the replayed entry performs those itself.
-      return entry_it->loads.empty();
-    }
-  }
-  return false;
+  const DecisionMemo::Key key{memo_domain_, trace.hot_spots[hs].sis, forecast,
+                              cf_->ready_atoms(), cf_->active()};
+  return config_.decision_memo->peek(key, probe_) && probe_.loads.empty();
 }
 
-const RunTimeManager::DecisionEntry& RunTimeManager::decide(
-    const std::vector<SiId>& sis, const std::vector<std::uint64_t>& forecast,
-    unsigned budget) {
-  const Molecule& ready = cf_->ready_atoms();
+const DecisionMemo::Decision& RunTimeManager::decide(const std::vector<SiId>& sis,
+                                                     const std::vector<std::uint64_t>& forecast,
+                                                     unsigned budget) {
   static MetricCounter& hit_metric = metric_counter("rtm.decision_cache.hits");
   static MetricCounter& miss_metric = metric_counter("rtm.decision_cache.misses");
-  static MetricCounter& eviction_metric = metric_counter("rtm.decision_cache.evictions");
-
-  if (config_.shared_decision_cache != nullptr) {
-    // Fleet mode: memoize through the process-wide cache so identical
-    // decisions computed by other sessions replay here. The hit copies into
-    // shared_scratch_ under the shard lock (the cache entry may be evicted
-    // concurrently); the per-RTM counters keep counting so introspection and
-    // fig8-style analysis work unchanged.
-    fleet::SharedDecisionCache& cache = *config_.shared_decision_cache;
-    if (cache.lookup(shared_domain_, config_.session_id, sis, forecast, ready, budget,
-                     shared_scratch_)) {
-      ++decision_cache_hits_;
-      hit_metric.add();
-      uncached_decision_.selection = std::move(shared_scratch_.selection);
-      uncached_decision_.loads = std::move(shared_scratch_.loads);
-      return uncached_decision_;
-    }
-    ++decision_cache_misses_;
-    miss_metric.add();
-    trace_begin_now(TraceTrack::kRtm, "decide");
-    compute_decision(sis, forecast, budget, ready, uncached_decision_);
-    trace_end_now(TraceTrack::kRtm, "decide");
-    shared_scratch_.selection = uncached_decision_.selection;
-    shared_scratch_.loads = uncached_decision_.loads;
-    cache.insert(shared_domain_, config_.session_id, sis, forecast, ready, budget,
-                 shared_scratch_);
-    return uncached_decision_;
-  }
-
-  DecisionEntry* out = nullptr;
-  if (config_.enable_decision_cache) {
-    // FNV-1a digest of the full key; the bucket scan below compares the key
-    // exactly, so the hash only routes, it never decides.
-    std::uint64_t hash = fingerprint_mix(0, sis.size());
-    for (SiId si : sis) hash = fingerprint_mix(hash, si);
-    for (std::uint64_t f : forecast) hash = fingerprint_mix(hash, f);
-    for (std::size_t t = 0; t < ready.dimension(); ++t) hash = fingerprint_mix(hash, ready[t]);
-    hash = fingerprint_mix(hash, budget);
-
-    const auto bucket_it = decision_cache_.find(hash);
-    if (bucket_it != decision_cache_.end()) {
-      for (const auto entry_it : bucket_it->second) {
-        if (entry_it->budget == budget && entry_it->sis == sis &&
-            entry_it->forecast == forecast && entry_it->ready == ready) {
-          ++decision_cache_hits_;
-          hit_metric.add();
-          if (trace_enabled())
-            trace_counter_now(TraceTrack::kRtm, "decision cache hits",
-                              static_cast<double>(decision_cache_hits_));
-          decision_lru_.splice(decision_lru_.begin(), decision_lru_, entry_it);
-          return *entry_it;
-        }
-      }
-    }
-
-    // Miss past capacity: evict the least-recently-used decision (a future
-    // miss on that key simply recomputes, so eviction is bit-exact).
-    const std::size_t capacity = std::max<std::size_t>(1, config_.decision_cache_capacity);
-    if (decision_lru_.size() >= capacity) {
-      const auto victim = std::prev(decision_lru_.end());
-      auto& victim_bucket = decision_cache_[victim->hash];
-      victim_bucket.erase(std::find(victim_bucket.begin(), victim_bucket.end(), victim));
-      if (victim_bucket.empty()) decision_cache_.erase(victim->hash);
-      decision_lru_.erase(victim);
-      ++decision_cache_evictions_;
-      eviction_metric.add();
-    }
-    decision_lru_.emplace_front();
-    decision_cache_[hash].push_back(decision_lru_.begin());
-    out = &decision_lru_.front();
-    out->hash = hash;
-    out->sis = sis;
-    out->forecast = forecast;
-    out->ready = ready;
-    out->budget = budget;
-  } else {
-    out = &uncached_decision_;
+  const DecisionMemo::Key key{memo_domain_, sis, forecast, cf_->ready_atoms(), budget};
+  if (config_.enable_decision_cache &&
+      config_.decision_memo->lookup(key, config_.session_id, decision_)) {
+    ++decision_cache_hits_;
+    hit_metric.add();
+    if (trace_enabled())
+      trace_counter_now(TraceTrack::kRtm, "decision cache hits",
+                        static_cast<double>(decision_cache_hits_));
+    return decision_;
   }
   ++decision_cache_misses_;
   miss_metric.add();
 
   // The selection→schedule pipeline is the expensive path worth seeing on
-  // the timeline; cache hits above return in nanoseconds and stay silent.
+  // the timeline; memo hits above return in nanoseconds and stay silent.
   trace_begin_now(TraceTrack::kRtm, "decide");
-  compute_decision(sis, forecast, budget, ready, *out);
+  compute_decision(sis, forecast, budget, key.ready, decision_);
   trace_end_now(TraceTrack::kRtm, "decide");
   if (trace_enabled())
     trace_counter_now(TraceTrack::kRtm, "decision cache misses",
                       static_cast<double>(decision_cache_misses_));
-  return *out;
+  if (config_.enable_decision_cache)
+    config_.decision_memo->insert(key, config_.session_id, decision_);
+  return decision_;
 }
 
 void RunTimeManager::compute_decision(const std::vector<SiId>& sis,
                                       const std::vector<std::uint64_t>& forecast,
                                       unsigned budget, const Molecule& ready,
-                                      DecisionEntry& out) {
+                                      DecisionMemo::Decision& out) {
   // Wall-clock cost of the uncached selection→schedule pipeline; cache hits
   // never get here, so this is the tail the memo layers are hiding.
   const auto started = std::chrono::steady_clock::now();

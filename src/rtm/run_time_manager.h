@@ -16,18 +16,15 @@
 
 #include <cstdint>
 #include <deque>
-#include <list>
-#include <memory>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "base/trace_event.h"
 
-#include "fleet/shared_decision_cache.h"
 #include "hw/atom_container.h"
 #include "hw/bitstream.h"
-#include "hw/reconfig_port.h"
 #include "monitor/forecast.h"
+#include "rtm/decision_memo.h"
 #include "rtm/fabric_arbiter.h"
 #include "sched/schedule.h"
 #include "select/selection.h"
@@ -62,41 +59,38 @@ struct RtmConfig {
   bool enable_prefetch = false;
   /// Memoize the selection→schedule decision (DESIGN §6.2). The decision is
   /// a pure function of (hot-spot SI list, forecast vector, ready atoms,
-  /// container budget) once the SI set, the scheduler strategy, and the
-  /// payback constant are fixed — and those are per-RTM-instance constants —
-  /// so replaying a cached decision is bit-exact by construction. Off is
-  /// only useful for A/B tests and the cache's own equivalence tests.
+  /// container budget) within the RTM's memo domain (SI set, scheduler
+  /// strategy, payback constant, rtm_domain_digest), so replaying a memoized
+  /// decision is bit-exact by construction. Off is only useful for A/B
+  /// tests and the memo's own equivalence tests.
   bool enable_decision_cache = true;
-  /// Decision-cache entry bound: past it, the least-recently-used decision
-  /// is evicted (misses recompute, so any capacity stays bit-exact).
-  /// Steady-state workloads sit far below the default.
-  std::size_t decision_cache_capacity = 4096;
-  /// Process-wide decision cache shared across sessions (src/fleet). When
-  /// set it replaces the per-instance cache above: decide() registers this
-  /// RTM's constants (SI-set fingerprint, scheduler name, payback) as a
-  /// cache domain and memoizes through the shared cache, so identical
-  /// decisions computed by *other* sessions replay here. Bit-exact for the
-  /// same reason the per-instance cache is: the domain makes the key
-  /// complete. Not owned; must outlive the RTM.
-  fleet::SharedDecisionCache* shared_decision_cache = nullptr;
-  /// Identity of the owning session — only used for the shared cache's
+  /// A decision memo shared with other RTMs (the fleet's process-wide memo,
+  /// DESIGN §8), so identical decisions computed by *other* sessions replay
+  /// here. The RTM registers its constants (SI-set fingerprint, scheduler,
+  /// payback, rtm_domain_digest) as a memo domain, which keeps sharing
+  /// bit-exact. Null: the RTM memoizes through a private 1-shard memo of
+  /// 4096 entries. Not owned; must outlive the RTM.
+  DecisionMemo* decision_memo = nullptr;
+  /// Identity of the owning session — only used for the memo's
   /// cross-session hit accounting, never for decisions.
   std::uint64_t session_id = 0;
   /// Multi-tenant mode (DESIGN §9): when set, this RTM is tenant `tenant` of
   /// the arbiter's shared fabric — the AC view and the reconfiguration port
   /// come from the arbiter (container_count is ignored) and every load is
   /// subject to port arbitration and quota rebalancing. Not owned; must
-  /// outlive the RTM. A 1-tenant arbiter is bit-identical to the solo path.
+  /// outlive the RTM. Null: the RTM owns the paper's device, a 1-tenant
+  /// arbiter with `container_count` containers (FabricArbiter's solo
+  /// constructor).
   FabricArbiter* arbiter = nullptr;
   TenantId tenant = 0;
 };
 
-/// Digest of every RtmConfig knob that changes decide()'s output for an
-/// identical (sis, forecast, ready atoms, budget) key. Folded into the shared
-/// decision cache's domain identity so sessions configured differently never
-/// share decisions: two domains with equal SI sets, schedulers and payback
-/// constants but different digests stay apart. forecast_mode enters today;
-/// fold any future decision-influencing knob here the same way.
+/// Digest of the RtmConfig knobs folded into the RTM's memo domain next to
+/// the SI-set fingerprint, scheduler name and payback constant, so RTMs
+/// configured differently never share decisions. forecast_mode enters.
+/// DecisionMemo.EveryConfigFieldKeepsSharedMemoBitExact replays every field's
+/// perturbation through a shared memo and fails for a knob that changes
+/// decisions without changing the domain.
 std::uint64_t rtm_domain_digest(const RtmConfig& config);
 
 class RunTimeManager final : public ExecutionBackend {
@@ -123,27 +117,27 @@ class RunTimeManager final : public ExecutionBackend {
   Cycles si_execution_span(std::span<const SiRun> runs, Cycles now,
                            Cycles per_execution_overhead) override;
   std::uint64_t completed_loads() const override {
-    return config_.arbiter != nullptr ? config_.arbiter->completed_loads(config_.tenant)
-                                      : port_.completed_loads();
+    return config_.arbiter->completed_loads(config_.tenant);
   }
 
   // -- Co-simulation fast-forward (rtm/tenant_sim.cpp, DESIGN §9.1) ----
   /// No load in flight and both load queues drained: entering a hot spot is
   /// the only thing that could next touch the reconfiguration port.
   bool reconfig_idle() const {
-    return !fabric_loading() && pending_loads_.empty() && prefetch_loads_.empty();
+    return !inflight_->has_value() && pending_loads_.empty() && prefetch_loads_.empty();
   }
   /// Conservative probe: would replaying `instance` be *port-silent* — no
   /// port request, no load completion, no queued load left behind? True only
   /// when the reconfig machinery is idle AND the entry's decision is already
-  /// memoized with an empty load sequence, checked against the exact key
-  /// decide() would build (same hash, same full-key compare) without
-  /// touching the cache's recency state or counters. False negatives are
-  /// fine (the caller falls back to normal stepping); false positives would
-  /// break bit-exactness, so every precondition decide() bakes into the key
-  /// (forecast mode, prefetch, private cache) is checked here. Only
-  /// meaningful under an arbiter with rebalance_possible() == false — a
-  /// port-silent entry then commutes with other tenants' steps (DESIGN §9.1).
+  /// memoized with an empty load sequence: a DecisionMemo::peek() of the
+  /// exact key decide() will build, which moves neither recency nor
+  /// counters. A memoized decision is the decision, so the probe stays sound
+  /// even if a shared memo evicts the entry before the real lookup. False
+  /// negatives are fine (the caller falls back to normal stepping); false
+  /// positives would break bit-exactness, so every precondition the key
+  /// assumes (forecast mode, prefetch, memo on) is checked here. Only true
+  /// while rebalance_possible() == false — a port-silent entry then commutes
+  /// with other tenants' steps (DESIGN §9.1).
   bool entry_is_port_silent(const WorkloadTrace& trace, std::size_t instance) const;
 
   // -- Introspection (tests, Figure 8 analysis) ------------------------
@@ -152,33 +146,19 @@ class RunTimeManager final : public ExecutionBackend {
   const ExecutionMonitor& monitor() const { return monitor_; }
   /// Latency the SI would take if issued at the current state.
   Cycles current_latency(SiId si) const;
-  /// Decision-cache effectiveness (both the entry and the prefetch path).
+  /// Decision-memo effectiveness (both the entry and the prefetch path).
   std::uint64_t decision_cache_hits() const { return decision_cache_hits_; }
   std::uint64_t decision_cache_misses() const { return decision_cache_misses_; }
-  std::uint64_t decision_cache_evictions() const { return decision_cache_evictions_; }
-  std::size_t decision_cache_size() const { return decision_lru_.size(); }
 
  private:
   void advance_reconfig(Cycles now);
   void start_pending_loads(Cycles now);
   void compute_prefetch();
 
-  // Fabric shims: the solo path owns a private port and a fully enabled
-  // ContainerFile; under an arbiter the tenant shares the device port and
-  // views its quota through the arbiter's file (cf_ points at whichever).
-  bool fabric_loading() const {
-    return config_.arbiter != nullptr ? config_.arbiter->inflight(config_.tenant).has_value()
-                                      : port_.busy();
-  }
-  Cycles fabric_finishes_at() const {
-    return config_.arbiter != nullptr
-               ? config_.arbiter->inflight(config_.tenant)->finishes_at
-               : port_.inflight()->finishes_at;
-  }
-  ReconfigPort::InflightLoad fabric_retire(Cycles now);
-  /// nullopt = the load started; otherwise the arbiter's retry hint
-  /// (strictly after `now`), recorded in denied_until_ by the caller.
-  std::optional<Cycles> fabric_try_start(AtomTypeId type, ContainerId victim, Cycles now);
+  /// Asks the port for one load of `type`, evicting a container outside
+  /// `hard_demand`. False when the load cannot start now: the port was
+  /// denied (retry hint in denied_until_) or every container is pinned.
+  bool start_load(AtomTypeId type, const Molecule& hard_demand, Cycles now);
   /// The next simulated time at which this tenant's SI latencies can change:
   /// its own in-flight load's completion, or the arbiter's retry hint while
   /// it waits for the port. nullopt = no pending fabric event (latencies are
@@ -189,37 +169,29 @@ class RunTimeManager final : public ExecutionBackend {
   /// by invalidating the latency cache when the fabric generation moved.
   void sync_fabric();
 
-  /// One memoized decision: the key (everything the selection→schedule
-  /// pipeline reads that varies at run time) and the result. Schedule::steps
-  /// are not kept — the RTM only replays the atom load sequence.
-  struct DecisionEntry {
-    std::vector<SiId> sis;
-    std::vector<std::uint64_t> forecast;
-    Molecule ready;
-    unsigned budget = 0;
-    std::vector<SiRef> selection;
-    std::vector<AtomTypeId> loads;
-    std::uint64_t hash = 0;  // key digest, kept so eviction finds the bucket
-  };
   /// Runs selection + scheduling for (sis, forecast, current ready atoms,
   /// budget), or replays the memoized result verbatim on a key match. The
-  /// returned reference lives in the cache: it is invalidated by the next
-  /// decide() call, so consume it before any path that may decide again.
-  const DecisionEntry& decide(const std::vector<SiId>& sis,
-                              const std::vector<std::uint64_t>& forecast,
-                              unsigned budget);
-  /// The uncached selection→schedule pipeline behind decide().
+  /// returned reference is the RTM's result slot: it is invalidated by the
+  /// next decide() call, so consume it before any path that may decide again.
+  const DecisionMemo::Decision& decide(const std::vector<SiId>& sis,
+                                       const std::vector<std::uint64_t>& forecast,
+                                       unsigned budget);
+  /// The unmemoized selection→schedule pipeline behind decide().
   void compute_decision(const std::vector<SiId>& sis,
                         const std::vector<std::uint64_t>& forecast, unsigned budget,
-                        const Molecule& ready, DecisionEntry& out);
+                        const Molecule& ready, DecisionMemo::Decision& out);
 
   const SpecialInstructionSet* set_;
+  // config_.arbiter and config_.decision_memo are never null after
+  // construction: without the caller's, they point at own_fabric_/own_memo_.
   RtmConfig config_;
+  std::optional<FabricArbiter> own_fabric_;
+  std::optional<DecisionMemo> own_memo_;
   ExecutionMonitor monitor_;
   std::vector<std::vector<std::uint64_t>> seeds_;  // design-time profile copy
-  ContainerFile containers_;  // solo mode only (empty under an arbiter)
-  ReconfigPort port_;         // solo mode only (idle under an arbiter)
-  ContainerFile* cf_ = nullptr;  // the AC view: &containers_ or the arbiter's
+  ContainerFile* cf_ = nullptr;  // this tenant's AC view (the arbiter's file)
+  // This tenant's in-flight load (arbiter storage never moves).
+  const std::optional<FabricArbiter::InflightLoad>* inflight_ = nullptr;
   Cycles denied_until_ = 0;      // arbiter retry hint from the last denial
   std::uint64_t fabric_gen_seen_ = 0;  // last consumed arbiter mutation gen
 
@@ -243,21 +215,12 @@ class RunTimeManager final : public ExecutionBackend {
   Molecule prefetch_demand_;                    // sup of the prefetch selection
   std::vector<Cycles> type_last_used_;   // LRU stamps per atom type
 
-  // Decision cache (see decide()). Entries live on an LRU list (front =
-  // most recent; hits splice to the front, a miss past capacity evicts the
-  // back). Buckets map the key digest to list iterators holding full keys:
-  // a hash collision degrades to a linear compare, never to a wrong
-  // decision. std::list iterators survive splicing, so bucket entries stay
-  // valid across recency updates.
-  std::list<DecisionEntry> decision_lru_;
-  std::unordered_map<std::uint64_t, std::vector<std::list<DecisionEntry>::iterator>>
-      decision_cache_;
+  // Decision memo (see decide()).
+  DecisionMemo::DomainId memo_domain_ = 0;
   std::uint64_t decision_cache_hits_ = 0;
   std::uint64_t decision_cache_misses_ = 0;
-  std::uint64_t decision_cache_evictions_ = 0;
-  DecisionEntry uncached_decision_;      // result slot (cache off / shared cache)
-  fleet::SharedDecisionCache::DomainId shared_domain_ = 0;
-  fleet::SharedDecision shared_scratch_;        // shared-cache copy-in/out slot
+  DecisionMemo::Decision decision_;         // decide()'s result slot
+  mutable DecisionMemo::Decision probe_;    // entry_is_port_silent() scratch
   std::vector<std::uint64_t> oracle_forecast_;  // per-entry scratch (kOracle)
   std::vector<SiId> prefetch_sis_;              // per-entry scratch (prefetch)
 

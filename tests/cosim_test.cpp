@@ -339,8 +339,9 @@ TEST(Cosim, HorizonIsNeverViolated) {
     s.inflight = arbiter.inflight(tenants[i]).has_value();
     s.valid = true;
     // Sub-contract: an in-flight load pins the horizon to its completion.
-    if (s.inflight)
+    if (s.inflight) {
       EXPECT_EQ(s.horizon, arbiter.inflight(tenants[i])->finishes_at) << "tenant " << i;
+    }
     return s;
   };
 

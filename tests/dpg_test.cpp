@@ -109,7 +109,7 @@ TEST_P(ListSchedulerMonotonicity, MoreInstancesNeverHurt) {
   AtomLibrary lib;
   const std::size_t types = 2 + rng.bounded(3);
   for (std::size_t t = 0; t < types; ++t)
-    lib.add({"T" + std::to_string(t), 1 + rng.bounded(4), 10, 100});
+    lib.add({std::string("T").append(std::to_string(t)), 1 + rng.bounded(4), 10, 100});
 
   DataPathGraph g(&lib);
   const std::size_t layers = 1 + rng.bounded(4);
@@ -148,7 +148,7 @@ TEST_P(ListSchedulerQualityBound, WithinCriticalPathPlusTypeWork) {
   AtomLibrary lib;
   const std::size_t types = 1 + rng.bounded(4);
   for (std::size_t t = 0; t < types; ++t)
-    lib.add({"Q" + std::to_string(t), 1 + rng.bounded(5), 10, 100});
+    lib.add({std::string("Q").append(std::to_string(t)), 1 + rng.bounded(5), 10, 100});
 
   DataPathGraph g(&lib);
   // Random layered DAG with random cross-layer edges.

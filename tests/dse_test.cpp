@@ -19,7 +19,7 @@
 #include "dse/engine.h"
 #include "dse/eval_cache.h"
 #include "dse/pareto.h"
-#include "fleet/shared_decision_cache.h"
+#include "rtm/decision_memo.h"
 #include "h264/workload.h"
 #include "isa/h264_si_library.h"
 #include "isa/si.h"
@@ -205,7 +205,9 @@ TEST(Dse, ParetoFrontInvariants) {
     const bool entered = front.insert(p);
     // An inserted point is never dominated by the resulting front (beyond
     // itself); a rejected one is always weakly dominated.
-    if (!entered) EXPECT_TRUE(front.dominates(p.slices, p.speedup));
+    if (!entered) {
+      EXPECT_TRUE(front.dominates(p.slices, p.speedup));
+    }
   }
   const auto& points = front.points();
   ASSERT_FALSE(points.empty());
@@ -260,7 +262,9 @@ std::string observable_text(const SpecialInstructionSet& set) {
     for (const MoleculeImpl& m : s.molecules) {
       for (std::size_t d = 0; d < m.atoms.dimension(); ++d)
         out += std::to_string(m.atoms[d]) + ".";
-      out += "@" + std::to_string(m.latency) + "|";
+      out += '@';
+      out += std::to_string(m.latency);
+      out += '|';
     }
     out += "]";
   }
@@ -277,8 +281,8 @@ TEST(Dse, FingerprintIsolatesGeneratedIsas) {
   MakespanMemo memo;
   std::map<std::uint64_t, std::string> seen;  // fingerprint -> observable ISA
   std::set<std::string> distinct_isas;
-  fleet::SharedDecisionCache shared(1 << 8, 2);
-  std::set<fleet::SharedDecisionCache::DomainId> domains;
+  DecisionMemo shared(1 << 8, 2);
+  std::set<DecisionMemo::DomainId> domains;
   std::set<std::string> trace_paths;
   std::set<std::uint64_t> fingerprints;
   for (const config::PlatformSpec& spec : mutated_specs(120, 31)) {
@@ -286,7 +290,9 @@ TEST(Dse, FingerprintIsolatesGeneratedIsas) {
     const std::uint64_t fp = fingerprint(set);
     const std::string isa = observable_text(set);
     const auto [it, inserted] = seen.emplace(fp, isa);
-    if (!inserted) EXPECT_EQ(it->second, isa) << "fingerprint collision";
+    if (!inserted) {
+      EXPECT_EQ(it->second, isa) << "fingerprint collision";
+    }
     distinct_isas.insert(isa);
     fingerprints.insert(fp);
     domains.insert(shared.register_domain(fp, "HEF", 100, 0));

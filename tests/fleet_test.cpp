@@ -21,7 +21,7 @@
 #include "base/parallel.h"
 #include "base/prng.h"
 #include "fleet/session_batch.h"
-#include "fleet/shared_decision_cache.h"
+#include "rtm/decision_memo.h"
 #include "fleet/spec.h"
 #include "fleet/trace_repository.h"
 #include "rtm/run_time_manager.h"
@@ -97,7 +97,7 @@ void check_fleet_against_solo(std::uint64_t seed, unsigned threads, unsigned blo
   }
 
   TraceRepository repo;
-  SharedDecisionCache cache(1 << 12, 4);
+  DecisionMemo cache(1 << 12, 4);
   ThreadPool pool(threads);
   FleetOptions options;
   options.traces = &repo;
@@ -151,7 +151,7 @@ TEST(Fleet, SharedCacheCountsCrossSessionHits) {
   // Two identical sessions: the second replays the first's decisions, and
   // every one of those hits is a cross-session hit.
   TraceRepository repo;
-  SharedDecisionCache cache(1 << 12, 1);
+  DecisionMemo cache(1 << 12, 1);
   ThreadPool pool(1);
   FleetOptions options;
   options.traces = &repo;
@@ -175,7 +175,7 @@ TEST(Fleet, SharedCacheKeepsDomainsApart) {
   // and diverge from their solo runs — so equality with solo runs across a
   // mixed-scheduler fleet is the sharpest check.
   TraceRepository repo;
-  SharedDecisionCache cache(1 << 12, 2);
+  DecisionMemo cache(1 << 12, 2);
   ThreadPool pool(2);
   FleetOptions options;
   options.traces = &repo;
@@ -194,24 +194,24 @@ TEST(Fleet, SharedCacheKeepsDomainsApart) {
 }
 
 TEST(Fleet, SharedCacheEvictsAtCapacity) {
-  SharedDecisionCache cache(/*capacity=*/8, /*shards=*/1);
+  DecisionMemo cache(/*capacity=*/8, /*shards=*/1);
   const auto domain = cache.register_domain(1, "HEF", 100, 0);
-  Molecule ready;
-  SharedDecision decision;
+  const Molecule ready;
+  DecisionMemo::Decision decision;
   decision.loads = {1, 2};
   for (std::uint64_t i = 0; i < 64; ++i)
-    cache.insert(domain, /*session=*/0, {static_cast<SiId>(i)}, {i}, ready, 10, decision);
+    cache.insert({domain, {static_cast<SiId>(i)}, {i}, ready, 10}, /*session=*/0, decision);
   EXPECT_LE(cache.size(), 8u);
   EXPECT_GT(cache.evictions(), 0u);
   // Freshest key still resident, oldest evicted.
-  SharedDecision out;
-  EXPECT_TRUE(cache.lookup(domain, 1, {static_cast<SiId>(63)}, {63}, ready, 10, out));
+  DecisionMemo::Decision out;
+  EXPECT_TRUE(cache.lookup({domain, {static_cast<SiId>(63)}, {63}, ready, 10}, 1, out));
   EXPECT_EQ(out.loads, decision.loads);
-  EXPECT_FALSE(cache.lookup(domain, 1, {static_cast<SiId>(0)}, {0}, ready, 10, out));
+  EXPECT_FALSE(cache.lookup({domain, {static_cast<SiId>(0)}, {0}, ready, 10}, 1, out));
 }
 
 TEST(Fleet, SharedCacheInternsDomains) {
-  SharedDecisionCache cache;
+  DecisionMemo cache;
   const auto a = cache.register_domain(42, "HEF", 100, 0);
   const auto b = cache.register_domain(42, "HEF", 100, 0);
   const auto c = cache.register_domain(42, "SJF", 100, 0);
@@ -236,7 +236,7 @@ TEST(Fleet, DomainDigestSeparatesForecastModes) {
   seeded.forecast_mode = ForecastMode::kStaticSeeds;
   EXPECT_NE(rtm_domain_digest(monitored), rtm_domain_digest(seeded));
 
-  SharedDecisionCache cache;
+  DecisionMemo cache;
   const auto a = cache.register_domain(42, "HEF", 100, rtm_domain_digest(monitored));
   const auto b = cache.register_domain(42, "HEF", 100, rtm_domain_digest(seeded));
   EXPECT_NE(a, b);
@@ -244,7 +244,7 @@ TEST(Fleet, DomainDigestSeparatesForecastModes) {
   // End to end: sessions differing only in forecast mode, all sharing one
   // cache, must each still match their solo replay exactly.
   TraceRepository repo;
-  SharedDecisionCache shared(1 << 12, 1);
+  DecisionMemo shared(1 << 12, 1);
   ThreadPool pool(1);
   FleetOptions options;
   options.traces = &repo;
@@ -340,8 +340,12 @@ TEST(Fleet, MixCountsAreExact) {
       // less than one whole session.
       EXPECT_LT(std::abs(static_cast<double>(h264) - ideal), 1.0)
           << sessions << " sessions, mix " << h << ":" << j;
-      if (j == 0) EXPECT_EQ(h264, expanded.size());
-      if (h == 0) EXPECT_EQ(h264, 0u);
+      if (j == 0) {
+        EXPECT_EQ(h264, expanded.size());
+      }
+      if (h == 0) {
+        EXPECT_EQ(h264, 0u);
+      }
     }
   }
 }
@@ -482,7 +486,7 @@ TEST(FleetSpec, ParsersAcceptWellFormedInput) {
 
 TEST(Fleet, RunFleetReportsThroughputAndLatency) {
   TraceRepository repo;
-  SharedDecisionCache cache(1 << 12, 2);
+  DecisionMemo cache(1 << 12, 2);
   ThreadPool pool(2);
   FleetOptions options;
   options.traces = &repo;

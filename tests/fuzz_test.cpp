@@ -26,7 +26,7 @@ RandomPlatform make_random_platform(std::uint64_t seed) {
   const std::size_t types = 2 + rng.bounded(6);
   for (std::size_t t = 0; t < types; ++t) {
     AtomType type;
-    type.name = "T" + std::to_string(t);
+    type.name = std::string("T").append(std::to_string(t));
     type.op_latency = 1 + rng.bounded(4);
     type.sw_op_cycles = type.op_latency * (4 + rng.bounded(24));
     type.slices = 150 + static_cast<unsigned>(rng.bounded(500));
@@ -58,7 +58,7 @@ RandomPlatform make_random_platform(std::uint64_t seed) {
   platform.trace.hot_spots.resize(hot_spots);
   for (std::size_t h = 0; h < hot_spots; ++h) {
     auto& info = platform.trace.hot_spots[h];
-    info.name = "H" + std::to_string(h);
+    info.name = std::string("H").append(std::to_string(h));
     info.per_execution_overhead = rng.bounded(16);
     for (SiId si = 0; si < set->si_count(); ++si)
       if (rng.bounded(2) == 0 || si == h % set->si_count()) info.sis.push_back(si);

@@ -1,11 +1,12 @@
 // Multi-tenant fabric arbitration (DESIGN §9).
 //
-// The load-bearing test is SoloEquivalencePerScheduler: a 1-tenant arbiter
-// must be *bit-identical* to the pre-arbiter solo RunTimeManager — same
-// SimResult, same SimStats buckets and latency timelines — across all four
-// schedulers and both replay paths. The arbiter indirection (ContainerFile
-// quotas, port grants through try_start, the co-simulation loop) may only
-// matter when a second tenant exists.
+// The load-bearing test is SoloEquivalencePerScheduler: run_tenants on a
+// 1-tenant arbiter must be *bit-identical* to run_trace on a solo
+// RunTimeManager (itself a 1-tenant device) — same SimResult, same SimStats
+// buckets and latency timelines — across all four schedulers and both
+// replay paths. The co-simulation loop and an externally owned device may
+// only matter when a second tenant exists; tests/golden_test.cpp pins the
+// solo numbers themselves.
 #include <gtest/gtest.h>
 
 #include <memory>

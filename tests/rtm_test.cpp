@@ -3,14 +3,18 @@
 // the Molen baseline contrast.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
 #include <stdexcept>
 
 #include "baselines/molen.h"
 #include "baselines/software_only.h"
 #include "baselines/static_asip.h"
+#include "fleet/trace_repository.h"
 #include "h264/workload.h"
 #include "isa/h264_si_library.h"
 #include "rtm/run_time_manager.h"
+#include "rtm/tenant_sim.h"
 #include "sched/hef.h"
 #include "sched/registry.h"
 #include "sim/executor.h"
@@ -238,8 +242,8 @@ TEST(RunTimeManager, PrefetchForecastSourceFollowsForecastMode) {
       << "static-seeds prefetch must consult the seeds, not the monitor";
 }
 
-TEST(RunTimeManager, DecisionCacheEvictsLeastRecentlyUsed) {
-  // Three hot spots with distinct SI lists are three distinct cache keys;
+TEST(DecisionMemo, EvictsLeastRecentlyUsed) {
+  // Three hot spots with distinct SI lists are three distinct memo keys;
   // capacity 2 forces eviction on every third distinct entry. `now` stays 0
   // so the port never retires a load and the ready-atom part of the key is
   // fixed; static seeds fix the forecast part.
@@ -254,9 +258,10 @@ TEST(RunTimeManager, DecisionCacheEvictsLeastRecentlyUsed) {
                      HotSpotInstance{2, {}, 0}};
 
   HefScheduler hef;
+  DecisionMemo memo(/*capacity=*/2, /*shards=*/1, DecisionMemo::Scope::kPrivate);
   RtmConfig config = config_with(&hef, 14);
   config.forecast_mode = ForecastMode::kStaticSeeds;
-  config.decision_cache_capacity = 2;
+  config.decision_memo = &memo;
   RunTimeManager rtm(&set, 3, config);
   rtm.seed_forecast(0, sad, 10'000);
   rtm.seed_forecast(1, satd, 10'000);
@@ -267,49 +272,174 @@ TEST(RunTimeManager, DecisionCacheEvictsLeastRecentlyUsed) {
     rtm.on_hot_spot_exit(0);
   };
 
-  enter(0);  // A: miss, cache [A]
-  enter(1);  // B: miss, cache [B, A]
-  EXPECT_EQ(rtm.decision_cache_misses(), 2u);
-  EXPECT_EQ(rtm.decision_cache_evictions(), 0u);
+  enter(0);  // A: miss, memo [A]
+  enter(1);  // B: miss, memo [B, A]
+  EXPECT_EQ(memo.misses(), 2u);
+  EXPECT_EQ(memo.evictions(), 0u);
 
-  enter(0);  // A: hit — and A becomes most recent, cache [A, B]
-  EXPECT_EQ(rtm.decision_cache_hits(), 1u);
+  enter(0);  // A: hit — and A becomes most recent, memo [A, B]
+  EXPECT_EQ(memo.hits(), 1u);
 
   enter(2);  // C: miss past capacity — evicts B (the LRU), not A
-  EXPECT_EQ(rtm.decision_cache_evictions(), 1u);
-  EXPECT_EQ(rtm.decision_cache_size(), 2u);
+  EXPECT_EQ(memo.evictions(), 1u);
+  EXPECT_EQ(memo.size(), 2u);
 
   enter(0);  // A: still a hit — proves the recency splice protected it
-  EXPECT_EQ(rtm.decision_cache_hits(), 2u);
+  EXPECT_EQ(memo.hits(), 2u);
 
   enter(1);  // B: miss again — proves B was the one evicted; evicts C
-  EXPECT_EQ(rtm.decision_cache_misses(), 4u);
-  EXPECT_EQ(rtm.decision_cache_evictions(), 2u);
+  EXPECT_EQ(memo.misses(), 4u);
+  EXPECT_EQ(memo.evictions(), 2u);
 
   enter(2);  // C: miss (evicted above); evicts A
-  EXPECT_EQ(rtm.decision_cache_misses(), 5u);
-  EXPECT_EQ(rtm.decision_cache_evictions(), 3u);
-  EXPECT_EQ(rtm.decision_cache_size(), 2u);
-  EXPECT_EQ(rtm.decision_cache_hits(), 2u);
+  EXPECT_EQ(memo.misses(), 5u);
+  EXPECT_EQ(memo.evictions(), 3u);
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(memo.hits(), 2u);
+  // The RTM counts the same decisions the memo served.
+  EXPECT_EQ(rtm.decision_cache_hits(), memo.hits());
+  EXPECT_EQ(rtm.decision_cache_misses(), memo.misses());
+}
+
+TEST(DecisionMemo, PeekMovesNeitherRecencyNorCounters) {
+  DecisionMemo memo(/*capacity=*/2, /*shards=*/1);
+  const auto domain = memo.register_domain(1, "HEF", 100, 0);
+  const Molecule ready(3);
+  const std::vector<std::uint64_t> forecast{500};
+  const std::vector<SiId> a{0}, b{1}, c{2};
+  DecisionMemo::Decision decision;
+  decision.loads = {2, 1};
+  DecisionMemo::Decision out;
+  memo.insert({domain, a, forecast, ready, 8}, /*session=*/1, decision);  // memo [A]
+  memo.insert({domain, b, forecast, ready, 8}, /*session=*/1, decision);  // memo [B, A]
+  ASSERT_TRUE(memo.lookup({domain, b, forecast, ready, 8}, /*session=*/2, out));
+  EXPECT_FALSE(memo.lookup({domain, c, forecast, ready, 8}, /*session=*/2, out));
+
+  // A peek from anyone finds A, copies it out and leaves every counter put.
+  out = {};
+  EXPECT_TRUE(memo.peek({domain, a, forecast, ready, 8}, out));
+  EXPECT_EQ(out.loads, decision.loads);
+  EXPECT_FALSE(memo.peek({domain, c, forecast, ready, 8}, out));
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(memo.misses(), 1u);
+  EXPECT_EQ(memo.cross_session_hits(), 1u);
+
+  // Nor did the peek make A recent: the next insert still evicts A.
+  memo.insert({domain, c, forecast, ready, 8}, /*session=*/1, decision);
+  EXPECT_EQ(memo.evictions(), 1u);
+  EXPECT_FALSE(memo.peek({domain, a, forecast, ready, 8}, out));
+  EXPECT_TRUE(memo.peek({domain, b, forecast, ready, 8}, out));
+}
+
+/// The 2-frame 96x64 H.264 encode: short, with every hot spot entered.
+fleet::SessionSpec small_h264_session() {
+  fleet::SessionSpec spec;
+  spec.frames = 2;
+  spec.width = 96;
+  spec.height = 64;
+  return spec;
+}
+
+/// Replays `entry` with `config` memoizing through `memo`. `device_tenants`
+/// picks the fabric: 0 = the RTM's own device, 1 = a 1-tenant arbiter, 2 =
+/// tenant 1 of a device whose tenant 0 stays idle.
+SimResult replay_with_memo(const fleet::TraceEntry& entry, RtmConfig config,
+                           DecisionMemo* memo, unsigned device_tenants) {
+  config.decision_memo = memo;
+  std::optional<FabricArbiter> device;
+  if (device_tenants > 0) {
+    ArbiterConfig arbiter_config;
+    arbiter_config.total_containers = config.container_count;
+    arbiter_config.bitstream = config.bitstream;
+    device.emplace(arbiter_config);
+    const unsigned neighbour = device_tenants == 2 ? 2 : 0;
+    if (neighbour > 0) device->add_tenant(TenantConfig{neighbour, 1, 1});
+    config.tenant = device->add_tenant(TenantConfig{config.container_count - neighbour, 1, 1});
+    config.arbiter = &*device;
+  }
+  RunTimeManager rtm(&entry.set, entry.trace.hot_spots.size(), config);
+  for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
+    for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
+      if (entry.seeds[hs][si] != 0) rtm.seed_forecast(hs, si, entry.seeds[hs][si]);
+  if (!device) return run_trace(entry.trace, rtm);
+  TenantRun run{config.tenant, &entry.trace, &rtm, nullptr};
+  return run_tenants(*device, std::span<TenantRun>(&run, 1)).front();
 }
 
 TEST(RunTimeManager, TinyDecisionCacheStaysBitExact) {
-  // Eviction-heavy configuration vs unlimited cache vs no cache: the full
-  // simulated run must be identical — a miss recomputes, never approximates.
-  const auto set = h264sis::build_h264_si_set();
-  const WorkloadTrace trace = me_trace(set, 6'000);
-  const auto total = [&](bool enable, std::size_t capacity) {
+  // Eviction-heavy memo vs the RTM's own memo vs no memo: the full simulated
+  // run must be identical — a miss recomputes, never approximates.
+  fleet::TraceRepository repo;
+  const fleet::TraceEntry& entry = repo.get(small_h264_session());
+  const auto total = [&](bool enable, DecisionMemo* memo) {
     HefScheduler hef;
     RtmConfig config = config_with(&hef, 14);
     config.enable_decision_cache = enable;
-    config.decision_cache_capacity = capacity;
-    RunTimeManager rtm(&set, 3, config);
-    h264::seed_default_forecasts(set, rtm);
-    return run_trace(trace, rtm).total_cycles;
+    return replay_with_memo(entry, config, memo, 0).total_cycles;
   };
-  const Cycles reference = total(false, 4096);
-  EXPECT_EQ(total(true, 1), reference);
-  EXPECT_EQ(total(true, 4096), reference);
+  const Cycles reference = total(false, nullptr);
+  DecisionMemo tiny(/*capacity=*/1, /*shards=*/1, DecisionMemo::Scope::kPrivate);
+  EXPECT_EQ(total(true, &tiny), reference);
+  EXPECT_GT(tiny.evictions(), 0u);
+  EXPECT_EQ(total(true, nullptr), reference);
+}
+
+TEST(DecisionMemo, EveryConfigFieldKeepsSharedMemoBitExact) {
+  // Memo-domain completeness: a memo shared by differently configured RTMs
+  // must never serve one of them a decision it would not compute itself. For
+  // every RtmConfig field, a replay with the field perturbed through a memo
+  // the unperturbed configuration already warmed must equal the same replay
+  // through the RTM's own memo. A knob that changes decisions without
+  // entering the memo domain (SI set, scheduler, payback, rtm_domain_digest)
+  // fails.
+  fleet::TraceRepository repo;
+  const fleet::TraceEntry& entry = repo.get(small_h264_session());
+  const auto hef = make_scheduler("HEF");
+  const auto asf = make_scheduler("ASF");
+  RtmConfig base = config_with(hef.get(), 6);
+  // A 4x slower port makes the payback rule bite on this short trace, so
+  // the payback perturbations below change decisions.
+  base.bitstream.bytes_per_second /= 4;
+  // Fails to compile when RtmConfig gains or loses a field: give the new
+  // field a perturbation below.
+  [[maybe_unused]] const auto& [container_count, bitstream, scheduler, forecast_mode,
+                                payback_horizon, enable_prefetch, enable_decision_cache,
+                                decision_memo, session_id, arbiter, tenant] = base;
+
+  struct Perturbation {
+    const char* field;
+    std::function<void(RtmConfig&)> apply;
+    unsigned device_tenants = 0;
+  };
+  const std::vector<Perturbation> perturbations = {
+      {"container_count", [](RtmConfig& c) { c.container_count = 10; }},
+      {"bitstream", [](RtmConfig& c) { c.bitstream.bytes_per_second *= 4; }},
+      {"scheduler", [&](RtmConfig& c) { c.scheduler = asf.get(); }},
+      {"forecast_mode", [](RtmConfig& c) { c.forecast_mode = ForecastMode::kStaticSeeds; }},
+      {"forecast_mode", [](RtmConfig& c) { c.forecast_mode = ForecastMode::kOracle; }},
+      {"payback_horizon", [](RtmConfig& c) { c.payback_horizon = 1; }},
+      {"payback_horizon", [](RtmConfig& c) { c.payback_horizon = 0; }},
+      {"enable_prefetch", [](RtmConfig& c) { c.enable_prefetch = true; }},
+      {"enable_decision_cache", [](RtmConfig& c) { c.enable_decision_cache = false; }},
+      // decision_memo is the variable under test: every replay names one.
+      {"session_id", [](RtmConfig& c) { c.session_id = 7; }},
+      {"arbiter", [](RtmConfig&) {}, 1},
+      {"tenant", [](RtmConfig&) {}, 2},
+  };
+
+  DecisionMemo shared(1 << 12, 2);
+  ASSERT_EQ(replay_with_memo(entry, base, &shared, 0).total_cycles,
+            replay_with_memo(entry, base, nullptr, 0).total_cycles);
+  for (const Perturbation& p : perturbations) {
+    RtmConfig perturbed = base;
+    p.apply(perturbed);
+    const SimResult alone = replay_with_memo(entry, perturbed, nullptr, p.device_tenants);
+    const SimResult warmed = replay_with_memo(entry, perturbed, &shared, p.device_tenants);
+    EXPECT_EQ(warmed.total_cycles, alone.total_cycles) << p.field;
+    EXPECT_EQ(warmed.atom_loads, alone.atom_loads) << p.field;
+    EXPECT_EQ(warmed.hot_spot_cycles, alone.hot_spot_cycles) << p.field;
+  }
+  EXPECT_GT(shared.hits(), 0u);
 }
 
 TEST(Molen, NoIntermediateAcceleration) {

@@ -3,7 +3,7 @@
 //   rispp_stats run/METRICS.json                      # quantile table
 //   rispp_stats --filter fleet. run/METRICS.json      # only fleet series
 //   rispp_stats --q 0.5,0.99,0.999 run/METRICS.json   # custom quantiles
-//   rispp_stats --slo 250000 --metric fleet.contended.session_cycles \
+//   rispp_stats --slo 250000 --metric fleet.contended.session_cycles
 //               run/METRICS.json                      # per-tenant attainment
 //   rispp_stats --diff old/METRICS.json run/METRICS.json   # movements
 //
