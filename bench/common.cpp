@@ -1,11 +1,8 @@
 #include "bench/common.h"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <system_error>
 
@@ -19,35 +16,18 @@ int bench_frames() {
                                         1, 1'000'000));
 }
 
-std::uint64_t workload_fingerprint(const SpecialInstructionSet& set,
-                                   const h264::WorkloadConfig& config) {
-  return h264::workload_fingerprint(set, config);  // shared key (byte-identical)
-}
-
-std::filesystem::path trace_cache_path(const SpecialInstructionSet& set,
-                                       const h264::WorkloadConfig& config) {
-  return h264::trace_cache_path(set, config);
-}
-
 namespace {
 
-WorkloadTrace load_or_generate(const SpecialInstructionSet& set, int frames) {
+h264::WorkloadConfig bench_workload() {
   h264::WorkloadConfig config;
-  config.frames = frames;
-  const auto path = h264::trace_cache_path(set, config);
-  if (auto cached = try_load_trace_file(path)) return std::move(*cached);
-  std::fprintf(stderr, "[bench] encoding %d synthetic CIF frames (cached at %s)...\n",
-               frames, path.string().c_str());
-  WorkloadTrace trace = h264::generate_h264_workload(set, config).trace;
-  save_trace_file(trace, path);
-  return trace;
+  config.frames = bench_frames();
+  return config;
 }
 
 }  // namespace
 
 void warm_trace_cache() {
-  const SpecialInstructionSet set = h264sis::build_h264_si_set();
-  load_or_generate(set, bench_frames());
+  h264::load_or_generate_h264_trace(h264sis::build_h264_si_set(), bench_workload());
 }
 
 fleet::FleetSpec multitenant_fleet_spec(int frames) {
@@ -85,7 +65,7 @@ void warm_fleet_trace_cache() {
 
 BenchContext::BenchContext()
     : set(h264sis::build_h264_si_set()),
-      trace(load_or_generate(set, bench_frames())),
+      trace(h264::load_or_generate_h264_trace(set, bench_workload())),
       frames(bench_frames()) {}
 
 SimResult BenchContext::run_scheduler(const std::string& scheduler_name,

@@ -17,8 +17,6 @@
 
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -59,19 +57,6 @@ struct BenchContext {
 /// RISPP_FRAMES must be an integer >= 1 — garbage or 0 is a loud error
 /// (exit kEnvParseExitCode), never a silent fall-back to the default.
 int bench_frames();
-
-/// Digest of everything that determines a recorded trace's contents: the SI
-/// set (names, molecule tables — isa fingerprint()) plus the WorkloadConfig
-/// fields. Editing the H.264 SI library or the workload parameters changes
-/// the digest, so a stale cached trace can never be replayed.
-std::uint64_t workload_fingerprint(const SpecialInstructionSet& set,
-                                   const h264::WorkloadConfig& config);
-
-/// Cache file the bench trace for `config` lives at: keyed by
-/// kWorkloadTraceVersion, the frame count and workload_fingerprint(). Honors
-/// RISPP_TRACE_DIR (default: the system temp directory).
-std::filesystem::path trace_cache_path(const SpecialInstructionSet& set,
-                                       const h264::WorkloadConfig& config);
 
 /// Ensures the shared trace cache holds the bench workload (generating it if
 /// missing), without constructing a full BenchContext. The concurrent bench

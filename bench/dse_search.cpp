@@ -31,18 +31,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-WorkloadTrace load_or_generate(const SpecialInstructionSet& set, int frames) {
-  h264::WorkloadConfig config;
-  config.frames = frames;
-  const auto path = h264::trace_cache_path(set, config);
-  if (auto cached = try_load_trace_file(path)) return std::move(*cached);
-  std::fprintf(stderr, "[bench] encoding %d synthetic CIF frames (cached at %s)...\n",
-               frames, path.string().c_str());
-  WorkloadTrace trace = h264::generate_h264_workload(set, config).trace;
-  save_trace_file(trace, path);
-  return trace;
-}
-
 }  // namespace
 
 int main() {
@@ -51,8 +39,10 @@ int main() {
   // The search trace stays short — DSE cost scales with candidate count, not
   // trace length — mirroring how the fleet benches cap session length.
   const int frames = std::min(bench::bench_frames(), 8);
-  const SpecialInstructionSet handbuilt_set = h264sis::build_h264_si_set();
-  const WorkloadTrace trace = load_or_generate(handbuilt_set, frames);
+  h264::WorkloadConfig workload;
+  workload.frames = frames;
+  const WorkloadTrace trace =
+      h264::load_or_generate_h264_trace(h264sis::build_h264_si_set(), workload);
   const config::PlatformSpec handbuilt = config::h264_platform_spec();
 
   // Fresh caches so the measured hit rate is the search's own, not leftovers.

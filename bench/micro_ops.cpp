@@ -385,7 +385,7 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   HotSpotInstance inst;
   inst.hot_spot = 0;
   inst.entry_overhead = 1000;
-  for (int i = 0; i < 100'000; ++i) inst.executions.push_back(i % 8 == 7 ? satd : sad);
+  for (int i = 0; i < 100'000; ++i) inst.append(i % 8 == 7 ? satd : sad);
   trace.instances.push_back(std::move(inst));
 
   const HefScheduler hef;
@@ -440,9 +440,8 @@ void BM_ParallelFor(benchmark::State& state) {
   HotSpotInstance inst;
   inst.hot_spot = 0;
   inst.entry_overhead = 1000;
-  for (int i = 0; i < 20'000; ++i) inst.executions.push_back(i % 8 == 7 ? satd : sad);
+  for (int i = 0; i < 20'000; ++i) inst.append(i % 8 == 7 ? satd : sad);
   trace.instances.push_back(std::move(inst));
-  trace.build_runs();
 
   constexpr std::size_t kCells = 16;
   ThreadPool pool(static_cast<unsigned>(state.range(0)));

@@ -33,7 +33,7 @@ WorkloadTrace phased_trace(const SpecialInstructionSet& set, int instances_per_p
       inst.entry_overhead = 1'000;
       for (int k = 0; k < 6'000; ++k) {
         const bool satd_exec = satd_heavy ? (k % 10 != 0) : (k % 20 == 0);
-        inst.executions.push_back(satd_exec ? satd : sad);
+        inst.append(satd_exec ? satd : sad);
       }
       trace.instances.push_back(std::move(inst));
     }

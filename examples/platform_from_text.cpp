@@ -59,9 +59,9 @@ int main() {
   for (int frame = 0; frame < 40; ++frame) {
     HotSpotInstance inst{0, {}, 800};
     for (int hop = 0; hop < 24; ++hop) {
-      inst.executions.push_back(window);
-      for (int band = 0; band < 12; ++band) inst.executions.push_back(filter);
-      inst.executions.push_back(energy);
+      inst.append(window);
+      inst.append(filter, 12);
+      inst.append(energy);
     }
     trace.instances.push_back(std::move(inst));
   }

@@ -85,14 +85,10 @@ std::vector<std::vector<std::uint64_t>> trace_forecast_seeds(const WorkloadTrace
   for (const auto& inst : trace.instances) {
     ++instance_count[inst.hot_spot];
     auto& t = totals[inst.hot_spot];
-    const auto bump = [&t](SiId si, std::uint64_t n) {
-      if (si >= t.size()) t.resize(si + 1, 0);
-      t[si] += n;
-    };
-    if (!inst.runs.empty())
-      for (const SiRun& run : inst.runs) bump(run.si, run.count);
-    else
-      for (const SiId si : inst.executions) bump(si, 1);
+    for (const SiRun& run : inst.runs) {
+      if (run.si >= t.size()) t.resize(run.si + 1, 0);
+      t[run.si] += run.count;
+    }
   }
   for (HotSpotId hs = 0; hs < totals.size(); ++hs)
     if (instance_count[hs] != 0)
@@ -160,6 +156,11 @@ DseResult run_dse(const WorkloadTrace& trace, const config::PlatformSpec& handbu
   const auto seeds = trace_forecast_seeds(trace);
   const unsigned max_budget =
       *std::max_element(options.ac_budgets.begin(), options.ac_budgets.end());
+  // The trace side of every proposal's speedup bound, computed once
+  // (executions_of scans every run of the trace).
+  const Cycles overhead_cycles = trace.overhead_cycles();
+  std::vector<std::uint64_t> si_executions(seed_set.si_count());
+  for (SiId si = 0; si < si_executions.size(); ++si) si_executions[si] = trace.executions_of(si);
 
   // Serial-path scoring through the eval cache.
   const auto score_cached = [&](const SpecialInstructionSet& set, std::uint64_t fp,
@@ -237,9 +238,10 @@ DseResult run_dse(const WorkloadTrace& trace, const config::PlatformSpec& handbu
         // Upper bound on any selection's speedup: every SI always at the
         // fastest molecule that fits the widest AC budget (select/selection.h
         // best_case_latency is a sound floor per execution).
-        Cycles ideal = trace.overhead_cycles();
+        Cycles ideal = overhead_cycles;
         for (SiId si = 0; si < set.si_count(); ++si)
-          ideal += trace.executions_of(si) * best_case_latency(set, si, max_budget);
+          ideal += (si < si_executions.size() ? si_executions[si] : 0) *
+                   best_case_latency(set, si, max_budget);
         slot.bound = static_cast<double>(result.reference_cycles) /
                      static_cast<double>(std::max<Cycles>(ideal, 1));
         slot.set.emplace(std::move(set));

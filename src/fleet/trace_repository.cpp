@@ -24,28 +24,19 @@ const TraceEntry& TraceRepository::get(const SessionSpec& spec) {
   miss_metric.add();
 
   // The SI set and forecast seeds are cheap to rebuild in-process; only the
-  // recorded trace (the encoder / compressor run) is worth persisting. The
-  // cache file is keyed by the workload fingerprint — SI-library or workload
-  // edits change the key, so a stale trace can never be replayed — and the
-  // key scheme is shared with the bench harness (bench/common.cpp), so one
-  // warm cache serves both.
+  // recorded trace (the encoder / compressor run) is worth persisting, and
+  // each family's load_or_generate shares its cache files with the bench
+  // harness and the tools, so one warm cache serves all of them.
   static MetricCounter& disk_hit_metric = metric_counter("fleet.trace_cache.disk_hits");
   std::unique_ptr<TraceEntry> entry;
+  bool from_disk = false;
   if (spec.content == Content::kH264) {
     entry = std::make_unique<TraceEntry>(h264sis::build_h264_si_set());
     h264::WorkloadConfig config;
     config.frames = spec.frames;
     if (spec.width > 0) config.video.width = spec.width;
     if (spec.height > 0) config.video.height = spec.height;
-    const auto path = h264::trace_cache_path(entry->set, config);
-    if (auto cached = try_load_trace_file(path)) {
-      entry->trace = std::move(*cached);
-      ++disk_hits_;
-      disk_hit_metric.add();
-    } else {
-      entry->trace = h264::generate_h264_workload(entry->set, config).trace;
-      save_trace_file(entry->trace, path);
-    }
+    entry->trace = h264::load_or_generate_h264_trace(entry->set, config, &from_disk);
     entry->seeds = h264::default_forecast_seeds(entry->set);
   } else {
     entry = std::make_unique<TraceEntry>(jpegsis::build_jpeg_si_set());
@@ -53,16 +44,12 @@ const TraceEntry& TraceRepository::get(const SessionSpec& spec) {
     config.images = spec.frames;
     if (spec.width > 0) config.width = spec.width;
     if (spec.height > 0) config.height = spec.height;
-    const auto path = jpeg::trace_cache_path(entry->set, config);
-    if (auto cached = try_load_trace_file(path)) {
-      entry->trace = std::move(*cached);
-      ++disk_hits_;
-      disk_hit_metric.add();
-    } else {
-      entry->trace = jpeg::generate_jpeg_workload(entry->set, config).trace;
-      save_trace_file(entry->trace, path);
-    }
+    entry->trace = jpeg::load_or_generate_jpeg_trace(entry->set, config, &from_disk);
     entry->seeds = jpeg::jpeg_forecast_seeds(entry->set);
+  }
+  if (from_disk) {
+    ++disk_hits_;
+    disk_hit_metric.add();
   }
   const TraceEntry& ref = *entry;
   entries_.emplace(key, std::move(entry));

@@ -12,11 +12,11 @@
 //
 // A memory miss consults the on-disk trace cache before generating: the SI
 // set and forecast seeds are rebuilt in-process (cheap), and the recorded
-// trace itself is loaded from trace_cache_dir() when a file keyed by the
-// same workload fingerprint exists — the same key scheme the bench harness
-// uses, so one warm cache serves both. Generation still writes the file
-// (atomic tmp + rename), so the second process to want a content gets it
-// for the cost of a load.
+// trace itself comes from the content family's load_or_generate
+// (h264::load_or_generate_h264_trace, jpeg::load_or_generate_jpeg_trace) —
+// the same function the bench harness uses, so one warm cache serves both.
+// Generation still writes the file (atomic tmp + rename), so the second
+// process to want a content gets it for the cost of a load.
 //
 // Metrics: fleet.trace_cache.{hits,misses,disk_hits} — the in-memory hit
 // rate climbs with fleet size, which is the point; disk_hits track
@@ -36,7 +36,7 @@
 namespace rispp::fleet {
 
 /// Everything a session needs to replay one content: the SI set the trace
-/// was recorded against, the trace itself (runs built), and the design-time
+/// was recorded against, the trace itself, and the design-time
 /// forecast seeds per (hot spot, SI).
 struct TraceEntry {
   SpecialInstructionSet set;

@@ -62,21 +62,18 @@ WorkloadResult generate_h264_workload(const SpecialInstructionSet& set,
     result.intra_mbs += fr.intra_mbs;
     result.inter_mbs += fr.inter_mbs;
 
-    if (!frame_trace.me.empty()) {
-      trace.instances.push_back(HotSpotInstance{
-          kHotSpotMe, std::move(frame_trace.me), config.hot_spot_entry_overhead});
-    }
-    trace.instances.push_back(HotSpotInstance{
-        kHotSpotEe, std::move(frame_trace.ee), config.hot_spot_entry_overhead});
-    trace.instances.push_back(HotSpotInstance{
-        kHotSpotLf, std::move(frame_trace.lf), config.hot_spot_entry_overhead});
+    // Each frame's events are run-encoded as soon as the frame is done, so
+    // no flat whole-trace execution array ever exists.
+    if (!frame_trace.me.empty())
+      trace.instances.emplace_back(kHotSpotMe, frame_trace.me, config.hot_spot_entry_overhead);
+    trace.instances.emplace_back(kHotSpotEe, frame_trace.ee, config.hot_spot_entry_overhead);
+    trace.instances.emplace_back(kHotSpotLf, frame_trace.lf, config.hot_spot_entry_overhead);
   }
   result.mean_psnr = config.frames > 0 ? psnr_sum / config.frames : 0.0;
   result.mean_bitrate_kbps =
       config.frames > 0
           ? static_cast<double>(total_bits) * 30.0 / config.frames / 1000.0
           : 0.0;
-  trace.build_runs();
   return result;
 }
 
@@ -130,6 +127,13 @@ std::filesystem::path trace_cache_path(const SpecialInstructionSet& set,
   return trace_cache_dir() /
          ("rispp_h264_trace_v" + std::to_string(kWorkloadTraceVersion) + "_" +
           std::to_string(config.frames) + "_" + key + ".rtrc");
+}
+
+WorkloadTrace load_or_generate_h264_trace(const SpecialInstructionSet& set,
+                                          const WorkloadConfig& config, bool* from_cache) {
+  return load_or_generate_trace(
+      trace_cache_path(set, config), set.si_count(),
+      [&] { return generate_h264_workload(set, config).trace; }, from_cache);
 }
 
 }  // namespace rispp::h264

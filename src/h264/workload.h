@@ -18,9 +18,10 @@ namespace rispp::h264 {
 enum : HotSpotId { kHotSpotMe = 0, kHotSpotEe = 1, kHotSpotLf = 2 };
 
 /// Bump when the encoder/workload changes in a way that alters recorded
-/// traces or their file format — cache files (bench/common.cpp) are keyed on
-/// it. v4: trace format v2 (serialized RLE runs).
-inline constexpr int kWorkloadTraceVersion = 4;
+/// traces or their file format — cache files (trace_cache_path) are keyed on
+/// it. v4: trace format v2 (serialized RLE runs); v5: format v3 (runs only,
+/// digest).
+inline constexpr int kWorkloadTraceVersion = 5;
 
 struct WorkloadConfig {
   int frames = 140;  // the paper's sequence length
@@ -64,10 +65,17 @@ std::uint64_t workload_fingerprint(const SpecialInstructionSet& set,
 
 /// Cache file a recorded trace for `config` lives at: keyed by
 /// kWorkloadTraceVersion, the frame count and workload_fingerprint(), under
-/// trace_cache_dir() (honors RISPP_TRACE_DIR). Shared between the bench
-/// harness and the fleet's TraceRepository.
+/// trace_cache_dir() (honors RISPP_TRACE_DIR).
 std::filesystem::path trace_cache_path(const SpecialInstructionSet& set,
                                        const WorkloadConfig& config);
+
+/// The H.264 trace for `config` through the on-disk cache — the one
+/// load-or-generate shared by the benches, the tools and the fleet's
+/// TraceRepository: loaded from trace_cache_path() when the file is valid
+/// and fits `set`, else encoded and saved there (load_or_generate_trace).
+WorkloadTrace load_or_generate_h264_trace(const SpecialInstructionSet& set,
+                                          const WorkloadConfig& config,
+                                          bool* from_cache = nullptr);
 
 /// Design-time forecast seeds per (hot spot, SI) — rough per-frame counts a
 /// designer would profile offline; the monitor refines them online.

@@ -69,17 +69,16 @@ JpegWorkloadResult generate_jpeg_workload(const SpecialInstructionSet& set,
     HotSpotInstance ec{kHotSpotEc, {}, 1'500};
     for (int mcu = 0; mcu < mcus_x * mcus_y; ++mcu) {
       // Per MCU: 4 luma + 2 chroma 8x8 blocks.
-      for (int b = 0; b < 6; ++b) cc.executions.push_back(csc);
-      cc.executions.push_back(down);
+      cc.append(csc, 6);
+      cc.append(down);
       for (int b = 0; b < 6; ++b) {
-        tq.executions.push_back(fdct);
-        tq.executions.push_back(quant);
+        tq.append(fdct);
+        tq.append(quant);
         const int activity = block_activity(rng, busyness);
         activity_sum += static_cast<std::uint64_t>(activity);
         ++result.total_blocks;
         // RLE work scales with the number of coefficient runs.
-        const int rle_invocations = 1 + activity / 4;
-        for (int k = 0; k < rle_invocations; ++k) ec.executions.push_back(rle);
+        ec.append(rle, static_cast<std::uint32_t>(1 + activity / 4));
       }
     }
     trace.instances.push_back(std::move(cc));
@@ -90,7 +89,6 @@ JpegWorkloadResult generate_jpeg_workload(const SpecialInstructionSet& set,
                              ? static_cast<double>(activity_sum) /
                                    static_cast<double>(result.total_blocks)
                              : 0.0;
-  trace.build_runs();
   return result;
 }
 
@@ -124,6 +122,13 @@ std::filesystem::path trace_cache_path(const SpecialInstructionSet& set,
   return trace_cache_dir() /
          ("rispp_jpeg_trace_v" + std::to_string(kJpegWorkloadTraceVersion) + "_" +
           std::to_string(config.images) + "_" + key + ".rtrc");
+}
+
+WorkloadTrace load_or_generate_jpeg_trace(const SpecialInstructionSet& set,
+                                          const JpegWorkloadConfig& config, bool* from_cache) {
+  return load_or_generate_trace(
+      trace_cache_path(set, config), set.si_count(),
+      [&] { return generate_jpeg_workload(set, config).trace; }, from_cache);
 }
 
 }  // namespace rispp::jpeg

@@ -13,8 +13,9 @@ namespace rispp::jpeg {
 enum : HotSpotId { kHotSpotCc = 0, kHotSpotTq = 1, kHotSpotEc = 2 };
 
 /// Bump when the compressor/workload changes in a way that alters recorded
-/// traces — disk cache files are keyed on it (see trace_cache_path).
-inline constexpr int kJpegWorkloadTraceVersion = 1;
+/// traces or their file format — disk cache files are keyed on it (see
+/// trace_cache_path). v2: trace format v3 (runs only, digest).
+inline constexpr int kJpegWorkloadTraceVersion = 2;
 
 struct JpegWorkloadConfig {
   int images = 40;
@@ -42,6 +43,13 @@ std::uint64_t workload_fingerprint(const SpecialInstructionSet& set,
 /// kJpegWorkloadTraceVersion, the image count and workload_fingerprint().
 std::filesystem::path trace_cache_path(const SpecialInstructionSet& set,
                                        const JpegWorkloadConfig& config);
+
+/// The JPEG trace for `config` through the on-disk cache: loaded from
+/// trace_cache_path() when the file is valid and fits `set`, else generated
+/// and saved there (load_or_generate_trace).
+WorkloadTrace load_or_generate_jpeg_trace(const SpecialInstructionSet& set,
+                                          const JpegWorkloadConfig& config,
+                                          bool* from_cache = nullptr);
 
 /// Forecast seeds for the three hot spots.
 std::vector<std::vector<std::uint64_t>> jpeg_forecast_seeds(const SpecialInstructionSet& set);

@@ -18,7 +18,6 @@ std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> 
   std::vector<Cycles> clocks(n, 0);
   std::vector<std::size_t> next_instance(n, 0);
   std::vector<std::vector<LatencySegment>> segments(n);
-  std::vector<std::vector<SiRun>> runs_scratch(n);
   static MetricCounter& entries = metric_counter("sim.hot_spot_entries");
   static MetricCounter& epochs_metric = metric_counter("rtm.cosim.epochs");
   static MetricCounter& ff_metric = metric_counter("rtm.cosim.fast_forward_instances");
@@ -45,7 +44,7 @@ std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> 
     const Cycles entered = clocks[i];
     entries.add();
     clocks[i] = replay_instance(*t.trace, idx, *t.rtm, t.stats, entered,
-                                results[i].si_executions, segments[i], runs_scratch[i]);
+                                results[i].si_executions, segments[i]);
     results[i].hot_spot_cycles[t.trace->instances[idx].hot_spot] += clocks[i] - entered;
   };
   auto finalize = [&](std::size_t i) {

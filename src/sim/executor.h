@@ -106,12 +106,11 @@ enum class ReplayMode {
 /// segments recorded into `stats`) or the stats-less whole-instance span
 /// path, then on_hot_spot_exit. `now` is the cycle the instance is entered;
 /// returns the cycle after the last execution. `si_executions` accumulates
-/// the executed SI count; `segments` and `runs_scratch` are caller-owned
-/// scratch so replay loops stay allocation-free across instances.
+/// the executed SI count; `segments` is caller-owned scratch so replay loops
+/// stay allocation-free across instances.
 Cycles replay_instance(const WorkloadTrace& trace, std::size_t instance,
                        ExecutionBackend& backend, SimStats* stats, Cycles now,
-                       std::uint64_t& si_executions, std::vector<LatencySegment>& segments,
-                       std::vector<SiRun>& runs_scratch);
+                       std::uint64_t& si_executions, std::vector<LatencySegment>& segments);
 
 /// Replays `trace` against `backend`. `stats` is optional. Both modes yield
 /// bit-exact identical SimResult and SimStats (tests/replay_equivalence_test

@@ -4,56 +4,102 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
+#include <sstream>
+#include <string_view>
 #include <system_error>
 
 #include "base/check.h"
+#include "isa/si.h"
 
 namespace rispp {
 namespace {
 
-// Format v1 ("RTRC") serialized executions only and rebuilt the run form on
-// every load. v2 appends each instance's RLE runs so warm loads skip
-// build_runs(); the magic itself changed so a v1 file can never be misparsed
-// as v2 (a version field after the old magic could collide with v1's
-// hot-spot count).
+// v1 ("RTRC") stored flat executions, v2 added runs next to them, v3
+// stores the runs alone plus a digest. Each version changed the magic
+// itself: a version field after an old magic could collide with that
+// format's hot-spot count.
 constexpr std::uint32_t kMagicV1 = 0x52545243;  // "RTRC"
-constexpr std::uint32_t kMagic = 0x32545243;    // v2: serialized runs
+constexpr std::uint32_t kMagicV2 = 0x32545243;
+constexpr std::uint32_t kMagic = 0x33545243;
+
+// Smallest serialized size of each length-prefixed record.
+constexpr std::size_t kHotSpotBytes = 2 * sizeof(std::uint32_t) + sizeof(Cycles);
+constexpr std::size_t kInstanceBytes = sizeof(HotSpotId) + sizeof(Cycles) + sizeof(std::uint64_t);
+constexpr std::size_t kRunBytes = sizeof(SiId) + sizeof(std::uint32_t);
 
 template <typename T>
-void put(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
+void put(std::string& out, const T& v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-template <typename T>
-T get(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  RISPP_CHECK_MSG(is.good(), "truncated trace stream");
-  return v;
+/// fingerprint_mix over the payload's 8-byte words (the last one
+/// zero-padded), then its length. FNV steps are bijective in the running
+/// hash, so any single changed byte changes the digest.
+std::uint64_t payload_digest(std::string_view payload) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV offset basis
+  std::size_t i = 0;
+  for (; i + sizeof(std::uint64_t) <= payload.size(); i += sizeof(std::uint64_t)) {
+    std::uint64_t word;
+    std::memcpy(&word, payload.data() + i, sizeof word);
+    hash = fingerprint_mix(hash, word);
+  }
+  std::uint64_t tail = 0;
+  std::memcpy(&tail, payload.data() + i, payload.size() - i);
+  return fingerprint_mix(fingerprint_mix(hash, tail), payload.size());
 }
 
-void put_string(std::ostream& os, const std::string& s) {
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
+/// Bounds-checked cursor over a loaded payload.
+struct Reader {
+  std::string_view bytes;
 
-std::string get_string(std::istream& is) {
-  const auto n = get<std::uint32_t>(is);
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  RISPP_CHECK(is.good());
-  return s;
-}
+  template <typename T>
+  T get() {
+    RISPP_CHECK_MSG(bytes.size() >= sizeof(T), "truncated trace");
+    T v;
+    std::memcpy(&v, bytes.data(), sizeof v);
+    bytes.remove_prefix(sizeof v);
+    return v;
+  }
+
+  /// A `Length`-typed count of records of at least `record_bytes` each,
+  /// checked against the bytes left before anything is allocated for it.
+  template <typename Length>
+  std::size_t length(std::size_t record_bytes) {
+    const std::uint64_t n = get<Length>();
+    RISPP_CHECK_MSG(n <= bytes.size() / record_bytes,
+                    "trace length " << n << " exceeds the bytes left");
+    return n;
+  }
+};
 
 }  // namespace
 
+HotSpotInstance::HotSpotInstance(HotSpotId hs, const std::vector<SiId>& executions,
+                                 Cycles entry)
+    : hot_spot(hs), entry_overhead(entry) {
+  for (const SiId si : executions) append(si);
+}
+
+void HotSpotInstance::append(SiId si, std::uint32_t count) {
+  if (count == 0) return;
+  if (!runs.empty() && runs.back().si == si) {
+    RISPP_CHECK_MSG(runs.back().count <= std::numeric_limits<std::uint32_t>::max() - count,
+                    "run of SI " << si << " overflows its 32-bit count");
+    runs.back().count += count;
+  } else {
+    runs.push_back(SiRun{si, count});
+  }
+  execution_count += count;
+}
+
 std::size_t WorkloadTrace::total_si_executions() const {
-  if (runs_built_) return static_cast<std::size_t>(total_executions_);
   std::size_t n = 0;
-  for (const auto& inst : instances) n += inst.executions.size();
+  for (const auto& inst : instances) n += inst.execution_count;
   return n;
 }
 
@@ -61,116 +107,99 @@ Cycles WorkloadTrace::overhead_cycles() const {
   Cycles total = 0;
   for (const auto& inst : instances)
     total += inst.entry_overhead +
-             hot_spots[inst.hot_spot].per_execution_overhead * inst.executions.size();
+             hot_spots[inst.hot_spot].per_execution_overhead * inst.execution_count;
   return total;
 }
 
 std::uint64_t WorkloadTrace::executions_of(SiId si) const {
-  if (runs_built_) return si < executions_per_si_.size() ? executions_per_si_[si] : 0;
   std::uint64_t n = 0;
   for (const auto& inst : instances)
-    for (SiId s : inst.executions)
-      if (s == si) ++n;
+    for (const SiRun& run : inst.runs)
+      if (run.si == si) n += run.count;
   return n;
 }
 
-void WorkloadTrace::build_runs() {
-  total_executions_ = 0;
-  executions_per_si_.clear();
-  for (auto& inst : instances) {
-    inst.runs.clear();
-    for (SiId si : inst.executions) {
-      if (!inst.runs.empty() && inst.runs.back().si == si)
-        ++inst.runs.back().count;
-      else
-        inst.runs.push_back(SiRun{si, 1});
-      if (si >= executions_per_si_.size()) executions_per_si_.resize(si + 1, 0);
-      ++executions_per_si_[si];
-    }
-    total_executions_ += inst.executions.size();
-  }
-  runs_built_ = true;
+bool WorkloadTrace::si_ids_below(std::size_t si_count) const {
+  for (const auto& hs : hot_spots)
+    for (const SiId si : hs.sis)
+      if (si >= si_count) return false;
+  for (const auto& inst : instances)
+    for (const SiRun& run : inst.runs)
+      if (run.si >= si_count) return false;
+  return true;
 }
 
 void WorkloadTrace::save(std::ostream& os) const {
-  put(os, kMagic);
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(hot_spots.size()));
+  std::string out;
+  put(out, kMagic);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(hot_spots.size()));
   for (const auto& hs : hot_spots) {
-    put_string(os, hs.name);
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(hs.sis.size()));
-    for (SiId si : hs.sis) put(os, si);
-    put(os, hs.per_execution_overhead);
+    put<std::uint32_t>(out, static_cast<std::uint32_t>(hs.name.size()));
+    out += hs.name;
+    put<std::uint32_t>(out, static_cast<std::uint32_t>(hs.sis.size()));
+    for (const SiId si : hs.sis) put(out, si);
+    put(out, hs.per_execution_overhead);
   }
-  put<std::uint64_t>(os, instances.size());
+  put<std::uint64_t>(out, instances.size());
   for (const auto& inst : instances) {
-    put(os, inst.hot_spot);
-    put(os, inst.entry_overhead);
-    put<std::uint64_t>(os, inst.executions.size());
-    os.write(reinterpret_cast<const char*>(inst.executions.data()),
-             static_cast<std::streamsize>(inst.executions.size() * sizeof(SiId)));
-    // The instance's run form; encoded on the fly when build_runs() hasn't
-    // been called, so every v2 file carries runs.
-    std::vector<SiRun> local;
-    const std::vector<SiRun>* runs = &inst.runs;
-    if (runs->empty() && !inst.executions.empty()) {
-      for (SiId si : inst.executions) {
-        if (!local.empty() && local.back().si == si)
-          ++local.back().count;
-        else
-          local.push_back(SiRun{si, 1});
-      }
-      runs = &local;
-    }
-    put<std::uint64_t>(os, runs->size());
-    for (const SiRun& run : *runs) {
-      put(os, run.si);
-      put(os, run.count);
+    put(out, inst.hot_spot);
+    put(out, inst.entry_overhead);
+    put<std::uint64_t>(out, inst.runs.size());
+    for (const SiRun& run : inst.runs) {
+      put(out, run.si);
+      put(out, run.count);
     }
   }
+  put(out, payload_digest(out));
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 WorkloadTrace WorkloadTrace::load(std::istream& is) {
-  const auto magic = get<std::uint32_t>(is);
-  RISPP_CHECK_MSG(magic != kMagicV1,
-                  "trace format v1 (runs not serialized) — delete the file and regenerate");
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  const std::string bytes = std::move(buffer).str();
+  std::uint32_t magic = 0;
+  RISPP_CHECK_MSG(bytes.size() >= sizeof magic, "not a RISPP trace");
+  std::memcpy(&magic, bytes.data(), sizeof magic);
+  RISPP_CHECK_MSG(magic != kMagicV1 && magic != kMagicV2,
+                  "trace format v" << (magic == kMagicV1 ? 1 : 2)
+                                   << " (flat executions) — delete the file and regenerate");
   RISPP_CHECK_MSG(magic == kMagic, "not a RISPP trace");
+  std::uint64_t digest = 0;
+  RISPP_CHECK_MSG(bytes.size() >= sizeof magic + sizeof digest, "truncated trace");
+  const std::string_view payload(bytes.data(), bytes.size() - sizeof digest);
+  std::memcpy(&digest, bytes.data() + payload.size(), sizeof digest);
+  RISPP_CHECK_MSG(digest == payload_digest(payload), "trace digest mismatch — corrupt file");
+
+  Reader in{payload.substr(sizeof magic)};
   WorkloadTrace trace;
-  const auto hs_count = get<std::uint32_t>(is);
-  trace.hot_spots.resize(hs_count);
+  trace.hot_spots.resize(in.length<std::uint32_t>(kHotSpotBytes));
   for (auto& hs : trace.hot_spots) {
-    hs.name = get_string(is);
-    const auto si_count = get<std::uint32_t>(is);
-    hs.sis.resize(si_count);
-    for (auto& si : hs.sis) si = get<SiId>(is);
-    hs.per_execution_overhead = get<Cycles>(is);
+    const std::size_t name_size = in.length<std::uint32_t>(1);
+    hs.name = in.bytes.substr(0, name_size);
+    in.bytes.remove_prefix(name_size);
+    hs.sis.resize(in.length<std::uint32_t>(sizeof(SiId)));
+    for (auto& si : hs.sis) si = in.get<SiId>();
+    hs.per_execution_overhead = in.get<Cycles>();
   }
-  const auto inst_count = get<std::uint64_t>(is);
-  trace.instances.resize(inst_count);
+  trace.instances.resize(in.length<std::uint64_t>(kInstanceBytes));
   for (auto& inst : trace.instances) {
-    inst.hot_spot = get<HotSpotId>(is);
-    RISPP_CHECK(inst.hot_spot < trace.hot_spots.size());
-    inst.entry_overhead = get<Cycles>(is);
-    const auto n = get<std::uint64_t>(is);
-    inst.executions.resize(n);
-    is.read(reinterpret_cast<char*>(inst.executions.data()),
-            static_cast<std::streamsize>(n * sizeof(SiId)));
-    RISPP_CHECK(is.good());
-    const auto run_count = get<std::uint64_t>(is);
-    inst.runs.resize(run_count);
-    std::uint64_t run_total = 0;
-    for (auto& run : inst.runs) {
-      run.si = get<SiId>(is);
-      run.count = get<std::uint32_t>(is);
-      run_total += run.count;
-      // Totals come from the runs, so the rebuild scan is skipped entirely.
-      if (run.si >= trace.executions_per_si_.size())
-        trace.executions_per_si_.resize(run.si + 1, 0);
-      trace.executions_per_si_[run.si] += run.count;
+    inst.hot_spot = in.get<HotSpotId>();
+    RISPP_CHECK_MSG(inst.hot_spot < trace.hot_spots.size(),
+                    "hot-spot index " << inst.hot_spot << " out of range");
+    inst.entry_overhead = in.get<Cycles>();
+    inst.runs.resize(in.length<std::uint64_t>(kRunBytes));
+    for (std::size_t r = 0; r < inst.runs.size(); ++r) {
+      SiRun& run = inst.runs[r];
+      run.si = in.get<SiId>();
+      run.count = in.get<std::uint32_t>();
+      RISPP_CHECK_MSG(run.count > 0, "trace run with a zero count");
+      RISPP_CHECK_MSG(r == 0 || inst.runs[r - 1].si != run.si,
+                      "adjacent trace runs share SI " << run.si);
+      inst.execution_count += run.count;
     }
-    RISPP_CHECK_MSG(run_total == n, "trace runs inconsistent with execution count");
-    trace.total_executions_ += n;
   }
-  trace.runs_built_ = true;
+  RISPP_CHECK_MSG(in.bytes.empty(), "trailing bytes after the last trace instance");
   return trace;
 }
 

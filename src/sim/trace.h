@@ -8,9 +8,10 @@
 // record-replay methodology as the paper's simulation toolchain.
 //
 // Real SI streams are extremely repetitive (motion estimation issues tens of
-// thousands of consecutive SADs), so each instance also carries a run-length
-// encoded view of its executions. The batched replay path (sim/executor.h)
-// consumes whole runs at once instead of one virtual call per execution.
+// thousands of consecutive SADs), so an instance stores its executions only
+// in run-length encoded form: maximal runs of one SI. The batched replay
+// path (sim/executor.h) consumes whole runs at once; the scalar reference
+// path expands them one execution at a time.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/types.h"
@@ -29,23 +31,31 @@ namespace rispp {
 struct SiRun {
   SiId si = 0;
   std::uint32_t count = 0;
+
+  bool operator==(const SiRun&) const = default;
 };
 
 struct HotSpotInstance {
   HotSpotInstance() = default;
-  HotSpotInstance(HotSpotId hs, std::vector<SiId> execs, Cycles entry)
-      : hot_spot(hs), executions(std::move(execs)), entry_overhead(entry) {}
+  /// Encodes `executions` (SI executions in program order) through append().
+  HotSpotInstance(HotSpotId hs, const std::vector<SiId>& executions, Cycles entry);
+
+  /// The only run encoder: appends `count` executions of `si`, merged into
+  /// the last run when it has the same SI so runs stay maximal. A zero
+  /// count is a no-op.
+  void append(SiId si, std::uint32_t count = 1);
 
   HotSpotId hot_spot = 0;
-  /// SI executions in program order.
-  std::vector<SiId> executions;
   /// Base-processor cycles spent entering the hot spot (control code, cache
   /// warmup) before the first SI.
   Cycles entry_overhead = 0;
-  /// Run-length encoding of `executions` (consecutive identical SIs
-  /// coalesced). Empty until WorkloadTrace::build_runs(); the batched
-  /// executor falls back to an on-the-fly encoding when empty.
+  /// The SI executions in program order as maximal runs: every count > 0
+  /// and no two adjacent runs share an SI.
   std::vector<SiRun> runs;
+  /// Sum of the run counts (the instance's SI executions).
+  std::uint64_t execution_count = 0;
+
+  bool operator==(const HotSpotInstance&) const = default;
 };
 
 struct HotSpotInfo {
@@ -54,6 +64,8 @@ struct HotSpotInfo {
   std::vector<SiId> sis;
   /// Base-processor cycles of glue code around each SI execution.
   Cycles per_execution_overhead = 0;
+
+  bool operator==(const HotSpotInfo&) const = default;
 };
 
 struct WorkloadTrace {
@@ -61,7 +73,7 @@ struct WorkloadTrace {
   std::vector<HotSpotInstance> instances;
 
   std::size_t total_si_executions() const;
-  /// Executions of one SI across the whole trace.
+  /// Executions of one SI across the whole trace (scans every run).
   std::uint64_t executions_of(SiId si) const;
 
   /// Base-processor cycles the replay spends outside SI latencies: every
@@ -71,25 +83,20 @@ struct WorkloadTrace {
   /// lower bound on any backend's total — the DSE early-abandon bound.
   Cycles overhead_cycles() const;
 
-  /// Builds the per-instance run forms and caches per-SI execution totals so
-  /// total_si_executions()/executions_of() stop rescanning instances.
-  /// Idempotent; re-call after mutating `instances`. Sweeps share one const
-  /// trace across threads, so build the runs once before fanning out —
-  /// load() and the workload generators already do.
-  void build_runs();
-  bool runs_built() const { return runs_built_; }
+  /// True when every SI id in hot-spot `sis` entries and runs is below
+  /// `si_count`, i.e. the trace fits an SI set of that size.
+  bool si_ids_below(std::size_t si_count) const;
 
   /// Compact binary serialization (cache for expensive workload generation).
-  /// Format v2 stores each instance's run form next to its executions, so
-  /// load() validates and adopts the runs instead of rebuilding them; a v1
-  /// file (pre-runs magic) is rejected with a clear regenerate message.
+  /// Format v3 stores each instance as {hot spot, entry overhead, run
+  /// count, runs} and ends in a digest of everything before it. load()
+  /// throws std::logic_error on any other magic (v1 and v2 included), a
+  /// digest mismatch, a length longer than the bytes left, an out-of-range
+  /// hot spot or non-maximal runs.
   void save(std::ostream& os) const;
   static WorkloadTrace load(std::istream& is);
 
- private:
-  std::vector<std::uint64_t> executions_per_si_;  // cached totals, by SiId
-  std::uint64_t total_executions_ = 0;
-  bool runs_built_ = false;
+  bool operator==(const WorkloadTrace&) const = default;
 };
 
 /// Directory recorded-trace cache files live in: $RISPP_TRACE_DIR, or the
@@ -106,5 +113,21 @@ void save_trace_file(const WorkloadTrace& trace, const std::filesystem::path& pa
 /// Loads the trace cached at `path`; nullopt when the file is missing or
 /// fails load()'s validation (corrupt / stale format — regenerate).
 std::optional<WorkloadTrace> try_load_trace_file(const std::filesystem::path& path);
+
+/// The load-or-generate policy behind every workload family's cached trace:
+/// the trace at `path` when it loads and fits an SI set of `si_count` SIs
+/// (the set that will replay it), else `generate()`'s trace, saved over the
+/// file. `from_cache`, when non-null, reports which.
+template <typename Generate>
+WorkloadTrace load_or_generate_trace(const std::filesystem::path& path, std::size_t si_count,
+                                     Generate&& generate, bool* from_cache = nullptr) {
+  std::optional<WorkloadTrace> cached = try_load_trace_file(path);
+  const bool hit = cached.has_value() && cached->si_ids_below(si_count);
+  if (from_cache != nullptr) *from_cache = hit;
+  if (hit) return std::move(*cached);
+  WorkloadTrace trace = std::forward<Generate>(generate)();
+  save_trace_file(trace, path);
+  return trace;
+}
 
 }  // namespace rispp

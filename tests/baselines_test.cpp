@@ -21,7 +21,7 @@ WorkloadTrace two_si_trace(const SpecialInstructionSet& set, int executions) {
   trace.hot_spots = {HotSpotInfo{"ME", {sad, satd}, 8}};
   HotSpotInstance inst{0, {}, 1000};
   for (int i = 0; i < executions; ++i)
-    inst.executions.push_back(i % 8 == 7 ? satd : sad);
+    inst.append(i % 8 == 7 ? satd : sad);
   trace.instances.push_back(std::move(inst));
   return trace;
 }

@@ -349,7 +349,6 @@ TEST(Cosim, HorizonIsNeverViolated) {
   std::vector<std::size_t> next_instance(n, 0);
   std::vector<std::uint64_t> si_executions(n, 0);
   std::vector<std::vector<LatencySegment>> segments(n);
-  std::vector<std::vector<SiRun>> runs_scratch(n);
   std::size_t live = n;
   std::uint64_t quiet_horizons = 0;
   while (live > 0) {
@@ -361,8 +360,7 @@ TEST(Cosim, HorizonIsNeverViolated) {
     ASSERT_LT(pick, n);
     clocks[pick] = replay_instance(entries[pick].entry->trace, next_instance[pick]++,
                                   *rtms[pick], nullptr, clocks[pick],
-                                  si_executions[pick], segments[pick],
-                                  runs_scratch[pick]);
+                                  si_executions[pick], segments[pick]);
     // The step performed fabric events no later than the tenant's new clock:
     // every other tenant whose horizon lies beyond it must be unaffected.
     for (std::size_t j = 0; j < n; ++j) {

@@ -65,8 +65,8 @@ TEST(JpegWorkload, RleCountsAreDataDependent) {
   for (const auto& inst : workload.trace.instances)
     if (inst.hot_spot == kHotSpotEc) {
       std::size_t n = 0;
-      for (SiId si : inst.executions)
-        if (si == rle) ++n;
+      for (const SiRun& run : inst.runs)
+        if (run.si == rle) n += run.count;
       ec_counts.push_back(n);
     }
   ASSERT_EQ(ec_counts.size(), 6u);
@@ -80,7 +80,7 @@ TEST(JpegWorkload, DeterministicForEqualConfig) {
   const auto b = generate_jpeg_workload(set, small_config());
   ASSERT_EQ(a.trace.instances.size(), b.trace.instances.size());
   for (std::size_t i = 0; i < a.trace.instances.size(); ++i)
-    EXPECT_EQ(a.trace.instances[i].executions, b.trace.instances[i].executions);
+    EXPECT_EQ(a.trace.instances[i].runs, b.trace.instances[i].runs);
 }
 
 TEST(JpegPlatform, RisppBeatsSoftwareAndHefIsCompetitive) {

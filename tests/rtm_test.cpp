@@ -32,7 +32,7 @@ WorkloadTrace me_trace(const SpecialInstructionSet& set, int executions) {
   inst.hot_spot = 0;
   inst.entry_overhead = 1000;
   for (int i = 0; i < executions; ++i)
-    inst.executions.push_back(i % 8 == 7 ? satd : sad);
+    inst.append(i % 8 == 7 ? satd : sad);
   trace.instances.push_back(std::move(inst));
   return trace;
 }

@@ -4,10 +4,7 @@
 #include <sstream>
 
 #include "baselines/software_only.h"
-#include "h264/workload.h"
 #include "isa/h264_si_library.h"
-#include "jpeg/jpeg_si_library.h"
-#include "jpeg/jpeg_workload.h"
 #include "sim/executor.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
@@ -92,6 +89,22 @@ TEST(Trace, TotalsAndPerSiCounts) {
   EXPECT_EQ(trace.executions_of(7), 0u);
 }
 
+TEST(Trace, AppendMergesRuns) {
+  HotSpotInstance inst;
+  inst.append(3);
+  inst.append(3, 4);   // same SI: merged into the open run
+  inst.append(5, 0);   // zero count: no-op, no empty run
+  inst.append(5, 2);
+  inst.append(3);      // a new run, not merged across the 5s
+  const std::vector<SiRun> expected{{3, 5}, {5, 2}, {3, 1}};
+  EXPECT_EQ(inst.runs, expected);
+  EXPECT_EQ(inst.execution_count, 8u);
+  // The flat-sequence constructor encodes through append().
+  const HotSpotInstance encoded{0, {3, 3, 3, 3, 3, 5, 5, 3}, 0};
+  EXPECT_EQ(encoded.runs, expected);
+  EXPECT_EQ(encoded.execution_count, 8u);
+}
+
 TEST(Trace, BinaryRoundTrip) {
   const WorkloadTrace trace = tiny_trace();
   std::stringstream ss;
@@ -102,7 +115,8 @@ TEST(Trace, BinaryRoundTrip) {
   EXPECT_EQ(loaded.hot_spots[0].sis, trace.hot_spots[0].sis);
   EXPECT_EQ(loaded.hot_spots[1].per_execution_overhead, 3u);
   ASSERT_EQ(loaded.instances.size(), trace.instances.size());
-  EXPECT_EQ(loaded.instances[0].executions, trace.instances[0].executions);
+  EXPECT_EQ(loaded.instances[0].runs, trace.instances[0].runs);
+  EXPECT_EQ(loaded.instances[0].execution_count, 3u);
   EXPECT_EQ(loaded.instances[1].entry_overhead, 50u);
 }
 
@@ -113,36 +127,30 @@ TEST(Trace, RejectsGarbage) {
 }
 
 TEST(Trace, RoundTripCarriesRuns) {
-  // v2 serializes the RLE run form: a load never rebuilds it.
-  WorkloadTrace trace = tiny_trace();
-  trace.build_runs();
+  const WorkloadTrace trace = tiny_trace();
   std::stringstream ss;
   trace.save(ss);
   const WorkloadTrace loaded = WorkloadTrace::load(ss);
-  EXPECT_TRUE(loaded.runs_built());
   ASSERT_EQ(loaded.instances.size(), trace.instances.size());
   for (std::size_t i = 0; i < trace.instances.size(); ++i) {
-    ASSERT_EQ(loaded.instances[i].runs.size(), trace.instances[i].runs.size());
-    for (std::size_t r = 0; r < trace.instances[i].runs.size(); ++r) {
-      EXPECT_EQ(loaded.instances[i].runs[r].si, trace.instances[i].runs[r].si);
-      EXPECT_EQ(loaded.instances[i].runs[r].count, trace.instances[i].runs[r].count);
-    }
+    EXPECT_EQ(loaded.instances[i].runs, trace.instances[i].runs);
+    EXPECT_EQ(loaded.instances[i].execution_count, trace.instances[i].execution_count);
   }
   EXPECT_EQ(loaded.total_si_executions(), trace.total_si_executions());
   EXPECT_EQ(loaded.executions_of(0), trace.executions_of(0));
   EXPECT_EQ(loaded.executions_of(1), trace.executions_of(1));
 }
 
-TEST(Trace, SaveEncodesRunsWhenNotBuilt) {
-  // Even a trace saved before build_runs() yields a v2 file with runs.
-  const WorkloadTrace trace = tiny_trace();  // runs never built
-  std::stringstream ss;
-  trace.save(ss);
-  const WorkloadTrace loaded = WorkloadTrace::load(ss);
-  EXPECT_TRUE(loaded.runs_built());
-  ASSERT_EQ(loaded.instances[0].runs.size(), 3u);  // {0},{1},{0}
-  ASSERT_EQ(loaded.instances[1].runs.size(), 1u);  // {1,1} coalesced
-  EXPECT_EQ(loaded.instances[1].runs[0].count, 2u);
+/// Expects load() of `bytes` to throw a logic_error whose message contains
+/// `needle`.
+void expect_rejected(const std::string& bytes, const std::string& needle) {
+  std::stringstream ss(bytes);
+  try {
+    WorkloadTrace::load(ss);
+    FAIL() << "trace was not rejected (expected \"" << needle << "\")";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
 }
 
 TEST(Trace, RejectsV1FormatWithRegenerateMessage) {
@@ -153,58 +161,64 @@ TEST(Trace, RejectsV1FormatWithRegenerateMessage) {
   ss.write(reinterpret_cast<const char*>(&v1_magic), sizeof v1_magic);
   const std::uint32_t hot_spots = 1;  // plausible v1 payload after the magic
   ss.write(reinterpret_cast<const char*>(&hot_spots), sizeof hot_spots);
-  try {
-    WorkloadTrace::load(ss);
-    FAIL() << "v1 trace was not rejected";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("regenerate"), std::string::npos) << e.what();
-  }
+  expect_rejected(ss.str(), "regenerate");
 }
 
-TEST(Trace, SerializedRunsMatchBuildRunsOnRealWorkloads) {
-  // Migration guarantee: for real traces (H.264 and JPEG) the serialized run
-  // form is exactly what build_runs() would compute from the executions.
-  const auto check = [](const WorkloadTrace& generated) {
-    std::stringstream ss;
-    generated.save(ss);
-    const WorkloadTrace loaded = WorkloadTrace::load(ss);
-    WorkloadTrace rebuilt = loaded;
-    rebuilt.build_runs();
-    ASSERT_EQ(loaded.instances.size(), rebuilt.instances.size());
-    for (std::size_t i = 0; i < loaded.instances.size(); ++i) {
-      ASSERT_EQ(loaded.instances[i].runs.size(), rebuilt.instances[i].runs.size())
-          << "instance " << i;
-      for (std::size_t r = 0; r < loaded.instances[i].runs.size(); ++r) {
-        EXPECT_EQ(loaded.instances[i].runs[r].si, rebuilt.instances[i].runs[r].si);
-        EXPECT_EQ(loaded.instances[i].runs[r].count, rebuilt.instances[i].runs[r].count);
-      }
-    }
-    EXPECT_EQ(loaded.total_si_executions(), rebuilt.total_si_executions());
-  };
-  {
-    h264::WorkloadConfig config;
-    config.frames = 3;
-    config.video.width = 96;
-    config.video.height = 64;
-    check(h264::generate_h264_workload(h264sis::build_h264_si_set(), config).trace);
-  }
-  {
-    jpeg::JpegWorkloadConfig config;
-    config.images = 2;
-    config.width = 128;
-    config.height = 96;
-    check(jpeg::generate_jpeg_workload(jpegsis::build_jpeg_si_set(), config).trace);
+TEST(Trace, RejectsV2FormatWithRegenerateMessage) {
+  // v2 stored flat executions next to the runs; its magic is rejected the
+  // same way, whatever follows it.
+  std::string v2 = "\x43\x52\x54\x32";  // 0x32545243 little-endian
+  expect_rejected(v2, "regenerate");
+  v2.append(64, '\0');
+  expect_rejected(v2, "regenerate");
+}
+
+TEST(Trace, RejectsDigestMismatch) {
+  std::stringstream ss;
+  tiny_trace().save(ss);
+  const std::string good = ss.str();
+  for (const std::size_t at : {std::size_t{4}, good.size() / 2, good.size() - 1}) {
+    std::string bad = good;
+    bad[at] = static_cast<char>(bad[at] ^ 0x10);
+    expect_rejected(bad, "digest");
   }
 }
 
 TEST(Trace, RejectsInconsistentRuns) {
-  // Runs whose counts do not sum to the execution count are corruption.
-  WorkloadTrace trace = tiny_trace();
-  trace.build_runs();
-  trace.instances[0].runs[0].count += 1;  // now sum(runs) != executions
-  std::stringstream ss;
-  trace.save(ss);
-  EXPECT_THROW(WorkloadTrace::load(ss), std::logic_error);
+  // save() writes whatever runs an instance holds under a valid digest;
+  // load() still rejects any run form that is not maximal, and hot-spot
+  // indices outside the header.
+  const auto saved = [](const WorkloadTrace& trace) {
+    std::stringstream ss;
+    trace.save(ss);
+    return ss.str();
+  };
+  {
+    WorkloadTrace trace = tiny_trace();
+    trace.instances[0].runs[1].count = 0;
+    expect_rejected(saved(trace), "zero count");
+  }
+  {
+    WorkloadTrace trace = tiny_trace();
+    trace.instances[0].runs[1].si = 0;  // {0},{0},{0}: adjacent runs share an SI
+    expect_rejected(saved(trace), "adjacent");
+  }
+  {
+    WorkloadTrace trace = tiny_trace();
+    trace.instances[1].hot_spot = 2;  // only hot spots 0 and 1 exist
+    expect_rejected(saved(trace), "out of range");
+  }
+}
+
+TEST(Trace, SiIdsBelowChecksHotSpotsAndRuns) {
+  WorkloadTrace trace = tiny_trace();  // SIs 0 and 1
+  EXPECT_TRUE(trace.si_ids_below(2));
+  EXPECT_FALSE(trace.si_ids_below(1));
+  trace.hot_spots[1].sis.push_back(2);
+  EXPECT_FALSE(trace.si_ids_below(2));
+  trace = tiny_trace();
+  trace.instances[1].append(2);
+  EXPECT_FALSE(trace.si_ids_below(2));
 }
 
 TEST(Executor, SoftwareOnlyMatchesClosedForm) {

@@ -70,18 +70,6 @@ std::vector<unsigned> parse_acs_or_die(const char* text) {
   return budgets;
 }
 
-WorkloadTrace load_or_generate(const SpecialInstructionSet& set, int frames) {
-  h264::WorkloadConfig config;
-  config.frames = frames;
-  const auto path = h264::trace_cache_path(set, config);
-  if (auto cached = try_load_trace_file(path)) return std::move(*cached);
-  std::fprintf(stderr, "[dse] encoding %d synthetic CIF frames (cached at %s)...\n", frames,
-               path.string().c_str());
-  WorkloadTrace trace = h264::generate_h264_workload(set, config).trace;
-  save_trace_file(trace, path);
-  return trace;
-}
-
 /// Round-trip + bit-exact replay verification of the discovered platform.
 bool verify_platform_text(const std::string& text, const dse::DseResult& result,
                           const WorkloadTrace& trace, const dse::DseOptions& options,
@@ -167,8 +155,10 @@ int main(int argc, char** argv) {
   // The trace is recorded against the Table 1 set; h264_platform_spec builds
   // the identical ISA (equal fingerprint), so the same cache entry serves
   // the benches and this driver.
-  const SpecialInstructionSet handbuilt_set = h264sis::build_h264_si_set();
-  const WorkloadTrace trace = load_or_generate(handbuilt_set, frames);
+  h264::WorkloadConfig workload;
+  workload.frames = frames;
+  const WorkloadTrace trace =
+      h264::load_or_generate_h264_trace(h264sis::build_h264_si_set(), workload);
 
   std::printf("dse: %d frames, %u generations x %u survivors x %u mutations, seed %llu\n",
               frames, options.generations, options.population,
