@@ -487,8 +487,10 @@ std::map<std::string, PerfRecord> load_baseline(const std::filesystem::path& pat
     const std::size_t close = balanced_object_end(text, at);
     if (close == std::string::npos) break;
     std::string chunk = text.substr(at, close - at + 1);
-    // Strip the metrics subobject before the flat scans below: its registry
-    // names are arbitrary and must never shadow (or dup-flag) a report key.
+    // Read, then strip the metrics subobject before the flat scans below:
+    // its registry names are arbitrary and must never shadow (or dup-flag) a
+    // report key.
+    PerfRecord record;
     const std::size_t metrics_at = chunk.find("\"metrics\"");
     if (metrics_at != std::string::npos) {
       const std::size_t metrics_open = chunk.find('{', metrics_at);
@@ -496,8 +498,10 @@ std::map<std::string, PerfRecord> load_baseline(const std::filesystem::path& pat
           metrics_open == std::string::npos
               ? std::string::npos
               : balanced_object_end(chunk, metrics_open);
-      if (metrics_close != std::string::npos)
+      if (metrics_close != std::string::npos) {
+        parse_flat_metrics(chunk, metrics_open, metrics_close, path.string(), record.metrics);
         chunk.erase(metrics_at, metrics_close - metrics_at + 1);
+      }
     }
     // Duplicate keys inside one report chunk would silently shadow the scan.
     for (const char* key :
@@ -506,7 +510,6 @@ std::map<std::string, PerfRecord> load_baseline(const std::filesystem::path& pat
     const auto name = find_string(chunk, "name");
     const auto wall = find_number(chunk, "wall_seconds");
     if (name && wall) {
-      PerfRecord record;
       record.bench = find_string(chunk, "bench").value_or(*name);
       record.wall_seconds = *wall;
       record.cells = find_number(chunk, "cells").value_or(0.0);
@@ -626,6 +629,17 @@ RegressionReport compare_against_baseline(const std::vector<ReportResult>& resul
     delta.regressed = wall_regressed || rate_regressed;
     report.failed = report.failed || delta.regressed;
     report.deltas.push_back(delta);
+    for (const std::string_view counter : kExactCounters) {
+      const auto base_it = base.metrics.find(std::string(counter));
+      if (base_it == base.metrics.end()) continue;
+      const auto now_it = r.metrics.find(std::string(counter));
+      if (now_it != r.metrics.end() && now_it->second == base_it->second) continue;
+      report.counter_mismatches.push_back(
+          r.name + ": " + std::string(counter) + " " +
+          (now_it == r.metrics.end() ? std::string("absent") : format_fixed(now_it->second, 0)) +
+          " vs baseline " + format_fixed(base_it->second, 0));
+      report.failed = true;
+    }
   }
   for (const auto& [name, record] : baseline)
     if (!seen.count(name)) report.missing.push_back(name);

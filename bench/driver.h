@@ -8,17 +8,19 @@
 // byte-identical to a sequential run), folds the per-report
 // BENCH_<name>.json perf records into one BENCH_SUITE.json, and — given a
 // baseline — gates on perf regressions (>threshold wall-clock growth or
-// cells/sec drop per report).
+// cells/sec drop per report) and on exact work counters.
 //
 // Everything here is also a library so tests can drive the pool, the JSON
 // round-trip and the gate without spawning the real (slow) report suite.
 #pragma once
 
+#include <array>
 #include <filesystem>
 #include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rispp::bench {
@@ -31,6 +33,9 @@ struct PerfRecord {
   double cells_per_sec = 0.0;
   double threads = 0.0;
   double frames = 0.0;
+  /// The report's folded registry metrics, when the record came from a
+  /// BENCH_SUITE.json baseline (empty for a BENCH_<name>.json file).
+  std::map<std::string, double> metrics;
 };
 
 /// Outcome of one report binary under the driver.
@@ -142,15 +147,29 @@ struct RegressionDelta {
 struct RegressionReport {
   std::vector<RegressionDelta> deltas;
   std::vector<std::string> missing;  // baselined reports absent from this run
-  bool failed = false;               // any delta regressed
+  /// One line per exact-counter difference: report, counter, both values.
+  std::vector<std::string> counter_mismatches;
+  bool failed = false;               // any delta regressed or counter moved
 };
+
+/// Deterministic work counters gated exactly against the baseline's folded
+/// metrics: they depend only on the code and the inputs, so any difference
+/// is a behaviour or work change, and the change making it refreshes the
+/// baseline.
+/// rtm.decision_cache.misses and sched.*.candidates_evaluated stay out: the
+/// fleet report's shared memo interleaves sessions differently from run to
+/// run, which moves them without a code change.
+inline constexpr std::array<std::string_view, 3> kExactCounters = {
+    "port.loads_started", "sim.hot_spot_entries", "rtm.si_upgrades"};
 
 /// The perf-regression gate: a report regresses when its wall-clock grew by
 /// more than `threshold` (fraction; 0.20 = the documented 20 % budget) over
 /// the baseline, or its cells/sec dropped by more than `threshold`.
 /// Absolute wall-clock growth below 50 ms is ignored — at CI's 8-frame
 /// setting whole reports finish in tens of milliseconds, where scheduler
-/// jitter swamps any real signal. Reports without a baseline entry pass
+/// jitter swamps any real signal. Independently, every kExactCounters entry
+/// the baseline record carries must equal the run's value (a counter the
+/// run lacks is a mismatch too). Reports without a baseline entry pass
 /// (new reports must not fail the gate); baselined reports missing from the
 /// run are listed in `missing` but do not fail it either.
 RegressionReport compare_against_baseline(const std::vector<ReportResult>& results,

@@ -68,15 +68,15 @@ class MolenBackend final : public ExecutionBackend {
   std::vector<Cycles> type_last_used_;
 
   /// Per SiId: the latency the SI currently takes (selected molecule if
-  /// complete, else software). kMaxCycles marks "not in this hot spot".
+  /// complete, else software).
   std::vector<Cycles> cached_latency_;
   std::vector<MoleculeId> selected_molecule_;  // per SiId, kSoftwareMolecule if none
   bool cache_valid_ = false;
 
-  // Scratch for si_execution_span's port-quiet windows (per SiId, validated
-  // against span_gen_ so windows open without O(si_count) clears).
+  // Scratch for si_execution_span's port-quiet windows (per SiId; the touch
+  // marks are validated against span_gen_ so windows open without
+  // O(si_count) clears).
   std::uint64_t span_gen_ = 0;
-  std::vector<std::uint64_t> span_step_gen_;   // step cache validity
   std::vector<Cycles> span_step_;              // latency + overhead this window
   std::vector<std::uint64_t> span_touch_gen_;  // "stamped this window" marker
   std::vector<Cycles> span_last_start_;        // last execution start this window

@@ -17,7 +17,6 @@ OneChipBackend::OneChipBackend(const SpecialInstructionSet* set, std::size_t hot
       selected_molecule_(set->si_count(), kSoftwareMolecule),
       type_last_used_(set->atom_type_count(), 0),
       cached_latency_(set->si_count(), 0),
-      span_step_gen_(set->si_count(), 0),
       span_step_(set->si_count(), 0),
       span_touch_gen_(set->si_count(), 0),
       span_last_start_(set->si_count(), 0) {}
@@ -133,11 +132,8 @@ Cycles OneChipBackend::si_execution_run_latency(SiId si, std::uint64_t count, Cy
     if (!cache_valid_) refresh_cache();
     const Cycles latency = cached_latency_[si];
     const Cycles step = latency + per_execution_overhead;
-    std::uint64_t fit = count;
-    if (port_.busy() && step > 0) {
-      const Cycles finish = port_.inflight()->finishes_at;
-      fit = std::min<std::uint64_t>(count, (finish - now + step - 1) / step);
-    }
+    const std::uint64_t fit = executions_before(
+        port_.busy() ? port_.inflight()->finishes_at : kMaxCycles, now, count, step);
     monitor_.record_executions(si, fit);
     if (latency != set_->si(si).software_latency) {
       const Cycles last_start = now + (fit - 1) * step;
@@ -169,13 +165,13 @@ Cycles OneChipBackend::si_execution_span(std::span<const SiRun> runs, Cycles now
     request_configuration(runs[i].si);  // idempotent for already-requested SIs
     start_pending_loads(now);
     if (!cache_valid_) refresh_cache();
-    const bool bounded = port_.busy();
-    const Cycles window_end = bounded ? port_.inflight()->finishes_at : 0;
+    const Cycles window_end = port_.busy() ? port_.inflight()->finishes_at : kMaxCycles;
     ++span_gen_;
     span_touched_.clear();
+    for (std::size_t si = 0; si < span_step_.size(); ++si)
+      span_step_[si] = cached_latency_[si] + per_execution_overhead;
 
-    while (i < runs.size()) {
-      if (bounded && now >= window_end) break;  // next execution sees the load
+    while (i < runs.size() && now < window_end) {
       const SiId si = runs[i].si;
       // A not-yet-requested SI fires its demand request at its first
       // execution: reopen the window there.
@@ -183,32 +179,23 @@ Cycles OneChipBackend::si_execution_span(std::span<const SiRun> runs, Cycles now
           selected_molecule_[si] != kSoftwareMolecule)
         break;
       const std::uint64_t count = remaining > 0 ? remaining : runs[i].count;
-      if (span_step_gen_[si] != span_gen_) {
-        span_step_gen_[si] = span_gen_;
-        span_step_[si] = cached_latency_[si] + per_execution_overhead;
-      }
       const Cycles step = span_step_[si];
-      std::uint64_t fit = count;
-      if (bounded && step > 0)
-        fit = std::min<std::uint64_t>(count, (window_end - now + step - 1) / step);
-      if (fit > 0) {
-        monitor_.record_executions(si, fit);
-        if (cached_latency_[si] != set_->si(si).software_latency) {
-          span_last_start_[si] = now + (fit - 1) * step;
-          if (span_touch_gen_[si] != span_gen_) {
-            span_touch_gen_[si] = span_gen_;
-            span_touched_.push_back(si);
-          }
+      const std::uint64_t fit = executions_before(window_end, now, count, step);
+      monitor_.record_executions(si, fit);
+      if (cached_latency_[si] != set_->si(si).software_latency) {
+        span_last_start_[si] = now + (fit - 1) * step;
+        if (span_touch_gen_[si] != span_gen_) {
+          span_touch_gen_[si] = span_gen_;
+          span_touched_.push_back(si);
         }
-        now += fit * step;
       }
-      if (fit == count) {
-        ++i;
-        remaining = 0;
-      } else {
+      now += fit * step;
+      if (fit < count) {
         remaining = count - fit;
         break;  // window exhausted; reopen at the port completion
       }
+      ++i;
+      remaining = 0;
     }
 
     // Materialize the LRU stamps while the window's molecules are still

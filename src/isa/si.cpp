@@ -18,7 +18,8 @@ Cycles SpecialInstruction::latency(MoleculeId m) const {
 }
 
 SpecialInstructionSet::SpecialInstructionSet(AtomLibrary library)
-    : library_(std::make_unique<AtomLibrary>(std::move(library))) {}
+    : library_(std::make_unique<AtomLibrary>(std::move(library))),
+      sis_using_(library_->size()) {}
 
 namespace {
 
@@ -91,14 +92,28 @@ SiId SpecialInstructionSet::add_si(const std::string& name, DataPathGraph graph,
       .name = name,
       .graph = std::move(graph),
       .molecules = std::move(molecules),
+      .latency_order = {},
       .software_latency = 0,
   };
   si.software_latency = si.graph.software_cycles() + trap_overhead;
   // The trap must be the slowest implementation, otherwise upgrading would
-  // be pointless for this SI.
-  for (const MoleculeImpl& m : si.molecules)
+  // be pointless for this SI (and fastest_available's first fit could be
+  // slower than the trap it replaces).
+  Molecule used(atom_type_count());
+  for (const MoleculeImpl& m : si.molecules) {
     RISPP_CHECK_MSG(m.latency < si.software_latency,
                     name << ": molecule " << m.atoms.to_string() << " slower than trap");
+    RISPP_CHECK(m.atoms.dimension() == atom_type_count());
+    join_into(used, m.atoms);
+  }
+  si.latency_order.resize(si.molecules.size());
+  for (MoleculeId m = 0; m < si.molecules.size(); ++m) si.latency_order[m] = m;
+  std::stable_sort(si.latency_order.begin(), si.latency_order.end(),
+                   [&](MoleculeId a, MoleculeId b) {
+                     return si.molecules[a].latency < si.molecules[b].latency;
+                   });
+  for (AtomTypeId t = 0; t < atom_type_count(); ++t)
+    if (used[t] != 0) sis_using_[t].push_back(si.id);
   sis_.push_back(std::move(si));
   return sis_.back().id;
 }
@@ -116,20 +131,28 @@ std::optional<SiId> SpecialInstructionSet::find(const std::string& name) const {
 
 MoleculeId SpecialInstructionSet::fastest_available(SiId id, const Molecule& available) const {
   const SpecialInstruction& s = si(id);
-  MoleculeId best = kSoftwareMolecule;
-  Cycles best_latency = s.software_latency;
-  for (MoleculeId m = 0; m < s.molecules.size(); ++m) {
-    if (!leq(s.molecules[m].atoms, available)) continue;
-    if (s.molecules[m].latency < best_latency) {
-      best = m;
-      best_latency = s.molecules[m].latency;
-    }
+  // Every molecule has the set's dimension (add_si), so one check covers
+  // the whole walk.
+  RISPP_CHECK_MSG(available.dimension() == atom_type_count(),
+                  "dimension mismatch: " << available.dimension() << " vs "
+                                         << atom_type_count());
+  const AtomCount* have = available.counts().data();
+  for (const MoleculeId m : s.latency_order) {
+    const std::span<const AtomCount> need = s.molecules[m].atoms.counts();
+    std::size_t t = 0;
+    while (t < need.size() && need[t] <= have[t]) ++t;
+    if (t == need.size()) return m;
   }
-  return best;
+  return kSoftwareMolecule;
 }
 
 Cycles SpecialInstructionSet::fastest_available_latency(SiId id, const Molecule& available) const {
   return si(id).latency(fastest_available(id, available));
+}
+
+std::span<const SiId> SpecialInstructionSet::sis_using(AtomTypeId type) const {
+  RISPP_CHECK(type < sis_using_.size());
+  return sis_using_[type];
 }
 
 std::uint64_t fingerprint_mix(std::uint64_t hash, std::uint64_t value) {

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,9 @@ struct SpecialInstruction {
   /// Consistency invariant (checked on construction): no molecule has a
   /// strictly smaller sibling with equal-or-better latency.
   std::vector<MoleculeImpl> molecules;
+  /// Molecule ids by ascending latency, ties by ascending id: the walk order
+  /// of getFastestAvailableMolecule (the first fitting entry is the answer).
+  std::vector<MoleculeId> latency_order;
   /// Trap execution with base instructions (exception entry + emulation).
   Cycles software_latency = 0;
 
@@ -80,13 +84,21 @@ class SpecialInstructionSet {
   Cycles latency(const SiRef& ref) const { return si(ref.si).latency(ref.mol); }
 
   /// getFastestAvailableMolecule(a): lowest-latency molecule of `si` whose
-  /// atoms are all within `available`; software molecule if none is.
+  /// atoms are all within `available` (lowest id on equal latency); software
+  /// molecule if none is. Walks the SI's latency_order and stops at the first
+  /// fit, so a fully loaded SI costs one molecule compare.
   MoleculeId fastest_available(SiId si, const Molecule& available) const;
   Cycles fastest_available_latency(SiId si, const Molecule& available) const;
+
+  /// SIs (ascending id) with at least one molecule needing atom type `type`:
+  /// the only SIs whose fastest_available can change when that type's
+  /// available count moves.
+  std::span<const SiId> sis_using(AtomTypeId type) const;
 
  private:
   std::unique_ptr<AtomLibrary> library_;
   std::vector<SpecialInstruction> sis_;
+  std::vector<std::vector<SiId>> sis_using_;  // per atom type
 };
 
 /// Order-sensitive 64-bit digest of the set's observable contents: atom

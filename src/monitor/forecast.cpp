@@ -27,11 +27,6 @@ void ExecutionMonitor::record_execution(SiId si) {
   ++counting_[si];
 }
 
-void ExecutionMonitor::record_executions(SiId si, std::uint64_t n) {
-  RISPP_CHECK(active_ && si < counting_.size());
-  counting_[si] += n;
-}
-
 void ExecutionMonitor::end_hot_spot() {
   RISPP_CHECK(active_);
   active_ = false;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/check.h"
 #include "base/types.h"
 
 namespace rispp {
@@ -30,7 +31,11 @@ class ExecutionMonitor {
   void begin_hot_spot(HotSpotId hs);
   void record_execution(SiId si);
   /// Bulk form for batched replay: equivalent to `n` record_execution calls.
-  void record_executions(SiId si, std::uint64_t n);
+  /// Inline: the span walks call it once per run.
+  void record_executions(SiId si, std::uint64_t n) {
+    RISPP_CHECK(active_ && si < counting_.size());
+    counting_[si] += n;
+  }
   /// Folds counts into forecasts.
   void end_hot_spot();
 

@@ -1,6 +1,5 @@
 #include "rtm/run_time_manager.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "base/check.h"
@@ -43,12 +42,16 @@ RunTimeManager::RunTimeManager(const SpecialInstructionSet* set, std::size_t hot
       prefetch_demand_(set->atom_type_count()),
       type_last_used_(set->atom_type_count(), 0),
       cached_molecule_(set->si_count(), kSoftwareMolecule),
+      cached_latency_(set->si_count(), 0),
+      cache_stale_(set->si_count(), 1),  // the first refresh derives every SI
+      cache_ready_(set->atom_type_count()),
       upgrade_lane_(trace_new_lane()),
-      span_step_gen_(set->si_count(), 0),
       span_step_(set->si_count(), 0),
       span_touch_gen_(set->si_count(), 0),
       span_last_start_(set->si_count(), 0) {
   RISPP_CHECK(config_.scheduler != nullptr);
+  for (SiId si = 0; si < set_->si_count(); ++si)
+    cached_latency_[si] = set_->si(si).software_latency;
   trace_name_lane(TraceTrack::kExecutor, upgrade_lane_, "SI upgrades");
   // Without a shared device the RTM owns the paper's: one tenant, every
   // container, the single port.
@@ -397,6 +400,14 @@ void RunTimeManager::compute_decision(const std::vector<SiId>& sis,
 
 void RunTimeManager::refresh_cache() {
   const Molecule& ready = cf_->ready_atoms();
+  // A port event (completed load, our own eviction, a quota rebalance) moves
+  // one or a few types; an SI none of whose molecules needs a moved type
+  // keeps its fastest available molecule.
+  for (AtomTypeId t = 0; t < ready.dimension(); ++t)
+    if (ready[t] != cache_ready_[t])
+      for (const SiId si : set_->sis_using(t)) cache_stale_[si] = 1;
+  cache_ready_.assign(ready.counts());
+
   const bool traced = trace_enabled();
   if (traced && traced_si_names_.empty()) {
     traced_si_names_.reserve(set_->si_count());
@@ -405,6 +416,8 @@ void RunTimeManager::refresh_cache() {
   }
   std::uint64_t upgrades = 0;
   for (SiId si = 0; si < set_->si_count(); ++si) {
+    if (!cache_stale_[si]) continue;
+    cache_stale_[si] = 0;
     const MoleculeId mol = set_->fastest_available(si, ready);
     if (mol != cached_molecule_[si]) {
       // The gradual-upgrade property (§3.1): count latency-improving
@@ -412,13 +425,15 @@ void RunTimeManager::refresh_cache() {
       // (an eviction took a ready atom) change the cache but are not
       // upgrades. cache_event_now_ holds the port event that invalidated
       // the cache, i.e. when the transition actually happened.
-      if (set_->si(si).latency(mol) < set_->si(si).latency(cached_molecule_[si])) {
+      const Cycles latency = set_->si(si).latency(mol);
+      if (latency < set_->si(si).latency(cached_molecule_[si])) {
         ++upgrades;
         if (traced)
           trace_instant(TraceTrack::kExecutor, upgrade_lane_, traced_si_names_[si],
                         us_from_cycles(cache_event_now_));
       }
       cached_molecule_[si] = mol;
+      cached_latency_[si] = latency;
     }
   }
   if (upgrades > 0) {
@@ -448,7 +463,7 @@ Cycles RunTimeManager::si_execution_latency(SiId si, Cycles now) {
     for (std::size_t t = 0; t < atoms.dimension(); ++t)
       if (atoms[t] != 0) type_last_used_[t] = now;
   }
-  return set_->si(si).latency(mol);
+  return cached_latency_[si];
 }
 
 Cycles RunTimeManager::si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
@@ -465,14 +480,11 @@ Cycles RunTimeManager::si_execution_run_latency(SiId si, std::uint64_t count, Cy
     advance_reconfig(now);
     if (!cache_valid_) refresh_cache();
     const MoleculeId mol = cached_molecule_[si];
-    const Cycles latency = set_->si(si).latency(mol);
+    const Cycles latency = cached_latency_[si];
     const Cycles step = latency + per_execution_overhead;
-    std::uint64_t fit = count;
-    const auto bound = fabric_stall_bound(now);
-    if (bound.has_value() && step > 0) {
-      const Cycles finish = *bound;  // > now after advance
-      fit = std::min<std::uint64_t>(count, (finish - now + step - 1) / step);
-    }
+    // The bound is > now after advance_reconfig.
+    const std::uint64_t fit = executions_before(fabric_stall_bound(now).value_or(kMaxCycles),
+                                                now, count, step);
     monitor_.record_executions(si, fit);
     if (mol != kSoftwareMolecule) {
       // Only the last stamp of the stretch survives scalar replay.
@@ -499,44 +511,34 @@ Cycles RunTimeManager::si_execution_span(std::span<const SiRun> runs, Cycles now
   std::size_t i = 0;
   std::uint64_t remaining = 0;  // rest of runs[i] when a window split it
   while (i < runs.size()) {
-    // Open a window: advance reconfiguration state to `now`.
+    // Open a window: advance reconfiguration state to `now`. Without a
+    // pending fabric event the window never closes.
     advance_reconfig(now);
     if (!cache_valid_) refresh_cache();
-    const auto bound = fabric_stall_bound(now);
-    const bool bounded = bound.has_value();
-    const Cycles window_end = bounded ? *bound : 0;
+    const Cycles window_end = fabric_stall_bound(now).value_or(kMaxCycles);
     ++span_gen_;
     span_touched_.clear();
+    for (std::size_t si = 0; si < span_step_.size(); ++si)
+      span_step_[si] = cached_latency_[si] + per_execution_overhead;
 
-    while (i < runs.size()) {
-      if (bounded && now >= window_end) break;  // next execution sees the load
+    while (i < runs.size() && now < window_end) {
       const SiId si = runs[i].si;
       const std::uint64_t count = remaining > 0 ? remaining : runs[i].count;
-      if (span_step_gen_[si] != span_gen_) {
-        span_step_gen_[si] = span_gen_;
-        span_step_[si] =
-            set_->si(si).latency(cached_molecule_[si]) + per_execution_overhead;
-      }
       const Cycles step = span_step_[si];
-      std::uint64_t fit = count;
-      if (bounded && step > 0)
-        fit = std::min<std::uint64_t>(count, (window_end - now + step - 1) / step);
-      if (fit > 0) {
-        monitor_.record_executions(si, fit);
-        span_last_start_[si] = now + (fit - 1) * step;
-        if (span_touch_gen_[si] != span_gen_) {
-          span_touch_gen_[si] = span_gen_;
-          span_touched_.push_back(si);
-        }
-        now += fit * step;
+      const std::uint64_t fit = executions_before(window_end, now, count, step);
+      monitor_.record_executions(si, fit);
+      span_last_start_[si] = now + (fit - 1) * step;
+      if (span_touch_gen_[si] != span_gen_) {
+        span_touch_gen_[si] = span_gen_;
+        span_touched_.push_back(si);
       }
-      if (fit == count) {
-        ++i;
-        remaining = 0;
-      } else {
+      now += fit * step;
+      if (fit < count) {
         remaining = count - fit;
         break;  // window exhausted; reopen at the port completion
       }
+      ++i;
+      remaining = 0;
     }
 
     // Close the window: materialize the LRU stamps while the molecules the

@@ -225,21 +225,26 @@ class RunTimeManager final : public ExecutionBackend {
   std::vector<SiId> prefetch_sis_;              // per-entry scratch (prefetch)
 
   // Latency cache, invalidated when ready atoms change. refresh_cache()
-  // also diffs old vs new molecules to spot per-SI upgrade transitions
-  // (trap → slow molecule → selected molecule): cache_event_now_ remembers
-  // the simulated time of the first invalidating port event since the last
-  // refresh, which timestamps the upgrade instants on the executor track.
+  // re-derives only the SIs using an atom type whose ready count moved since
+  // cache_ready_, and diffs old vs new molecules to spot per-SI upgrade
+  // transitions (trap → slow molecule → selected molecule): cache_event_now_
+  // remembers the simulated time of the first invalidating port event since
+  // the last refresh, which timestamps the upgrade instants on the executor
+  // track.
   std::vector<MoleculeId> cached_molecule_;  // per SiId
+  std::vector<Cycles> cached_latency_;       // per SiId, latency of cached_molecule_
+  std::vector<char> cache_stale_;            // per SiId, re-derive at next refresh
+  Molecule cache_ready_;                     // ready atoms of the last refresh
   bool cache_valid_ = false;
   Cycles cache_event_now_ = 0;
   TraceLane upgrade_lane_;                      // "SI upgrades" row
   std::vector<const char*> traced_si_names_;    // interned, lazy
   void refresh_cache();
 
-  // Scratch for si_execution_span's port-quiet windows (per SiId, validated
-  // against span_gen_ so windows open without O(si_count) clears).
+  // Scratch for si_execution_span's port-quiet windows (per SiId; the touch
+  // marks are validated against span_gen_ so windows open without
+  // O(si_count) clears).
   std::uint64_t span_gen_ = 0;
-  std::vector<std::uint64_t> span_step_gen_;   // step cache validity
   std::vector<Cycles> span_step_;              // latency + overhead this window
   std::vector<std::uint64_t> span_touch_gen_;  // "executed this window" marker
   std::vector<Cycles> span_last_start_;        // last execution start this window

@@ -50,6 +50,17 @@ inline void append_latency_segment(std::vector<LatencySegment>& segments,
     segments.push_back(LatencySegment{count, latency});
 }
 
+/// How many of `count` (> 0) back-to-back executions spaced `step` cycles
+/// apart, the first starting at `now`, start before `window_end` (> now) —
+/// the executions that still see the current port state. The run stays
+/// whole unless its last execution would start at or past the end, so only
+/// a run crossing the end pays the division (and then gets [1, count)).
+inline std::uint64_t executions_before(Cycles window_end, Cycles now, std::uint64_t count,
+                                       Cycles step) {
+  if ((count - 1) * step < window_end - now) return count;
+  return (window_end - now + step - 1) / step;
+}
+
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;

@@ -334,6 +334,7 @@ TEST(RunReports, CollectsChildMetricsSnapshots) {
   ASSERT_EQ(baseline.size(), 1u);
   EXPECT_NEAR(baseline.at("metricful").wall_seconds, results[0].wall_seconds,
               1e-4 * (1.0 + results[0].wall_seconds));
+  EXPECT_EQ(baseline.at("metricful").metrics, results[0].metrics);
   fs::remove_all(dir);
 }
 
@@ -555,6 +556,41 @@ TEST(RegressionGate, FailedReportsAreGatedByExitCodeNotPerf) {
       {"crashed", make_base("crashed", 1.0)}};
   // The run itself already fails on the non-zero exit; the gate skips it.
   EXPECT_FALSE(compare_against_baseline({crashed}, baseline, 0.20).failed);
+}
+
+TEST(RegressionGate, ExactCounterMismatchFailsAndNamesEverything) {
+  // Wall-clock and throughput are steady; one gated counter moved by one.
+  ReportResult r = make_result("fig7", 1.0);
+  r.metrics = {{"port.loads_started", 9949}, {"sim.hot_spot_entries", 1840},
+               {"rtm.si_upgrades", 8452}};
+  PerfRecord base = make_base("fig7", 1.0);
+  base.metrics = {{"port.loads_started", 9948}, {"sim.hot_spot_entries", 1840},
+                  {"rtm.si_upgrades", 8452}};
+  const auto gate = compare_against_baseline({r}, {{"fig7", base}}, 0.20);
+  EXPECT_TRUE(gate.failed);
+  ASSERT_EQ(gate.counter_mismatches.size(), 1u);
+  EXPECT_EQ(gate.counter_mismatches[0], "fig7: port.loads_started 9949 vs baseline 9948");
+  ASSERT_EQ(gate.deltas.size(), 1u);
+  EXPECT_FALSE(gate.deltas[0].regressed);
+}
+
+TEST(RegressionGate, ExactCountersGateOnlyWhatTheBaselineCarries) {
+  ReportResult r = make_result("fleet", 1.0);
+  r.metrics = {{"rtm.si_upgrades", 22209}, {"rtm.decision_cache.misses", 900},
+               {"sched.hef.candidates_evaluated", 12}};
+  PerfRecord base = make_base("fleet", 1.0);
+  // Ungated counters may move (shared-memo interleaving), and a gated
+  // counter the baseline lacks is not compared.
+  base.metrics = {{"rtm.si_upgrades", 22209}, {"rtm.decision_cache.misses", 1000},
+                  {"sched.hef.candidates_evaluated", 15}};
+  EXPECT_FALSE(compare_against_baseline({r}, {{"fleet", base}}, 0.20).failed);
+
+  // A gated counter the run no longer reports is a mismatch.
+  base.metrics["sim.hot_spot_entries"] = 46;
+  const auto gate = compare_against_baseline({r}, {{"fleet", base}}, 0.20);
+  EXPECT_TRUE(gate.failed);
+  ASSERT_EQ(gate.counter_mismatches.size(), 1u);
+  EXPECT_EQ(gate.counter_mismatches[0], "fleet: sim.hot_spot_entries absent vs baseline 46");
 }
 
 TEST(DiscoverReports, FindsExecutablesAndSkipsMicroOps) {

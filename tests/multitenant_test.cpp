@@ -18,6 +18,7 @@
 #include "fleet/tenant_fleet.h"
 #include "fleet/trace_repository.h"
 #include "isa/h264_si_library.h"
+#include "latency_cache_check.h"
 #include "rtm/fabric_arbiter.h"
 #include "rtm/run_time_manager.h"
 #include "rtm/tenant_sim.h"
@@ -295,6 +296,56 @@ TEST(Multitenant, WeightedCoSimulationHoldsInvariantsEndToEnd) {
   EXPECT_GT(results[0].total_cycles, 0u);
   EXPECT_GT(results[1].total_cycles, 0u);
   EXPECT_LE(arbiter.quota(t_heavy) + arbiter.quota(t_light), config.total_containers);
+}
+
+TEST(Multitenant, LatencyCacheMatchesFreshLookupUnderWeightedRebalance) {
+  // Four tenants on a benefit-weighted device that rebalances at every
+  // decision point: quota moves evict ready atoms behind the tenants' backs.
+  // Stepped in the reference co-simulation order (min clock, lowest id),
+  // one scalar instance at a time, every execution's cached latency must
+  // equal a fresh lookup.
+  TraceRepository repo;
+  const std::vector<SessionSpec> specs = {
+      small_session(Content::kH264, 4, "HEF", 4), small_session(Content::kJpeg, 2, "SJF", 4),
+      small_session(Content::kH264, 4, "ASF", 4), small_session(Content::kJpeg, 2, "FSFR", 4)};
+  ArbiterConfig config;
+  config.total_containers = 16;
+  config.partition = PartitionMode::kBenefitWeighted;
+  config.rebalance_period = 1;
+  FabricArbiter arbiter(config);
+  std::vector<const TraceEntry*> entries;
+  std::vector<std::unique_ptr<AtomScheduler>> schedulers;
+  std::vector<std::unique_ptr<RunTimeManager>> rtms;
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    arbiter.add_tenant(TenantConfig{4, 1, static_cast<unsigned>(i + 1)});
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    entries.push_back(&repo.get(specs[i]));
+    schedulers.push_back(make_scheduler(specs[i].scheduler));
+    RtmConfig rc;
+    rc.scheduler = schedulers.back().get();
+    rc.arbiter = &arbiter;
+    rc.tenant = static_cast<TenantId>(i);
+    rtms.push_back(std::make_unique<RunTimeManager>(
+        &entries[i]->set, entries[i]->trace.hot_spots.size(), rc));
+    seed_from_entry(*entries[i], *rtms[i]);
+  }
+
+  std::vector<Cycles> clocks(specs.size(), 0);
+  std::vector<std::size_t> next(specs.size(), 0);
+  for (;;) {
+    std::size_t pick = specs.size();
+    for (std::size_t i = 0; i < specs.size(); ++i)
+      if (next[i] < entries[i]->trace.instances.size() &&
+          (pick == specs.size() || clocks[i] < clocks[pick]))
+        pick = i;
+    if (pick == specs.size()) break;
+    clocks[pick] = replay_instance_checking_latency_cache(entries[pick]->trace, next[pick]++,
+                                                          *rtms[pick], clocks[pick]);
+    if (next[pick] == entries[pick]->trace.instances.size())
+      arbiter.retire_tenant(static_cast<TenantId>(pick));
+  }
+  arbiter.check_invariants();
+  EXPECT_GT(arbiter.evictions(), 0u) << "no rebalance evicted a ready atom";
 }
 
 TEST(Multitenant, StaticContentionNeverBeatsTheUncontendedDevice) {

@@ -6,6 +6,7 @@
 #include <functional>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "baselines/molen.h"
 #include "baselines/software_only.h"
@@ -13,6 +14,7 @@
 #include "fleet/trace_repository.h"
 #include "h264/workload.h"
 #include "isa/h264_si_library.h"
+#include "latency_cache_check.h"
 #include "rtm/run_time_manager.h"
 #include "rtm/tenant_sim.h"
 #include "sched/hef.h"
@@ -382,6 +384,39 @@ TEST(RunTimeManager, TinyDecisionCacheStaysBitExact) {
   EXPECT_EQ(total(true, &tiny), reference);
   EXPECT_GT(tiny.evictions(), 0u);
   EXPECT_EQ(total(true, nullptr), reference);
+}
+
+TEST(RunTimeManager, LatencyCacheMatchesFreshLookupAfterEveryExecution) {
+  // Eight containers across the encoder's hot spots: loads keep evicting
+  // ready atoms the previous hot spot used, so the incremental refresh sees
+  // upgrades and downgrades. The hand-stepped replay must also land where
+  // run_trace's scalar path does.
+  fleet::TraceRepository repo;
+  const fleet::TraceEntry& entry = repo.get(small_h264_session());
+  for (const char* name : {"FSFR", "ASF", "SJF", "HEF"})
+    for (const bool prefetch : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (prefetch ? " prefetch" : ""));
+      const auto scheduler = make_scheduler(name);
+      RtmConfig config = config_with(scheduler.get(), 8);
+      config.enable_prefetch = prefetch;
+      const auto replay = [&](const std::function<Cycles(RunTimeManager&)>& run) {
+        RunTimeManager rtm(&entry.set, entry.trace.hot_spots.size(), config);
+        for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
+          for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
+            if (entry.seeds[hs][si] != 0) rtm.seed_forecast(hs, si, entry.seeds[hs][si]);
+        return run(rtm);
+      };
+      const Cycles stepped = replay([&](RunTimeManager& rtm) {
+        Cycles now = 0;
+        for (std::size_t i = 0; i < entry.trace.instances.size(); ++i)
+          now = replay_instance_checking_latency_cache(entry.trace, i, rtm, now);
+        return now;
+      });
+      const Cycles scalar = replay([&](RunTimeManager& rtm) {
+        return run_trace(entry.trace, rtm, nullptr, ReplayMode::kScalar).total_cycles;
+      });
+      EXPECT_EQ(stepped, scalar);
+    }
 }
 
 TEST(DecisionMemo, EveryConfigFieldKeepsSharedMemoBitExact) {

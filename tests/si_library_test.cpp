@@ -2,10 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
+#include "base/prng.h"
+#include "config/h264_platform.h"
+#include "config/platform_parser.h"
+#include "dse/design_point.h"
 #include "isa/candidates.h"
 #include "isa/h264_si_library.h"
 #include "isa/si.h"
+#include "jpeg/jpeg_si_library.h"
 
 namespace rispp {
 namespace {
@@ -63,6 +69,108 @@ TEST(SpecialInstructionSet, FastestAvailableWalksUpgradePath) {
       prev = now;
     }
   }
+}
+
+/// The lookup oracle: the lowest latency among molecules whose atoms are all
+/// within `available`, the lowest id on equal latency, the trap when nothing
+/// fits.
+MoleculeId brute_force_fastest(const SpecialInstruction& si, const Molecule& available) {
+  MoleculeId best = kSoftwareMolecule;
+  for (MoleculeId m = 0; m < si.molecules.size(); ++m) {
+    const Molecule& atoms = si.molecules[m].atoms;
+    bool fits = true;
+    for (std::size_t t = 0; t < atoms.dimension(); ++t) fits = fits && atoms[t] <= available[t];
+    if (fits && (best == kSoftwareMolecule ||
+                 si.molecules[m].latency < si.molecules[best].latency))
+      best = m;
+  }
+  return best;
+}
+
+/// Checks fastest_available and sis_using against brute force on `samples`
+/// seeded random availability vectors per SI. Each count is drawn from
+/// [0, sup + 1] of that type over the SI's molecules, so fits, partial fits
+/// and no-fits all occur.
+void expect_lookup_matches_oracle(const SpecialInstructionSet& set, std::uint64_t seed,
+                                  int samples) {
+  const std::size_t dimension = set.atom_type_count();
+  for (AtomTypeId t = 0; t < dimension; ++t) {
+    std::vector<SiId> users;
+    for (SiId id = 0; id < set.si_count(); ++id)
+      for (const MoleculeImpl& m : set.si(id).molecules)
+        if (m.atoms[t] != 0) {
+          users.push_back(id);
+          break;
+        }
+    const std::span<const SiId> got = set.sis_using(t);
+    EXPECT_EQ(std::vector<SiId>(got.begin(), got.end()), users) << "type " << t;
+  }
+
+  Xoshiro256 rng(seed);
+  unsigned hardware = 0, trapped = 0;
+  for (SiId id = 0; id < set.si_count(); ++id) {
+    const SpecialInstruction& si = set.si(id);
+    Molecule sup(dimension);
+    for (const MoleculeImpl& m : si.molecules) join_into(sup, m.atoms);
+    Molecule available(dimension);
+    for (int sample = 0; sample < samples; ++sample) {
+      for (std::size_t t = 0; t < dimension; ++t)
+        available[t] = static_cast<AtomCount>(rng.bounded(sup[t] + 2u));
+      const MoleculeId expected = brute_force_fastest(si, available);
+      ASSERT_EQ(set.fastest_available(id, available), expected)
+          << si.name << " at " << available.to_string();
+      EXPECT_EQ(set.fastest_available_latency(id, available), si.latency(expected));
+      ++(expected == kSoftwareMolecule ? trapped : hardware);
+    }
+  }
+  // Both the early exit and the no-fit path were exercised.
+  EXPECT_GT(hardware, 0u);
+  EXPECT_GT(trapped, 0u);
+}
+
+TEST(SpecialInstructionSet, FastestAvailableMatchesOracleOnH264AndJpeg) {
+  expect_lookup_matches_oracle(build_h264_si_set(), 1, 400);
+  expect_lookup_matches_oracle(jpegsis::build_jpeg_si_set(), 2, 400);
+}
+
+TEST(SpecialInstructionSet, FastestAvailableMatchesOracleOnMutatedPlatforms) {
+  // A seeded DSE walk from the degraded Table 1 platform: fused atoms,
+  // raised and lowered caps, unthinned molecule lists.
+  dse::DesignPoint point = dse::degraded_seed(config::h264_platform_spec());
+  Xoshiro256 rng(17);
+  for (int step = 0; step < 12; ++step) {
+    dse::mutate(point, rng);
+    SCOPED_TRACE(step);
+    expect_lookup_matches_oracle(config::build_platform(point.spec), 100 + step, 60);
+  }
+}
+
+TEST(SpecialInstructionSet, FastestAvailableBreaksLatencyTiesByLowestId) {
+  // Two 4-wide layers behind a barrier, equal op latencies: latency is
+  // ceil(4/a) + ceil(4/b) rounds, so (1,2) and (2,1) tie. Thinning to 7
+  // drops (2,2), which would beat both, so availability (2,2) fits exactly
+  // the two tied molecules and (1,1).
+  AtomLibrary lib;
+  lib.add({"A", 3, 40, 400});
+  lib.add({"B", 3, 40, 400});
+  SpecialInstructionSet set(std::move(lib));
+  DataPathGraph g(&set.library());
+  const auto a = g.add_layer(0, 4);
+  g.add_layer(1, 4, a);
+  set.add_si("Tie", std::move(g), Molecule{4, 4}, 50, /*molecule_target=*/7);
+  const SpecialInstruction& si = set.si(0);
+
+  const Molecule available{2, 2};
+  std::vector<MoleculeId> tied;
+  const MoleculeId best = brute_force_fastest(si, available);
+  ASSERT_NE(best, kSoftwareMolecule);
+  for (MoleculeId m = 0; m < si.molecules.size(); ++m)
+    if (leq(si.molecules[m].atoms, available) &&
+        si.molecules[m].latency == si.molecules[best].latency)
+      tied.push_back(m);
+  ASSERT_EQ(tied.size(), 2u) << "the premise: two fitting molecules share the best latency";
+  EXPECT_EQ(set.fastest_available(0, available), tied.front());
+  EXPECT_EQ(si.latency_order.size(), si.molecules.size());
 }
 
 TEST(SpecialInstructionSet, DuplicateSiNameThrows) {

@@ -9,7 +9,8 @@
 // to a sequential run — children never share a stream); per-report
 // BENCH_<name>.json records are folded into <out>/BENCH_SUITE.json. With
 // --baseline the driver exits non-zero when any report got >20 % slower
-// (wall-clock or cells/sec) than the baseline suite.
+// (wall-clock or cells/sec) than the baseline suite, or when one of its
+// exact work counters (bench::kExactCounters) differs from the baseline's.
 #include <unistd.h>
 
 #include <cstdio>
@@ -36,7 +37,8 @@ void usage(const char* argv0) {
                "  --frames <n>        RISPP_FRAMES for every report (default: 140)\n"
                "  --out <dir>         logs + BENCH_SUITE.json (default: bench-out)\n"
                "  --baseline <path>   BENCH_SUITE.json or dir of BENCH_*.json;\n"
-               "                      exit non-zero on >threshold slowdown\n"
+               "                      exit non-zero on >threshold slowdown or\n"
+               "                      a changed exact work counter\n"
                "  --threshold <pct>   regression budget in percent (default: 20)\n"
                "  --refresh-baseline <path>\n"
                "                      after a fully green run, rewrite <path>\n"
@@ -187,6 +189,8 @@ int main(int argc, char** argv) {
                 bench::render_regression_table(gate).c_str());
     for (const auto& name : gate.missing)
       std::printf("note: baselined report %s did not run\n", name.c_str());
+    for (const auto& line : gate.counter_mismatches)
+      std::fprintf(stderr, "exact counter mismatch: %s\n", line.c_str());
     if (gate.failed) {
       std::fprintf(stderr, "perf regression gate FAILED\n");
       exit_code = 1;
