@@ -8,7 +8,8 @@
 // mismatch means a simulated number changed, which no refactor may do.
 //
 // Digest = fingerprint_mix over total_cycles, si_executions, atom_loads and
-// every hot_spot_cycles entry of a SimResult.
+// every hot_spot_cycles entry of a SimResult; a baseline cell replayed with
+// stats also folds in the SimStats.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,12 +17,15 @@
 #include <vector>
 
 #include "base/parallel.h"
+#include "baselines/molen.h"
+#include "baselines/onechip.h"
 #include "fleet/session_batch.h"
 #include "fleet/tenant_fleet.h"
 #include "fleet/trace_repository.h"
 #include "rtm/run_time_manager.h"
 #include "sched/registry.h"
 #include "sim/executor.h"
+#include "sim/stats.h"
 
 namespace rispp {
 namespace {
@@ -244,6 +248,88 @@ TEST(Golden, SoloRtmCells) {
     EXPECT_EQ(digest(run_solo(entry, cells[i])), kSoloDigests[i])
         << "cell " << i << ": " << cells[i].label();
   }
+}
+
+/// Folds every per-SI total, bucket and latency change point into `h`.
+std::uint64_t digest(std::uint64_t h, const SimStats& stats, std::size_t si_count) {
+  for (SiId si = 0; si < si_count; ++si) {
+    h = fingerprint_mix(h, stats.executions(si));
+    for (std::size_t b = 0; b < stats.bucket_count(); ++b)
+      h = fingerprint_mix(h, stats.bucket_executions(si, b));
+    for (const SimStats::LatencyPoint& p : stats.latency_timeline(si)) {
+      h = fingerprint_mix(h, p.at);
+      h = fingerprint_mix(h, p.latency);
+    }
+  }
+  return h;
+}
+
+/// The three replay paths of a backend: scalar (with stats), batched
+/// without stats (whole-instance spans) and batched with stats (per run).
+enum class BaselineReplay { kScalar, kSpan, kRuns };
+
+template <typename Backend, typename Config>
+std::uint64_t run_baseline(const TraceEntry& entry, unsigned acs, BaselineReplay replay) {
+  Config config;
+  config.container_count = acs;
+  Backend backend(&entry.set, entry.trace.hot_spots.size(), config);
+  for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
+    for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
+      if (entry.seeds[hs][si] != 0) backend.seed_forecast(hs, si, entry.seeds[hs][si]);
+  if (replay == BaselineReplay::kSpan)
+    return digest(run_trace(entry.trace, backend, nullptr, ReplayMode::kBatched));
+  SimStats stats(entry.set.si_count());
+  const SimResult result =
+      run_trace(entry.trace, backend, &stats,
+                replay == BaselineReplay::kScalar ? ReplayMode::kScalar : ReplayMode::kBatched);
+  return digest(digest(result), stats, entry.set.si_count());
+}
+
+// clang-format off
+/// Table order: content {h264, jpeg} x backend {Molen, OneChip} x
+/// ACs {3, 6, 14} x replay {scalar, span, runs}.
+constexpr std::uint64_t kBaselineDigests[] = {
+    // h264 Molen: {3, 6, 14} ACs x {scalar, span, runs}
+    0x9176aa4a547800faull, 0xa47dd596e496b745ull, 0x9176aa4a547800faull,
+    0x0c584566aef95d7bull, 0xf1cb432a5d064d16ull, 0x0c584566aef95d7bull,
+    0x69f144b557507311ull, 0x0298f1cfd436a81dull, 0x69f144b557507311ull,
+    // h264 OneChip: {3, 6, 14} ACs x {scalar, span, runs}
+    0x6aa2adc8a0f4c96bull, 0x253b2357c905e0d8ull, 0x6aa2adc8a0f4c96bull,
+    0x0cd24e1f66ff8238ull, 0x54d3062ee2abd9f6ull, 0x0cd24e1f66ff8238ull,
+    0xb41aa5bcea2b5278ull, 0xa01a1c1ef903a68eull, 0xb41aa5bcea2b5278ull,
+    // jpeg Molen: {3, 6, 14} ACs x {scalar, span, runs}
+    0x3205aeebfeb191ecull, 0xcb9c6eb6066831e9ull, 0x3205aeebfeb191ecull,
+    0xd296e723f434653eull, 0xc50f6b3860ac7e1dull, 0xd296e723f434653eull,
+    0x9fee3ba9a71f05adull, 0xa91fe140ceca0791ull, 0x9fee3ba9a71f05adull,
+    // jpeg OneChip: {3, 6, 14} ACs x {scalar, span, runs}
+    0x3205aeebfeb191ecull, 0xcb9c6eb6066831e9ull, 0x3205aeebfeb191ecull,
+    0xd296e723f434653eull, 0xc50f6b3860ac7e1dull, 0xd296e723f434653eull,
+    0x9fee3ba9a71f05adull, 0xa91fe140ceca0791ull, 0x9fee3ba9a71f05adull,
+};
+// clang-format on
+
+TEST(Golden, BaselineCells) {
+  static const char* const kReplay[] = {"scalar", "span", "runs"};
+  fleet::TraceRepository repo;
+  std::size_t i = 0;
+  for (const Content content : {Content::kH264, Content::kJpeg}) {
+    const TraceEntry& entry = repo.get(small_session(content));
+    for (const bool onechip : {false, true})
+      for (const unsigned acs : {3u, 6u, 14u})
+        for (const BaselineReplay replay :
+             {BaselineReplay::kScalar, BaselineReplay::kSpan, BaselineReplay::kRuns}) {
+          ASSERT_LT(i, std::size(kBaselineDigests));
+          const std::uint64_t got =
+              onechip ? run_baseline<OneChipBackend, OneChipConfig>(entry, acs, replay)
+                      : run_baseline<MolenBackend, MolenConfig>(entry, acs, replay);
+          EXPECT_EQ(got, kBaselineDigests[i])
+              << "cell " << i << ": " << (content == Content::kH264 ? "h264 " : "jpeg ")
+              << (onechip ? "OneChip " : "Molen ") << acs << "ACs "
+              << kReplay[static_cast<int>(replay)];
+          ++i;
+        }
+  }
+  EXPECT_EQ(i, std::size(kBaselineDigests));
 }
 
 TEST(Golden, SharedMemoSessionBatch) {
