@@ -8,6 +8,8 @@
 #include "base/parallel.h"
 #include "base/prng.h"
 #include "base/trace_event.h"
+#include "baselines/molen.h"
+#include "baselines/onechip.h"
 #include "bench/common.h"
 #include "config/h264_platform.h"
 #include "dpg/enumerate.h"
@@ -429,25 +431,41 @@ const bench::BenchContext& cached_context() {
 }
 
 // Scalar vs run-batched replay of the cached H.264 bench trace (items =
-// SI execution events). The ratio of the two items/sec rates is the
-// fast-forward speedup the sweeps enjoy.
+// SI execution events) through each reconfigurable backend: the HEF RTM,
+// Molen and OneChip, all 17 ACs. The ratio of a backend's two items/sec
+// rates is the fast-forward speedup of its port-quiet walk.
 void BM_TraceReplay(benchmark::State& state) {
   const auto& ctx = cached_context();
   const auto mode = state.range(0) == 0 ? ReplayMode::kScalar : ReplayMode::kBatched;
+  constexpr unsigned kContainers = 17;
   const HefScheduler hef;
+  const auto replay = [&](auto&& backend) {
+    h264::seed_default_forecasts(ctx.set, backend);
+    benchmark::DoNotOptimize(run_trace(ctx.trace, backend, nullptr, mode));
+  };
   for (auto _ : state) {
-    RtmConfig config;
-    config.container_count = 17;
-    config.scheduler = &hef;
-    RunTimeManager rtm(&ctx.set, ctx.trace.hot_spots.size(), config);
-    h264::seed_default_forecasts(ctx.set, rtm);
-    benchmark::DoNotOptimize(run_trace(ctx.trace, rtm, nullptr, mode));
+    if (state.range(1) == 0) {
+      RtmConfig config;
+      config.container_count = kContainers;
+      config.scheduler = &hef;
+      replay(RunTimeManager(&ctx.set, ctx.trace.hot_spots.size(), config));
+    } else if (state.range(1) == 1) {
+      MolenConfig config;
+      config.container_count = kContainers;
+      replay(MolenBackend(&ctx.set, ctx.trace.hot_spots.size(), config));
+    } else {
+      OneChipConfig config;
+      config.container_count = kContainers;
+      replay(OneChipBackend(&ctx.set, ctx.trace.hot_spots.size(), config));
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ctx.trace.total_si_executions()));
-  state.SetLabel(mode == ReplayMode::kScalar ? "scalar" : "batched");
+  static const char* const kBackend[] = {"HEF", "Molen", "OneChip"};
+  state.SetLabel(std::string(mode == ReplayMode::kScalar ? "scalar " : "batched ") +
+                 kBackend[state.range(1)]);
 }
-BENCHMARK(BM_TraceReplay)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceReplay)->ArgsProduct({{0, 1}, {0, 1, 2}})->Unit(benchmark::kMillisecond);
 
 // parallel_for scaling: the same cell workload fanned over 1, 2 and N
 // threads. Cells are small RTM runs on a short synthetic trace, matching

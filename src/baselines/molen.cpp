@@ -8,20 +8,14 @@ namespace rispp {
 
 MolenBackend::MolenBackend(const SpecialInstructionSet* set, std::size_t hot_spot_count,
                            const MolenConfig& config)
-    : set_(set),
+    : PortWindowBackend(set, hot_spot_count),
       config_(config),
-      monitor_(hot_spot_count, set->si_count()),
       containers_(config.container_count, set->atom_type_count()),
       port_(&set->library(), config.bitstream),
       demand_(set->atom_type_count()),
       soft_demand_(set->atom_type_count()),
       hot_spot_sup_(hot_spot_count, Molecule(set->atom_type_count())),
-      type_last_used_(set->atom_type_count(), 0),
-      cached_latency_(set->si_count(), 0),
-      selected_molecule_(set->si_count(), kSoftwareMolecule),
-      span_step_(set->si_count(), 0),
-      span_touch_gen_(set->si_count(), 0),
-      span_last_start_(set->si_count(), 0) {}
+      selected_molecule_(set->si_count(), kSoftwareMolecule) {}
 
 void MolenBackend::seed_forecast(HotSpotId hs, SiId si, std::uint64_t expected) {
   monitor_.seed(hs, si, expected);
@@ -77,8 +71,6 @@ void MolenBackend::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t ins
   start_pending_loads(now);
 }
 
-void MolenBackend::on_hot_spot_exit(Cycles) { monitor_.end_hot_spot(); }
-
 void MolenBackend::advance_reconfig(Cycles now) {
   while (port_.busy() && port_.inflight()->finishes_at <= now) {
     const auto done = port_.retire(now);
@@ -104,113 +96,25 @@ void MolenBackend::start_pending_loads(Cycles now) {
 void MolenBackend::refresh_cache() {
   const Molecule& ready = containers_.ready_atoms();
   for (SiId si = 0; si < set_->si_count(); ++si) {
+    const SpecialInstruction& s = set_->si(si);
     const MoleculeId mol = selected_molecule_[si];
     // No upgrade hierarchy: the single implementation is usable only when
-    // complete; no intermediate molecule may serve the SI.
-    if (mol != kSoftwareMolecule && leq(set_->si(si).molecule(mol).atoms, ready))
-      cached_latency_[si] = set_->si(si).molecule(mol).latency;
-    else
-      cached_latency_[si] = set_->si(si).software_latency;
+    // complete; no intermediate molecule may serve the SI. Executions
+    // LRU-stamp its atoms only when its latency differs from the trap's.
+    const bool usable = mol != kSoftwareMolecule && leq(s.molecule(mol).atoms, ready);
+    cached_latency_[si] = usable ? s.molecule(mol).latency : s.software_latency;
+    cached_molecule_[si] =
+        usable && cached_latency_[si] != s.software_latency ? mol : kSoftwareMolecule;
   }
   cache_valid_ = true;
 }
 
-Cycles MolenBackend::si_execution_latency(SiId si, Cycles now) {
+Cycles MolenBackend::open_window(Cycles now, SiId) {
   advance_reconfig(now);
   if (!cache_valid_) refresh_cache();
-  monitor_.record_execution(si);
-  const MoleculeId mol = selected_molecule_[si];
-  if (mol != kSoftwareMolecule &&
-      cached_latency_[si] != set_->si(si).software_latency) {
-    const Molecule& atoms = set_->si(si).molecule(mol).atoms;
-    for (std::size_t t = 0; t < atoms.dimension(); ++t)
-      if (atoms[t] != 0) type_last_used_[t] = now;
-  }
-  return cached_latency_[si];
+  return port_.busy() ? port_.inflight()->finishes_at : kMaxCycles;
 }
 
-Cycles MolenBackend::si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
-                                              Cycles per_execution_overhead,
-                                              std::vector<LatencySegment>& segments) {
-  // Same fast-forward invariant as the RISPP RTM: the latency of an SI only
-  // changes at reconfiguration-port completions, so a run advances in
-  // O(port events).
-  Cycles total = 0;
-  while (count > 0) {
-    advance_reconfig(now);
-    if (!cache_valid_) refresh_cache();
-    const Cycles latency = cached_latency_[si];
-    const Cycles step = latency + per_execution_overhead;
-    const std::uint64_t fit = executions_before(
-        port_.busy() ? port_.inflight()->finishes_at : kMaxCycles, now, count, step);
-    monitor_.record_executions(si, fit);
-    const MoleculeId mol = selected_molecule_[si];
-    if (mol != kSoftwareMolecule && latency != set_->si(si).software_latency) {
-      const Cycles last_start = now + (fit - 1) * step;
-      const Molecule& atoms = set_->si(si).molecule(mol).atoms;
-      for (std::size_t t = 0; t < atoms.dimension(); ++t)
-        if (atoms[t] != 0) type_last_used_[t] = last_start;
-    }
-    append_latency_segment(segments, fit, latency);
-    total += fit * latency;
-    now += fit * step;
-    count -= fit;
-  }
-  return total;
-}
-
-Cycles MolenBackend::si_execution_span(std::span<const SiRun> runs, Cycles now,
-                                       Cycles per_execution_overhead) {
-  // Same port-quiet-window arithmetic as the RISPP RTM (see
-  // RunTimeManager::si_execution_span): between two reconfiguration-port
-  // completions every SI's latency is fixed, so a whole window replays with
-  // one step lookup, one monitor bulk-add and one clock advance per run, and
-  // only the run crossing the window end divides. LRU stamps are
-  // materialized once per window. Bit-exact with scalar replay.
-  std::size_t i = 0;
-  std::uint64_t remaining = 0;  // rest of runs[i] when a window split it
-  while (i < runs.size()) {
-    advance_reconfig(now);
-    if (!cache_valid_) refresh_cache();
-    const Cycles window_end = port_.busy() ? port_.inflight()->finishes_at : kMaxCycles;
-    ++span_gen_;
-    span_touched_.clear();
-    for (std::size_t si = 0; si < span_step_.size(); ++si)
-      span_step_[si] = cached_latency_[si] + per_execution_overhead;
-
-    while (i < runs.size() && now < window_end) {
-      const SiId si = runs[i].si;
-      const std::uint64_t count = remaining > 0 ? remaining : runs[i].count;
-      const Cycles step = span_step_[si];
-      const std::uint64_t fit = executions_before(window_end, now, count, step);
-      monitor_.record_executions(si, fit);
-      if (selected_molecule_[si] != kSoftwareMolecule &&
-          cached_latency_[si] != set_->si(si).software_latency) {
-        span_last_start_[si] = now + (fit - 1) * step;
-        if (span_touch_gen_[si] != span_gen_) {
-          span_touch_gen_[si] = span_gen_;
-          span_touched_.push_back(si);
-        }
-      }
-      now += fit * step;
-      if (fit < count) {
-        remaining = count - fit;
-        break;  // window exhausted; reopen at the port completion
-      }
-      ++i;
-      remaining = 0;
-    }
-
-    // Materialize the LRU stamps while the window's molecules are still
-    // selected (the next advance_reconfig may refresh the cache).
-    for (const SiId si : span_touched_) {
-      const Cycles last = span_last_start_[si];
-      const Molecule& atoms = set_->si(si).molecule(selected_molecule_[si]).atoms;
-      for (std::size_t t = 0; t < atoms.dimension(); ++t)
-        if (atoms[t] != 0 && type_last_used_[t] < last) type_last_used_[t] = last;
-    }
-  }
-  return now;
-}
+template class PortWindowBackend<MolenBackend>;
 
 }  // namespace rispp

@@ -17,9 +17,8 @@
 #include "hw/atom_container.h"
 #include "hw/bitstream.h"
 #include "hw/reconfig_port.h"
-#include "monitor/forecast.h"
 #include "select/selection.h"
-#include "sim/executor.h"
+#include "sim/port_window_backend.h"
 
 namespace rispp {
 
@@ -28,7 +27,7 @@ struct MolenConfig {
   BitstreamModel bitstream;
 };
 
-class MolenBackend final : public ExecutionBackend {
+class MolenBackend final : public PortWindowBackend<MolenBackend> {
  public:
   MolenBackend(const SpecialInstructionSet* set, std::size_t hot_spot_count,
                const MolenConfig& config);
@@ -38,25 +37,20 @@ class MolenBackend final : public ExecutionBackend {
   std::string_view name() const override { return "Molen"; }
   void on_hot_spot_entry(const WorkloadTrace& trace, std::size_t instance,
                          Cycles now) override;
-  void on_hot_spot_exit(Cycles now) override;
-  Cycles si_execution_latency(SiId si, Cycles now) override;
-  Cycles si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
-                                  Cycles per_execution_overhead,
-                                  std::vector<LatencySegment>& segments) override;
-  Cycles si_execution_span(std::span<const SiRun> runs, Cycles now,
-                           Cycles per_execution_overhead) override;
   std::uint64_t completed_loads() const override { return port_.completed_loads(); }
 
   const std::vector<SiRef>& current_selection() const { return selection_; }
 
  private:
+  friend class PortWindowBackend<MolenBackend>;
+  /// The replay walk's hook (sim/port_window_backend.h); the window ends at
+  /// the in-flight load's completion.
+  Cycles open_window(Cycles now, SiId si);
   void advance_reconfig(Cycles now);
   void start_pending_loads(Cycles now);
   void refresh_cache();
 
-  const SpecialInstructionSet* set_;
   MolenConfig config_;
-  ExecutionMonitor monitor_;
   ContainerFile containers_;
   ReconfigPort port_;
 
@@ -65,22 +59,12 @@ class MolenBackend final : public ExecutionBackend {
   Molecule soft_demand_;
   std::vector<Molecule> hot_spot_sup_;
   std::deque<AtomTypeId> pending_loads_;
-  std::vector<Cycles> type_last_used_;
 
-  /// Per SiId: the latency the SI currently takes (selected molecule if
-  /// complete, else software).
-  std::vector<Cycles> cached_latency_;
   std::vector<MoleculeId> selected_molecule_;  // per SiId, kSoftwareMolecule if none
-  bool cache_valid_ = false;
-
-  // Scratch for si_execution_span's port-quiet windows (per SiId; the touch
-  // marks are validated against span_gen_ so windows open without
-  // O(si_count) clears).
-  std::uint64_t span_gen_ = 0;
-  std::vector<Cycles> span_step_;              // latency + overhead this window
-  std::vector<std::uint64_t> span_touch_gen_;  // "stamped this window" marker
-  std::vector<Cycles> span_last_start_;        // last execution start this window
-  std::vector<SiId> span_touched_;             // SIs to LRU-stamp at window close
+  bool cache_valid_ = false;  // cached_molecule_/cached_latency_ (refresh_cache)
 };
+
+// Instantiated once, next to open_window (baselines/molen.cpp).
+extern template class PortWindowBackend<MolenBackend>;
 
 }  // namespace rispp

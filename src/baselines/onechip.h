@@ -17,9 +17,8 @@
 #include "hw/atom_container.h"
 #include "hw/bitstream.h"
 #include "hw/reconfig_port.h"
-#include "monitor/forecast.h"
 #include "select/selection.h"
-#include "sim/executor.h"
+#include "sim/port_window_backend.h"
 
 namespace rispp {
 
@@ -28,7 +27,7 @@ struct OneChipConfig {
   BitstreamModel bitstream;
 };
 
-class OneChipBackend final : public ExecutionBackend {
+class OneChipBackend final : public PortWindowBackend<OneChipBackend> {
  public:
   OneChipBackend(const SpecialInstructionSet* set, std::size_t hot_spot_count,
                  const OneChipConfig& config);
@@ -38,44 +37,35 @@ class OneChipBackend final : public ExecutionBackend {
   std::string_view name() const override { return "OneChip"; }
   void on_hot_spot_entry(const WorkloadTrace& trace, std::size_t instance,
                          Cycles now) override;
-  void on_hot_spot_exit(Cycles now) override;
-  Cycles si_execution_latency(SiId si, Cycles now) override;
-  Cycles si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
-                                  Cycles per_execution_overhead,
-                                  std::vector<LatencySegment>& segments) override;
-  Cycles si_execution_span(std::span<const SiRun> runs, Cycles now,
-                           Cycles per_execution_overhead) override;
   std::uint64_t completed_loads() const override { return port_.completed_loads(); }
 
  private:
+  friend class PortWindowBackend<OneChipBackend>;
+  /// A selected SI's first execution per hot-spot instance requests its
+  /// configuration, so the replay walk opens a window there (reopen_ marks
+  /// the SIs not yet requested).
+  static constexpr bool kFirstUseReopen = true;
+  /// The replay walk's hook (sim/port_window_backend.h): advance the port,
+  /// issue `si`'s demand request, and end the window at the in-flight load's
+  /// completion.
+  Cycles open_window(Cycles now, SiId si);
   void advance_reconfig(Cycles now);
   void start_pending_loads(Cycles now);
   void request_configuration(SiId si);
   void refresh_cache();
 
-  const SpecialInstructionSet* set_;
   OneChipConfig config_;
-  ExecutionMonitor monitor_;
   ContainerFile containers_;
   ReconfigPort port_;
 
   std::vector<SiRef> selection_;
   Molecule demand_;
   std::deque<AtomTypeId> pending_loads_;
-  std::vector<bool> requested_;               // per SiId: configuration queued?
   std::vector<MoleculeId> selected_molecule_; // per SiId
-  std::vector<Cycles> type_last_used_;
-  std::vector<Cycles> cached_latency_;
-  bool cache_valid_ = false;
-
-  // Scratch for si_execution_span's port-quiet windows (per SiId; the touch
-  // marks are validated against span_gen_ so windows open without
-  // O(si_count) clears).
-  std::uint64_t span_gen_ = 0;
-  std::vector<Cycles> span_step_;              // latency + overhead this window
-  std::vector<std::uint64_t> span_touch_gen_;  // "stamped this window" marker
-  std::vector<Cycles> span_last_start_;        // last execution start this window
-  std::vector<SiId> span_touched_;             // SIs to LRU-stamp at window close
+  bool cache_valid_ = false;  // cached_molecule_/cached_latency_ (refresh_cache)
 };
+
+// Instantiated once, next to open_window (baselines/onechip.cpp).
+extern template class PortWindowBackend<OneChipBackend>;
 
 }  // namespace rispp

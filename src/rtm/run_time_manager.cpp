@@ -28,9 +28,8 @@ std::uint64_t rtm_domain_digest(const RtmConfig& config) {
 
 RunTimeManager::RunTimeManager(const SpecialInstructionSet* set, std::size_t hot_spot_count,
                                const RtmConfig& config)
-    : set_(set),
+    : PortWindowBackend(set, hot_spot_count),
       config_(config),
-      monitor_(hot_spot_count, set->si_count()),
       seeds_(hot_spot_count, std::vector<std::uint64_t>(set->si_count(), 0)),
       demand_(set->atom_type_count()),
       soft_demand_(set->atom_type_count()),
@@ -40,18 +39,10 @@ RunTimeManager::RunTimeManager(const SpecialInstructionSet* set, std::size_t hot
       last_selection_(hot_spot_count),
       entry_seen_(hot_spot_count, false),
       prefetch_demand_(set->atom_type_count()),
-      type_last_used_(set->atom_type_count(), 0),
-      cached_molecule_(set->si_count(), kSoftwareMolecule),
-      cached_latency_(set->si_count(), 0),
       cache_stale_(set->si_count(), 1),  // the first refresh derives every SI
       cache_ready_(set->atom_type_count()),
-      upgrade_lane_(trace_new_lane()),
-      span_step_(set->si_count(), 0),
-      span_touch_gen_(set->si_count(), 0),
-      span_last_start_(set->si_count(), 0) {
+      upgrade_lane_(trace_new_lane()) {
   RISPP_CHECK(config_.scheduler != nullptr);
-  for (SiId si = 0; si < set_->si_count(); ++si)
-    cached_latency_[si] = set_->si(si).software_latency;
   trace_name_lane(TraceTrack::kExecutor, upgrade_lane_, "SI upgrades");
   // Without a shared device the RTM owns the paper's: one tenant, every
   // container, the single port.
@@ -166,8 +157,6 @@ void RunTimeManager::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t i
                           << " atom loads scheduled by " << config_.scheduler->name());
   start_pending_loads(now);
 }
-
-void RunTimeManager::on_hot_spot_exit(Cycles) { monitor_.end_hot_spot(); }
 
 std::optional<Cycles> RunTimeManager::fabric_stall_bound(Cycles now) const {
   if (inflight_->has_value()) return (*inflight_)->finishes_at;
@@ -447,113 +436,13 @@ Cycles RunTimeManager::current_latency(SiId si) const {
   return set_->fastest_available_latency(si, cf_->ready_atoms());
 }
 
-Cycles RunTimeManager::si_execution_latency(SiId si, Cycles now) {
+Cycles RunTimeManager::open_window(Cycles now, SiId) {
   advance_reconfig(now);
   if (!cache_valid_) refresh_cache();
-
-  // I) control the SI execution: composed molecule or trap.
-  const MoleculeId mol = cached_molecule_[si];
-
-  // II) observe.
-  monitor_.record_execution(si);
-
-  if (mol != kSoftwareMolecule) {
-    // LRU stamps per used atom type (coarse but O(#types of this molecule)).
-    const Molecule& atoms = set_->si(si).molecule(mol).atoms;
-    for (std::size_t t = 0; t < atoms.dimension(); ++t)
-      if (atoms[t] != 0) type_last_used_[t] = now;
-  }
-  return cached_latency_[si];
+  // The bound is > now after advance_reconfig.
+  return fabric_stall_bound(now).value_or(kMaxCycles);
 }
 
-Cycles RunTimeManager::si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
-                                                Cycles per_execution_overhead,
-                                                std::vector<LatencySegment>& segments) {
-  // Fast-forward: an SI's latency only changes when an atom load completes on
-  // the reconfiguration port (complete_load / the evictions of the loads it
-  // chains), so all executions starting before the in-flight load's finish
-  // time observe the same latency. Each iteration advances state to `now`,
-  // reads the current latency, and jumps over every execution that fits
-  // before the next port completion — O(port events), not O(count).
-  Cycles total = 0;
-  while (count > 0) {
-    advance_reconfig(now);
-    if (!cache_valid_) refresh_cache();
-    const MoleculeId mol = cached_molecule_[si];
-    const Cycles latency = cached_latency_[si];
-    const Cycles step = latency + per_execution_overhead;
-    // The bound is > now after advance_reconfig.
-    const std::uint64_t fit = executions_before(fabric_stall_bound(now).value_or(kMaxCycles),
-                                                now, count, step);
-    monitor_.record_executions(si, fit);
-    if (mol != kSoftwareMolecule) {
-      // Only the last stamp of the stretch survives scalar replay.
-      const Cycles last_start = now + (fit - 1) * step;
-      const Molecule& atoms = set_->si(si).molecule(mol).atoms;
-      for (std::size_t t = 0; t < atoms.dimension(); ++t)
-        if (atoms[t] != 0) type_last_used_[t] = last_start;
-    }
-    append_latency_segment(segments, fit, latency);
-    total += fit * latency;
-    now += fit * step;
-    count -= fit;
-  }
-  return total;
-}
-
-Cycles RunTimeManager::si_execution_span(std::span<const SiRun> runs, Cycles now,
-                                         Cycles per_execution_overhead) {
-  // Between two reconfiguration-port completions *every* SI's latency is
-  // fixed, so a whole port-quiet window replays with pure arithmetic: per
-  // run one step lookup, one monitor bulk-add and one clock advance. LRU
-  // stamps are materialized once per window (only the latest stamp of each
-  // atom type survives scalar replay). Bit-exact with scalar replay.
-  std::size_t i = 0;
-  std::uint64_t remaining = 0;  // rest of runs[i] when a window split it
-  while (i < runs.size()) {
-    // Open a window: advance reconfiguration state to `now`. Without a
-    // pending fabric event the window never closes.
-    advance_reconfig(now);
-    if (!cache_valid_) refresh_cache();
-    const Cycles window_end = fabric_stall_bound(now).value_or(kMaxCycles);
-    ++span_gen_;
-    span_touched_.clear();
-    for (std::size_t si = 0; si < span_step_.size(); ++si)
-      span_step_[si] = cached_latency_[si] + per_execution_overhead;
-
-    while (i < runs.size() && now < window_end) {
-      const SiId si = runs[i].si;
-      const std::uint64_t count = remaining > 0 ? remaining : runs[i].count;
-      const Cycles step = span_step_[si];
-      const std::uint64_t fit = executions_before(window_end, now, count, step);
-      monitor_.record_executions(si, fit);
-      span_last_start_[si] = now + (fit - 1) * step;
-      if (span_touch_gen_[si] != span_gen_) {
-        span_touch_gen_[si] = span_gen_;
-        span_touched_.push_back(si);
-      }
-      now += fit * step;
-      if (fit < count) {
-        remaining = count - fit;
-        break;  // window exhausted; reopen at the port completion
-      }
-      ++i;
-      remaining = 0;
-    }
-
-    // Close the window: materialize the LRU stamps while the molecules the
-    // window executed with are still cached (the next advance_reconfig may
-    // change them).
-    for (const SiId si : span_touched_) {
-      const MoleculeId mol = cached_molecule_[si];
-      if (mol == kSoftwareMolecule) continue;
-      const Cycles last = span_last_start_[si];
-      const Molecule& atoms = set_->si(si).molecule(mol).atoms;
-      for (std::size_t t = 0; t < atoms.dimension(); ++t)
-        if (atoms[t] != 0 && type_last_used_[t] < last) type_last_used_[t] = last;
-    }
-  }
-  return now;
-}
+template class PortWindowBackend<RunTimeManager>;
 
 }  // namespace rispp

@@ -29,6 +29,7 @@
 #include "sched/schedule.h"
 #include "select/selection.h"
 #include "sim/executor.h"
+#include "sim/port_window_backend.h"
 
 namespace rispp {
 
@@ -93,7 +94,7 @@ struct RtmConfig {
 /// decisions without changing the domain.
 std::uint64_t rtm_domain_digest(const RtmConfig& config);
 
-class RunTimeManager final : public ExecutionBackend {
+class RunTimeManager final : public PortWindowBackend<RunTimeManager> {
  public:
   RunTimeManager(const SpecialInstructionSet* set, std::size_t hot_spot_count,
                  const RtmConfig& config);
@@ -109,13 +110,6 @@ class RunTimeManager final : public ExecutionBackend {
   std::string_view name() const override { return config_.scheduler->name(); }
   void on_hot_spot_entry(const WorkloadTrace& trace, std::size_t instance,
                          Cycles now) override;
-  void on_hot_spot_exit(Cycles now) override;
-  Cycles si_execution_latency(SiId si, Cycles now) override;
-  Cycles si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
-                                  Cycles per_execution_overhead,
-                                  std::vector<LatencySegment>& segments) override;
-  Cycles si_execution_span(std::span<const SiRun> runs, Cycles now,
-                           Cycles per_execution_overhead) override;
   std::uint64_t completed_loads() const override {
     return config_.arbiter->completed_loads(config_.tenant);
   }
@@ -151,6 +145,11 @@ class RunTimeManager final : public ExecutionBackend {
   std::uint64_t decision_cache_misses() const { return decision_cache_misses_; }
 
  private:
+  friend class PortWindowBackend<RunTimeManager>;
+  /// The replay walk's hook (sim/port_window_backend.h): advance the port to
+  /// `now`, refresh the latency cache, and bound the window by
+  /// fabric_stall_bound.
+  Cycles open_window(Cycles now, SiId si);
   void advance_reconfig(Cycles now);
   void start_pending_loads(Cycles now);
   void compute_prefetch();
@@ -162,8 +161,7 @@ class RunTimeManager final : public ExecutionBackend {
   /// The next simulated time at which this tenant's SI latencies can change:
   /// its own in-flight load's completion, or the arbiter's retry hint while
   /// it waits for the port. nullopt = no pending fabric event (latencies are
-  /// stable until the next decision point). Bounds the fast-forward windows
-  /// of si_execution_run_latency / si_execution_span.
+  /// stable until the next decision point). Ends open_window's windows.
   std::optional<Cycles> fabric_stall_bound(Cycles now) const;
   /// Consumes arbiter-side mutations (quota rebalances evicting our atoms)
   /// by invalidating the latency cache when the fabric generation moved.
@@ -181,13 +179,11 @@ class RunTimeManager final : public ExecutionBackend {
                         const std::vector<std::uint64_t>& forecast, unsigned budget,
                         const Molecule& ready, DecisionMemo::Decision& out);
 
-  const SpecialInstructionSet* set_;
   // config_.arbiter and config_.decision_memo are never null after
   // construction: without the caller's, they point at own_fabric_/own_memo_.
   RtmConfig config_;
   std::optional<FabricArbiter> own_fabric_;
   std::optional<DecisionMemo> own_memo_;
-  ExecutionMonitor monitor_;
   std::vector<std::vector<std::uint64_t>> seeds_;  // design-time profile copy
   ContainerFile* cf_ = nullptr;  // this tenant's AC view (the arbiter's file)
   // This tenant's in-flight load (arbiter storage never moves).
@@ -213,7 +209,6 @@ class RunTimeManager final : public ExecutionBackend {
   bool seen_any_hot_spot_ = false;
   bool prefetch_computed_ = false;
   Molecule prefetch_demand_;                    // sup of the prefetch selection
-  std::vector<Cycles> type_last_used_;   // LRU stamps per atom type
 
   // Decision memo (see decide()).
   DecisionMemo::DomainId memo_domain_ = 0;
@@ -224,15 +219,14 @@ class RunTimeManager final : public ExecutionBackend {
   std::vector<std::uint64_t> oracle_forecast_;  // per-entry scratch (kOracle)
   std::vector<SiId> prefetch_sis_;              // per-entry scratch (prefetch)
 
-  // Latency cache, invalidated when ready atoms change. refresh_cache()
-  // re-derives only the SIs using an atom type whose ready count moved since
-  // cache_ready_, and diffs old vs new molecules to spot per-SI upgrade
-  // transitions (trap → slow molecule → selected molecule): cache_event_now_
-  // remembers the simulated time of the first invalidating port event since
-  // the last refresh, which timestamps the upgrade instants on the executor
-  // track.
-  std::vector<MoleculeId> cached_molecule_;  // per SiId
-  std::vector<Cycles> cached_latency_;       // per SiId, latency of cached_molecule_
+  // Latency cache (cached_molecule_: each SI's fastest available molecule;
+  // cached_latency_: its latency), invalidated when ready atoms change.
+  // refresh_cache() re-derives only the SIs using an atom type whose ready
+  // count moved since cache_ready_, and diffs old vs new molecules to spot
+  // per-SI upgrade transitions (trap → slow molecule → selected molecule):
+  // cache_event_now_ remembers the simulated time of the first invalidating
+  // port event since the last refresh, which timestamps the upgrade instants
+  // on the executor track.
   std::vector<char> cache_stale_;            // per SiId, re-derive at next refresh
   Molecule cache_ready_;                     // ready atoms of the last refresh
   bool cache_valid_ = false;
@@ -240,15 +234,9 @@ class RunTimeManager final : public ExecutionBackend {
   TraceLane upgrade_lane_;                      // "SI upgrades" row
   std::vector<const char*> traced_si_names_;    // interned, lazy
   void refresh_cache();
-
-  // Scratch for si_execution_span's port-quiet windows (per SiId; the touch
-  // marks are validated against span_gen_ so windows open without
-  // O(si_count) clears).
-  std::uint64_t span_gen_ = 0;
-  std::vector<Cycles> span_step_;              // latency + overhead this window
-  std::vector<std::uint64_t> span_touch_gen_;  // "executed this window" marker
-  std::vector<Cycles> span_last_start_;        // last execution start this window
-  std::vector<SiId> span_touched_;             // SIs executed this window
 };
+
+// Instantiated once, next to open_window (rtm/run_time_manager.cpp).
+extern template class PortWindowBackend<RunTimeManager>;
 
 }  // namespace rispp

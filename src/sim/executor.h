@@ -50,17 +50,6 @@ inline void append_latency_segment(std::vector<LatencySegment>& segments,
     segments.push_back(LatencySegment{count, latency});
 }
 
-/// How many of `count` (> 0) back-to-back executions spaced `step` cycles
-/// apart, the first starting at `now`, start before `window_end` (> now) —
-/// the executions that still see the current port state. The run stays
-/// whole unless its last execution would start at or past the end, so only
-/// a run crossing the end pays the division (and then gets [1, count)).
-inline std::uint64_t executions_before(Cycles window_end, Cycles now, std::uint64_t count,
-                                       Cycles step) {
-  if ((count - 1) * step < window_end - now) return count;
-  return (window_end - now + step - 1) / step;
-}
-
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
@@ -85,8 +74,8 @@ class ExecutionBackend {
   /// `segments` (their counts must sum to `count`) and returns the summed
   /// latency (overheads excluded). Must be bit-exact with `count` scalar
   /// calls. The default loops the scalar path; backends whose latency only
-  /// changes at reconfiguration-port events override it to fast-forward
-  /// whole runs in O(port events).
+  /// changes at reconfiguration-port events fast-forward whole runs in
+  /// O(port events) (sim/port_window_backend.h).
   virtual Cycles si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
                                           Cycles per_execution_overhead,
                                           std::vector<LatencySegment>& segments);
@@ -95,9 +84,10 @@ class ExecutionBackend {
   /// hot-spot instance back to back, the first execution starting at `now`,
   /// and returns the cycle after the last execution's overhead. Must be
   /// bit-exact with per-run replay. The default loops
-  /// si_execution_run_latency; backends override it to replay entire
+  /// si_execution_run_latency; the reconfigurable backends replay entire
   /// port-quiet windows (during which *every* SI's latency is fixed) with
-  /// pure arithmetic, amortizing one virtual call over a whole instance.
+  /// pure arithmetic, amortizing one virtual call over a whole instance
+  /// (sim/port_window_backend.h).
   virtual Cycles si_execution_span(std::span<const SiRun> runs, Cycles now,
                                    Cycles per_execution_overhead);
 

@@ -1,11 +1,17 @@
-// Tests for traces, the cycle-level executor and bucketed statistics.
+// Tests for traces, the cycle-level executor, the port-quiet replay walk and
+// bucketed statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
+#include <utility>
 
+#include "base/prng.h"
 #include "baselines/software_only.h"
 #include "isa/h264_si_library.h"
 #include "sim/executor.h"
+#include "sim/port_window_backend.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
 
@@ -230,6 +236,236 @@ TEST(Executor, SoftwareOnlyMatchesClosedForm) {
   const SimResult r = run_trace(trace, backend);
   EXPECT_EQ(r.total_cycles, 1000u + 10u * (set.si(0).software_latency + 7));
   EXPECT_EQ(r.atom_loads, 0u);
+}
+
+// --- the port-quiet replay walk (sim/port_window_backend.h) ---------------
+
+TEST(PortWindow, ExecutionsBeforeMatchesCountingLoop) {
+  const Cycles now = 1000;
+  for (std::uint64_t count = 1; count <= 12; ++count)
+    for (Cycles step = 0; step <= 12; ++step)
+      for (Cycles gap = 1; gap <= 60; ++gap) {
+        std::uint64_t before = 0;
+        for (std::uint64_t k = 0; k < count; ++k)
+          if (now + k * step < now + gap) ++before;
+        ASSERT_EQ(executions_before(now + gap, now, count, step), before)
+            << "count " << count << " step " << step << " window " << gap;
+      }
+}
+
+/// A port that follows a script: each event sets one SI's latency at a fixed
+/// time. An SI in `first_use` asks the port, at its first execution of every
+/// instance, for half its latency, which arrives kRequestDelay cycles later
+/// (OneChip's demand loading in miniature). While an SI's latency is below
+/// the trap's it executes in hardware and LRU-stamps its molecule 0.
+class ScriptedBackend final : public PortWindowBackend<ScriptedBackend> {
+ public:
+  static constexpr Cycles kRequestDelay = 37;
+  using Events = std::multimap<Cycles, std::pair<SiId, Cycles>>;  // at -> (si, latency)
+
+  ScriptedBackend(const SpecialInstructionSet* set, std::size_t hot_spot_count, Events events,
+                  std::vector<SiId> first_use)
+      : PortWindowBackend(set, hot_spot_count),
+        events_(std::move(events)),
+        first_use_(std::move(first_use)) {
+    reopen_.assign(set->si_count(), 0);
+  }
+
+  std::string_view name() const override { return "Scripted"; }
+  void on_hot_spot_entry(const WorkloadTrace& trace, std::size_t instance, Cycles) override {
+    monitor_.begin_hot_spot(trace.instances[instance].hot_spot);
+    for (const SiId si : first_use_) reopen_[si] = 1;
+  }
+
+  std::vector<std::pair<SiId, Cycles>> requests;  // (si, when) per first use
+  const std::vector<Cycles>& lru_stamps() const { return type_last_used_; }
+  const ExecutionMonitor& monitor() const { return monitor_; }
+
+ private:
+  friend class PortWindowBackend<ScriptedBackend>;
+  static constexpr bool kFirstUseReopen = true;
+
+  Cycles open_window(Cycles now, SiId si) {
+    for (auto it = events_.begin(); it != events_.end() && it->first <= now;
+         it = events_.erase(it)) {
+      const auto [event_si, latency] = it->second;
+      cached_latency_[event_si] = latency;
+      cached_molecule_[event_si] =
+          latency < set_->si(event_si).software_latency ? 0 : kSoftwareMolecule;
+    }
+    if (reopen_[si]) {
+      reopen_[si] = 0;
+      requests.emplace_back(si, now);
+      events_.emplace(now + kRequestDelay,
+                      std::pair{si, std::max<Cycles>(1, cached_latency_[si] / 2)});
+    }
+    return events_.empty() ? kMaxCycles : events_.begin()->first;
+  }
+
+  Events events_;
+  std::vector<SiId> first_use_;
+};
+
+struct WalkScript {
+  ScriptedBackend::Events events;
+  std::vector<SiId> first_use;
+};
+
+/// Everything a replay leaves behind besides the stats.
+struct WalkObservation {
+  SimResult result;
+  std::vector<std::pair<SiId, Cycles>> requests;
+  std::vector<Cycles> lru;
+  std::vector<std::vector<std::uint64_t>> forecasts;  // per hot spot
+};
+
+WalkObservation observe_walk(const SpecialInstructionSet& set, const WorkloadTrace& trace,
+                             const WalkScript& script, SimStats* stats, ReplayMode mode) {
+  ScriptedBackend backend(&set, trace.hot_spots.size(), script.events, script.first_use);
+  WalkObservation o;
+  o.result = run_trace(trace, backend, stats, mode);
+  o.requests = backend.requests;
+  o.lru = backend.lru_stamps();
+  for (HotSpotId hs = 0; hs < trace.hot_spots.size(); ++hs)
+    o.forecasts.push_back(backend.monitor().forecast(hs));
+  return o;
+}
+
+/// Replays `trace` through the scalar path, the per-run walk (stats, latency
+/// segments) and the span walk (no stats), expects every observable to agree
+/// and returns the per-run walk's stats.
+SimStats expect_walks_agree(const SpecialInstructionSet& set, const WorkloadTrace& trace,
+                            const WalkScript& script) {
+  SimStats scalar_stats(set.si_count()), run_stats(set.si_count());
+  const WalkObservation scalar =
+      observe_walk(set, trace, script, &scalar_stats, ReplayMode::kScalar);
+  const WalkObservation runs = observe_walk(set, trace, script, &run_stats, ReplayMode::kBatched);
+  const WalkObservation span = observe_walk(set, trace, script, nullptr, ReplayMode::kBatched);
+  for (const WalkObservation* o : {&runs, &span}) {
+    SCOPED_TRACE(o == &runs ? "per-run walk" : "span walk");
+    EXPECT_EQ(o->result.total_cycles, scalar.result.total_cycles);
+    EXPECT_EQ(o->result.si_executions, scalar.result.si_executions);
+    EXPECT_EQ(o->result.hot_spot_cycles, scalar.result.hot_spot_cycles);
+    EXPECT_EQ(o->requests, scalar.requests);
+    EXPECT_EQ(o->lru, scalar.lru);
+    EXPECT_EQ(o->forecasts, scalar.forecasts);
+  }
+  EXPECT_EQ(run_stats.bucket_count(), scalar_stats.bucket_count());
+  for (SiId si = 0; si < set.si_count(); ++si) {
+    EXPECT_EQ(run_stats.executions(si), scalar_stats.executions(si)) << "si " << si;
+    for (std::size_t b = 0; b < scalar_stats.bucket_count(); ++b)
+      EXPECT_EQ(run_stats.bucket_executions(si, b), scalar_stats.bucket_executions(si, b))
+          << "si " << si << " bucket " << b;
+    const auto& rt = run_stats.latency_timeline(si);
+    const auto& st = scalar_stats.latency_timeline(si);
+    EXPECT_EQ(rt.size(), st.size()) << "si " << si;
+    for (std::size_t p = 0; p < std::min(rt.size(), st.size()); ++p) {
+      EXPECT_EQ(rt[p].at, st[p].at) << "si " << si << " point " << p;
+      EXPECT_EQ(rt[p].latency, st[p].latency) << "si " << si << " point " << p;
+    }
+  }
+  return run_stats;
+}
+
+TEST(PortWindow, ScalarRunsAndSpanAgreeOnSeededTraces) {
+  const auto set = h264sis::build_h264_si_set();
+  const auto n = static_cast<std::int64_t>(set.si_count());
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Xoshiro256 rng(seed);
+    WorkloadTrace trace;
+    Cycles horizon = 0;
+    for (int hs = 0; hs < 3; ++hs)
+      trace.hot_spots.push_back(
+          HotSpotInfo{"hs" + std::to_string(hs), {}, static_cast<Cycles>(rng.range(0, 20))});
+    for (int i = 0; i < 8; ++i) {
+      HotSpotInstance inst;
+      inst.hot_spot = static_cast<HotSpotId>(rng.range(0, 2));
+      inst.entry_overhead = static_cast<Cycles>(rng.range(0, 500));
+      for (std::int64_t r = rng.range(1, 12); r > 0; --r)
+        inst.append(static_cast<SiId>(rng.range(0, n - 1)),
+                    static_cast<std::uint32_t>(rng.range(1, 300)));
+      horizon += inst.entry_overhead;
+      for (const SiRun& run : inst.runs)
+        horizon += run.count * (set.si(run.si).software_latency +
+                                trace.hot_spots[inst.hot_spot].per_execution_overhead);
+      trace.instances.push_back(std::move(inst));
+    }
+    WalkScript script;
+    for (int e = 0; e < 40; ++e) {
+      const auto si = static_cast<SiId>(rng.range(0, n - 1));
+      const auto latency =
+          static_cast<Cycles>(rng.range(1, static_cast<std::int64_t>(set.si(si).software_latency)));
+      script.events.emplace(static_cast<Cycles>(rng.range(1, static_cast<std::int64_t>(horizon / 2))),
+                            std::pair{si, latency});
+    }
+    script.first_use = {static_cast<SiId>(rng.range(0, n - 1)),
+                        static_cast<SiId>(rng.range(0, n - 1))};
+    expect_walks_agree(set, trace, script);
+  }
+}
+
+TEST(PortWindow, RunCrossesThreeWindows) {
+  const auto set = h264sis::build_h264_si_set();
+  WorkloadTrace trace;
+  trace.hot_spots = {HotSpotInfo{"X", {0}, 5}};
+  HotSpotInstance inst;
+  inst.append(0, 1000);
+  trace.instances = {inst};
+  // SAD drops from the trap's 1088 cycles three times within the run.
+  const WalkScript script{{{3000, {0, 600}}, {9000, {0, 200}}, {20000, {0, 32}}}, {}};
+  const SimStats stats = expect_walks_agree(set, trace, script);
+  const auto& timeline = stats.latency_timeline(0);
+  ASSERT_EQ(timeline.size(), 4u);
+  EXPECT_EQ(timeline[3].latency, 32u);
+}
+
+TEST(PortWindow, WindowEndOnAnExecutionStart) {
+  const auto set = h264sis::build_h264_si_set();
+  const Cycles step = set.si(0).software_latency + 5;
+  WorkloadTrace trace;
+  trace.hot_spots = {HotSpotInfo{"X", {0}, 5}};
+  HotSpotInstance inst;
+  inst.entry_overhead = 100;
+  inst.append(0, 4);
+  inst.append(3, 2);
+  trace.instances = {inst};
+  // The window ends exactly where the run's fourth and last execution
+  // starts, so that execution already sees the new latency.
+  const Cycles fourth = 100 + 3 * step;
+  const WalkScript script{{{fourth, {0, 32}}}, {}};
+  const SimStats stats = expect_walks_agree(set, trace, script);
+  const auto& timeline = stats.latency_timeline(0);
+  ASSERT_EQ(timeline.size(), 2u);
+  EXPECT_EQ(timeline[1].at, fourth);
+  EXPECT_EQ(timeline[1].latency, 32u);
+}
+
+TEST(PortWindow, FirstUseReopensTheWindow) {
+  const auto set = h264sis::build_h264_si_set();
+  WorkloadTrace trace;
+  trace.hot_spots = {HotSpotInfo{"X", {0, 3}, 5}};
+  HotSpotInstance inst;
+  inst.append(3, 5);
+  inst.append(0, 4);
+  inst.append(3, 3);
+  inst.append(0, 2);
+  trace.instances = {inst, inst};
+  // SAD's first execution of each instance requests the port: the request
+  // fires exactly there, even inside a window no port event ends.
+  const WalkScript script{{}, {0}};
+  const WalkObservation span =
+      observe_walk(set, trace, script, nullptr, ReplayMode::kBatched);
+  const Cycles first_sad = 5 * (set.si(3).software_latency + 5);
+  ASSERT_EQ(span.requests.size(), 2u);
+  EXPECT_EQ(span.requests[0], (std::pair<SiId, Cycles>{0, first_sad}));
+  const SimStats stats = expect_walks_agree(set, trace, script);
+  // Half the trap's latency arrives kRequestDelay cycles after the request,
+  // i.e. at SAD's first execution starting at or after that.
+  const auto& timeline = stats.latency_timeline(0);
+  ASSERT_GE(timeline.size(), 2u);
+  EXPECT_EQ(timeline[1].latency, set.si(0).software_latency / 2);
+  EXPECT_GE(timeline[1].at, first_sad + ScriptedBackend::kRequestDelay);
 }
 
 }  // namespace
