@@ -28,7 +28,6 @@
 #include "rtm/fabric_arbiter.h"
 #include "sched/schedule.h"
 #include "select/selection.h"
-#include "sim/executor.h"
 #include "sim/port_window_backend.h"
 
 namespace rispp {

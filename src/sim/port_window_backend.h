@@ -143,12 +143,10 @@ class PortWindowBackend : public ExecutionBackend {
         const Cycles step = latency + per_execution_overhead;
         const std::uint64_t fit = executions_before(window_end, now, count, step);
         monitor_.record_executions(si, fit);
-        if (cached_molecule_[si] != kSoftwareMolecule) {
-          last_start_[si] = now + (fit - 1) * step;
-          if (touch_gen_[si] != window_gen_) {
-            touch_gen_[si] = window_gen_;
-            touched_.push_back(si);
-          }
+        last_start_[si] = now + (fit - 1) * step;
+        if (touch_gen_[si] != window_gen_) {
+          touch_gen_[si] = window_gen_;
+          touched_.push_back(si);
         }
         if constexpr (kRecord) append_latency_segment(*segments, fit, latency);
         now += fit * step;
@@ -169,7 +167,7 @@ class PortWindowBackend : public ExecutionBackend {
   std::uint64_t window_gen_ = 0;
   std::vector<std::uint64_t> touch_gen_;  // "executed this window" marker
   std::vector<Cycles> last_start_;        // last execution start this window
-  std::vector<SiId> touched_;             // SIs to LRU-stamp at window close
+  std::vector<SiId> touched_;             // SIs executed this window
 };
 
 }  // namespace rispp
