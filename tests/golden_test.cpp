@@ -9,9 +9,11 @@
 //
 // Digest = fingerprint_mix over total_cycles, si_executions, atom_loads and
 // every hot_spot_cycles entry of a SimResult; a baseline cell replayed with
-// stats also folds in the SimStats.
+// stats also folds in the SimStats. Golden.H264Traces pins the encoder's
+// traces themselves, generated directly rather than through the trace cache.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,6 +24,9 @@
 #include "fleet/session_batch.h"
 #include "fleet/tenant_fleet.h"
 #include "fleet/trace_repository.h"
+#include "h264/kernels.h"
+#include "h264/workload.h"
+#include "isa/h264_si_library.h"
 #include "rtm/run_time_manager.h"
 #include "sched/registry.h"
 #include "sim/executor.h"
@@ -401,6 +406,54 @@ TEST(Golden, ContendedDevices) {
         << (cell.partition == PartitionMode::kStatic ? "static " : "weighted ")
         << (cell.cosim == CosimMode::kFastForward ? "fast-forward" : "reference");
   }
+}
+
+/// Digest of an encode: every instance's hot spot and runs, then the bits
+/// of the mean PSNR and bitrate.
+std::uint64_t digest(const h264::WorkloadResult& r) {
+  std::uint64_t h = 0;
+  for (const HotSpotInstance& inst : r.trace.instances) {
+    h = fingerprint_mix(h, inst.hot_spot);
+    for (const SiRun& run : inst.runs) {
+      h = fingerprint_mix(h, run.si);
+      h = fingerprint_mix(h, run.count);
+    }
+  }
+  h = fingerprint_mix(h, std::bit_cast<std::uint64_t>(r.mean_psnr));
+  return fingerprint_mix(h, std::bit_cast<std::uint64_t>(r.mean_bitrate_kbps));
+}
+
+TEST(Golden, H264Traces) {
+  // The encoder-test configuration (5 frames of 96x64, two objects) and
+  // three frames of the default CIF workload. Both kernel backends must
+  // produce the same trace, so each has one constant.
+  h264::WorkloadConfig small;
+  small.frames = 5;
+  small.video.width = 96;
+  small.video.height = 64;
+  small.video.object_count = 2;
+  h264::WorkloadConfig cif;
+  cif.frames = 3;
+  struct Cell {
+    const char* name;
+    const h264::WorkloadConfig* config;
+    std::uint64_t expected;
+  };
+  const Cell cells[] = {
+      {"96x64 x5", &small, 0xb8602df36783989full},
+      {"CIF x3", &cif, 0xb8dbeb3b32ce63c9ull},
+  };
+  const SpecialInstructionSet set = h264sis::build_h264_si_set();
+  const h264::KernelBackend entry = h264::active_kernel_backend();
+  for (const h264::KernelBackend backend :
+       {h264::KernelBackend::kScalar, h264::KernelBackend::kSimd}) {
+    h264::set_kernel_backend(backend);
+    for (const Cell& cell : cells)
+      EXPECT_EQ(digest(h264::generate_h264_workload(set, *cell.config)), cell.expected)
+          << cell.name << ", "
+          << (h264::active_kernel_backend() == h264::KernelBackend::kSimd ? "simd" : "scalar");
+  }
+  h264::set_kernel_backend(entry);
 }
 
 }  // namespace
