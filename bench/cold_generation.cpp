@@ -1,10 +1,15 @@
 // Cold-path trace generation: wall time of generate_h264_workload (the
-// cache-miss path every bench binary hits on a fresh machine) for the three
-// encoder configurations the PR optimises:
+// cache-miss path every bench binary hits on a fresh machine) for the
+// encoder's three configurations:
 //
-//   scalar/serial    — reference: scalar kernels, one thread
-//   simd/serial      — SIMD kernels, one thread (pure kernel speedup)
-//   simd/wavefront   — SIMD kernels + wavefront MB rows on the thread pool
+//   scalar/serial    — reference: scalar kernels that clamp every access to
+//                      the unpadded reference plane and filter each
+//                      half-pel candidate per block, on one thread
+//   simd/serial      — the SIMD data flow on one thread: an edge-replicated
+//                      reference plus H, V and HV half-pel planes built once
+//                      per frame (RefPlanes), read in place by the
+//                      row-pointer SAD and the 8-lane SATD
+//   simd/wavefront   — the same with MB rows as a wavefront on the pool
 //
 // Every cell must produce the *same* trace (bit-exact SI event sequence);
 // the report aborts if any configuration diverges from the reference.

@@ -22,6 +22,7 @@
 #include "h264/workload.h"
 #include "h264/interpolate.h"
 #include "h264/kernels.h"
+#include "h264/motion_search.h"
 #include "h264/synthetic_video.h"
 #include "h264/transform.h"
 #include "isa/h264_si_library.h"
@@ -251,30 +252,6 @@ void BM_MetricCounterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricCounterAdd);
 
-void BM_Sad16x16(benchmark::State& state) {
-  Xoshiro256 rng(1);
-  h264::Plane a(64, 64), b(64, 64);
-  for (int y = 0; y < 64; ++y)
-    for (int x = 0; x < 64; ++x) {
-      a.at(x, y) = static_cast<h264::Pixel>(rng.bounded(256));
-      b.at(x, y) = static_cast<h264::Pixel>(rng.bounded(256));
-    }
-  for (auto _ : state) benchmark::DoNotOptimize(h264::sad_16x16(a, 16, 16, b, 17, 15));
-}
-BENCHMARK(BM_Sad16x16);
-
-void BM_Satd16x16(benchmark::State& state) {
-  Xoshiro256 rng(2);
-  h264::Plane a(64, 64), b(64, 64);
-  for (int y = 0; y < 64; ++y)
-    for (int x = 0; x < 64; ++x) {
-      a.at(x, y) = static_cast<h264::Pixel>(rng.bounded(256));
-      b.at(x, y) = static_cast<h264::Pixel>(rng.bounded(256));
-    }
-  for (auto _ : state) benchmark::DoNotOptimize(h264::satd_16x16(a, 16, 16, b, 17, 15));
-}
-BENCHMARK(BM_Satd16x16);
-
 void BM_Dct4x4RoundTrip(benchmark::State& state) {
   int in[16], coeff[16], out[16];
   for (int i = 0; i < 16; ++i) in[i] = (i * 37) % 255 - 128;
@@ -286,66 +263,63 @@ void BM_Dct4x4RoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_Dct4x4RoundTrip);
 
-// Scalar vs SIMD kernel backends (the pinned variants, bypassing dispatch).
-// The items/sec ratio of Arg(0) to Arg(1) is the per-kernel speedup the
-// cold trace-generation path gets from the vector backend.
+// Scalar vs SIMD kernel backends. Arg(0) is the Plane-addressed scalar
+// reference, which clamps every reference access; Arg(1) the row-pointer
+// kernel the SIMD encode path runs on a padded reference plane. The
+// items/sec ratio is the per-kernel speedup of the cold trace-generation
+// path.
 
-h264::Plane random_plane(std::uint64_t seed) {
+h264::Plane random_plane(std::uint64_t seed, int width = 64, int height = 64) {
   Xoshiro256 rng(seed);
-  h264::Plane p(64, 64);
-  for (int y = 0; y < 64; ++y)
-    for (int x = 0; x < 64; ++x) p.at(x, y) = static_cast<h264::Pixel>(rng.bounded(256));
+  h264::Plane p(width, height);
+  for (int y = 0; y < height; ++y)
+    for (int x = 0; x < width; ++x) p.at(x, y) = static_cast<h264::Pixel>(rng.bounded(256));
   return p;
+}
+
+h264::PaddedPlane padded(const h264::Plane& p) {
+  h264::PaddedPlane out(p.width(), p.height(), 16);
+  out.replicate(p);
+  return out;
 }
 
 void BM_Sad16x16Backend(benchmark::State& state) {
   const h264::Plane a = random_plane(11), b = random_plane(12);
-  const bool simd = state.range(0) != 0;
+  const h264::PaddedPlane pb = padded(b);
+  const bool rows = state.range(0) != 0;
   for (auto _ : state)
-    benchmark::DoNotOptimize(simd ? h264::sad_16x16_simd(a, 16, 16, b, 17, 15)
+    benchmark::DoNotOptimize(rows ? h264::sad_16x16(a.row(16) + 16, a.width(),
+                                                    pb.block16(17, 15), pb.stride())
                                   : h264::sad_16x16_scalar(a, 16, 16, b, 17, 15));
-  state.SetLabel(simd ? "simd" : "scalar");
+  state.SetLabel(rows ? "rows" : "scalar");
 }
 BENCHMARK(BM_Sad16x16Backend)->Arg(0)->Arg(1);
 
 void BM_Satd16x16Backend(benchmark::State& state) {
   const h264::Plane a = random_plane(13), b = random_plane(14);
-  const bool simd = state.range(0) != 0;
+  const h264::PaddedPlane pb = padded(b);
+  const bool rows = state.range(0) != 0;
   for (auto _ : state)
-    benchmark::DoNotOptimize(simd ? h264::satd_16x16_simd(a, 16, 16, b, 17, 15)
+    benchmark::DoNotOptimize(rows ? h264::satd_16x16(a.row(16) + 16, a.width(),
+                                                     pb.block16(17, 15), pb.stride())
                                   : h264::satd_16x16_scalar(a, 16, 16, b, 17, 15));
-  state.SetLabel(simd ? "simd" : "scalar");
+  state.SetLabel(rows ? "rows" : "scalar");
 }
 BENCHMARK(BM_Satd16x16Backend)->Arg(0)->Arg(1);
 
-void BM_Satd16x16PredBackend(benchmark::State& state) {
-  const h264::Plane a = random_plane(15);
-  h264::Pixel pred[16 * 16];
-  Xoshiro256 rng(16);
-  for (auto& p : pred) p = static_cast<h264::Pixel>(rng.bounded(256));
-  const bool simd = state.range(0) != 0;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(simd ? h264::satd_16x16_pred_simd(a, 16, 16, pred)
-                                  : h264::satd_16x16_pred_scalar(a, 16, 16, pred));
-  state.SetLabel(simd ? "simd" : "scalar");
-}
-BENCHMARK(BM_Satd16x16PredBackend)->Arg(0)->Arg(1);
-
-void BM_MotionCompensateHalfPel(benchmark::State& state) {
-  const h264::Plane ref = random_plane(17);
-  h264::Pixel dst[16 * 16];
-  // Diagonal half-pel at an interior MB: the most expensive position (h+v
-  // 6-tap), fully inside the SIMD fast-path footprint.
-  const h264::MotionVector mv{3, 5};
-  const bool simd = state.range(0) != 0;
+// Builds one CIF reference frame's padded and half-pel planes (default
+// search range): the SIMD path's per-frame cost in place of per-block
+// filtering.
+void BM_RefPlanesBuild(benchmark::State& state) {
+  const h264::Plane src = random_plane(17, h264::kCifWidth, h264::kCifHeight);
+  const h264::MotionSearchConfig search;
+  h264::RefPlanes planes;
   for (auto _ : state) {
-    if (simd) h264::motion_compensate_16x16_simd(ref, 16, 16, mv, dst);
-    else h264::motion_compensate_16x16_scalar(ref, 16, 16, mv, dst);
-    benchmark::DoNotOptimize(dst);
+    planes.build(src, search.search_range);
+    benchmark::DoNotOptimize(planes.full().row(0));
   }
-  state.SetLabel(simd ? "simd" : "scalar");
 }
-BENCHMARK(BM_MotionCompensateHalfPel)->Arg(0)->Arg(1);
+BENCHMARK(BM_RefPlanesBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_Dct4x4Backend(benchmark::State& state) {
   int in[16], coeff[16], out[16];

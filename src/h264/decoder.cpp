@@ -47,7 +47,7 @@ DecodedFrame decode_frame_luma(BitReader& reader, const Plane& ref_luma,
         MotionVector mv;
         mv.x = pred_mv.x + read_se(reader);
         mv.y = pred_mv.y + read_se(reader);
-        motion_compensate_16x16(ref_luma, px, py, mv, prediction);
+        motion_compensate_16x16_scalar(ref_luma, px, py, mv, prediction);
         coded_mv[mb] = mv;
         ++out.inter_mbs;
       }

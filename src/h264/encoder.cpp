@@ -17,7 +17,10 @@
 namespace rispp::h264 {
 
 Encoder::Encoder(const EncoderConfig& config, int width, int height, const H264SiIds& ids)
-    : config_(config), ids_(ids), recon_(width, height), ref_(width, height) {
+    : config_(config),
+      ids_(ids),
+      recon_(width, height),
+      planes_(active_kernel_backend() == KernelBackend::kSimd) {
   RISPP_CHECK(width % kMbSize == 0 && height % kMbSize == 0);
   const int mbs = (width / kMbSize) * (height / kMbSize);
   mv_field_.resize(mbs);
@@ -25,8 +28,7 @@ Encoder::Encoder(const EncoderConfig& config, int width, int height, const H264S
   decisions_.resize(mbs);
 }
 
-int Encoder::code_mb_luma(const Frame& input, int px, int py, const Pixel pred[16 * 16],
-                          BitWriter& bits) {
+int Encoder::code_mb_luma(const Frame& input, int px, int py, BlockRef pred, BitWriter& bits) {
   int activity = 0;
   for (int by = 0; by < 16; by += 4) {
     for (int bx = 0; bx < 16; bx += 4) {
@@ -34,7 +36,7 @@ int Encoder::code_mb_luma(const Frame& input, int px, int py, const Pixel pred[1
       for (int y = 0; y < 4; ++y)
         for (int x = 0; x < 4; ++x)
           resid[y * 4 + x] = static_cast<int>(input.y.at(px + bx + x, py + by + y)) -
-                             static_cast<int>(pred[(by + y) * 16 + bx + x]);
+                             static_cast<int>(pred.data[(by + y) * pred.stride + bx + x]);
       dct4x4(resid, coeff);
       quantize_block(coeff, level, config_.qp);
       encode_residual_block(bits, level);
@@ -43,7 +45,7 @@ int Encoder::code_mb_luma(const Frame& input, int px, int py, const Pixel pred[1
       idct4x4(deq, rec);
       for (int y = 0; y < 4; ++y)
         for (int x = 0; x < 4; ++x) {
-          const int value = static_cast<int>(pred[(by + y) * 16 + bx + x]) +
+          const int value = static_cast<int>(pred.data[(by + y) * pred.stride + bx + x]) +
                             descale_idct(rec[y * 4 + x]);
           recon_.y.at(px + bx + x, py + by + y) = clip_pixel(value);
         }
@@ -130,8 +132,11 @@ FrameResult Encoder::encode_frame(const Frame& input, FrameSiTrace* trace) {
         MotionVector pred;
         if (mx > 0) pred = mv_field_[mb - 1];
         else if (my > 0) pred = mv_field_[mb - mbs_x];
-        const MotionSearchResult sr = motion_search_16x16(
-            input.y, ref_.y, mx * kMbSize, my * kMbSize, pred, config_.search, hook);
+        const MotionSearchResult sr =
+            planes_ ? motion_search_16x16(input.y, ref_planes_, mx * kMbSize, my * kMbSize, pred,
+                                          config_.search, hook)
+                    : motion_search_16x16(input.y, ref_y_, mx * kMbSize, my * kMbSize, pred,
+                                          config_.search, hook);
         mv_field_[mb] = sr.mv;
         decisions_[mb].mv = sr.mv;
         decisions_[mb].intra = false;
@@ -188,10 +193,10 @@ FrameResult Encoder::encode_frame(const Frame& input, FrameSiTrace* trace) {
 
         // MB header: mode flag plus, for inter MBs, the differential MV.
         bits.put_bit(use_intra);
-        Pixel prediction[16 * 16];
+        BlockRef prediction{intra_pred, 16};
+        Pixel mc[16 * 16];
         if (use_intra) {
           bits.put_bit(cost_h <= cost_v);  // HDC vs VDC choice
-          for (int i = 0; i < 16 * 16; ++i) prediction[i] = intra_pred[i];
           ++row_intra[my];
         } else {
           // The MV predictor must be decodable: left (else top) neighbour's
@@ -201,7 +206,12 @@ FrameResult Encoder::encode_frame(const Frame& input, FrameSiTrace* trace) {
           else if (my > 0) pred_mv = coded_mv_[mb - mbs_x];
           write_se(bits, decisions_[mb].mv.x - pred_mv.x);
           write_se(bits, decisions_[mb].mv.y - pred_mv.y);
-          motion_compensate_16x16(ref_.y, px, py, decisions_[mb].mv, prediction);
+          if (planes_) {
+            prediction = ref_planes_.prediction(px, py, decisions_[mb].mv);
+          } else {
+            motion_compensate_16x16_scalar(ref_y_, px, py, decisions_[mb].mv, mc);
+            prediction = {mc, 16};
+          }
           // The MC 4 SI covers one 8x8 quarter (Table 1 names it after its
           // 4x4 sub-block granularity): four executions per inter MB.
           for (int q = 0; q < 4; ++q) record(ids_.mc);
@@ -290,7 +300,8 @@ FrameResult Encoder::encode_frame(const Frame& input, FrameSiTrace* trace) {
   frame_bits_.align();
   result.bits = frame_bits_.bit_count();
   result.psnr = psnr_y(input, recon_);
-  ref_ = recon_;
+  if (planes_) ref_planes_.build(recon_.y, config_.search.search_range);
+  else ref_y_ = recon_.y;
   ++frame_;
   return result;
 }

@@ -94,14 +94,18 @@ class Encoder {
   /// Transforms, quantizes and reconstructs one 16x16 luma block given its
   /// prediction, entropy-coding levels into `bits` (the caller row's
   /// writer); returns summed absolute quantized levels (activity proxy).
-  int code_mb_luma(const Frame& input, int px, int py, const Pixel pred[16 * 16],
-                   BitWriter& bits);
+  int code_mb_luma(const Frame& input, int px, int py, BlockRef pred, BitWriter& bits);
   void code_mb_chroma(const Frame& input, int px, int py);
 
   EncoderConfig config_;
   H264SiIds ids_;
   Frame recon_;
-  Frame ref_;  // previous reconstructed frame
+  // The previous reconstructed luma (chroma is never predicted from), in
+  // the form the kernel backend active at construction reads: padded and
+  // half-pel planes for kSimd, the plain plane for the scalar reference.
+  bool planes_;
+  RefPlanes ref_planes_;
+  Plane ref_y_;
   std::vector<MotionVector> mv_field_;   // ME results (search seeding)
   std::vector<MotionVector> coded_mv_;   // decodable MV field (intra -> zero)
   std::vector<MbDecision> decisions_;

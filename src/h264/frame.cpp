@@ -1,8 +1,25 @@
 #include "h264/frame.h"
 
 #include <cmath>
+#include <cstring>
 
 namespace rispp::h264 {
+
+void PaddedPlane::replicate(const Plane& src) {
+  RISPP_CHECK(src.width() == width_ && src.height() == height_);
+  for (int y = 0; y < height_; ++y) {
+    Pixel* dst = row(y);
+    const Pixel* s = src.row(y);
+    std::memset(dst - pad_, s[0], static_cast<std::size_t>(pad_));
+    std::memcpy(dst, s, static_cast<std::size_t>(width_));
+    std::memset(dst + width_, s[width_ - 1], static_cast<std::size_t>(pad_));
+  }
+  for (int p = 1; p <= pad_; ++p) {
+    std::memcpy(row(-p) - pad_, row(0) - pad_, static_cast<std::size_t>(stride()));
+    std::memcpy(row(height_ - 1 + p) - pad_, row(height_ - 1) - pad_,
+                static_cast<std::size_t>(stride()));
+  }
+}
 
 double psnr_y(const Frame& a, const Frame& b) {
   RISPP_CHECK(a.width() == b.width() && a.height() == b.height());

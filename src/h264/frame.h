@@ -52,6 +52,58 @@ class Plane {
   std::vector<Pixel> data_;
 };
 
+/// An edge-replicated copy of a Plane with `pad` extra pixels on every
+/// side: columns and rows in [-pad, size + pad) are addressable, so a block
+/// near the frame border is read in place, where a Plane clamps each access
+/// (at_clamped). The SIMD encode path reads its reference frame this way
+/// (RefPlanes, interpolate.h).
+class PaddedPlane {
+ public:
+  PaddedPlane() = default;
+  PaddedPlane(int width, int height, int pad)
+      : width_(width),
+        height_(height),
+        pad_(pad),
+        data_(static_cast<std::size_t>(width + 2 * pad) * (height + 2 * pad)) {
+    RISPP_CHECK(width > 0 && height > 0 && pad >= 0);
+  }
+
+  int width() const { return width_; }
+  int height() const { return height_; }
+  int pad() const { return pad_; }
+  /// Distance between vertically adjacent pixels.
+  int stride() const { return width_ + 2 * pad_; }
+
+  /// Pixel (0, y), for y in [-pad, height + pad); the row extends pad
+  /// pixels to either side.
+  const Pixel* row(int y) const { return data_.data() + offset(y); }
+  Pixel* row(int y) { return data_.data() + offset(y); }
+
+  /// Top-left pixel of the 16x16 block at (x, y); the block must lie inside
+  /// the pad.
+  const Pixel* block16(int x, int y) const {
+    RISPP_CHECK_MSG(x >= -pad_ && y >= -pad_ && x + kMbSize <= width_ + pad_ &&
+                        y + kMbSize <= height_ + pad_,
+                    "16x16 block at (" << x << "," << y << ") leaves the " << pad_
+                                       << "-pixel pad of a " << width_ << "x" << height_
+                                       << " plane");
+    return row(y) + x;
+  }
+
+  /// Copies `src` (same size) and replicates its edge pixels into the pad.
+  void replicate(const Plane& src);
+
+ private:
+  std::size_t offset(int y) const {
+    return static_cast<std::size_t>(y + pad_) * stride() + pad_;
+  }
+
+  int width_ = 0;
+  int height_ = 0;
+  int pad_ = 0;
+  std::vector<Pixel> data_;
+};
+
 /// 4:2:0 frame.
 struct Frame {
   Plane y, cb, cr;

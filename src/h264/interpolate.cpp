@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "h264/kernels.h"
 #include "h264/simd.h"
 
 namespace rispp::h264 {
@@ -49,105 +48,117 @@ void motion_compensate_16x16_scalar(const Plane& ref, int mb_px_x, int mb_px_y,
       dst[y * 16 + x] = interpolate_half_pel(ref, base_x + x, base_y + y, half_x, half_y);
 }
 
+int RefPlanes::half_pel_pad(int search_range) {
+  RISPP_CHECK(search_range >= 0);
+  return (search_range + 1 + 7) / 8 * 8;
+}
+
 #ifdef RISPP_SIMD
 
 namespace {
 
-using simd::i16x16;
-using simd::i32x16;
-using simd::u8x16;
+using simd::i16x8;
 
-/// The 6-tap filter (1, -5, 20, 20, -5, 1) over 16 lanes: taps[k] points at
-/// the 16 samples the k-th coefficient weighs. Raw value range [-2550,
-/// 5610], well inside int16.
-template <typename V>
-inline void filter6(const Pixel* const taps[6], V& out) {
-  V t[6]{};
-  for (int k = 0; k < 6; ++k) simd::widen(simd::load_u8x16(taps[k]), t[k]);
-  out = t[0] - 5 * t[1] + 20 * t[2] + 20 * t[3] - 5 * t[4] + t[5];
+/// The 6-tap filter (1, -5, 20, 20, -5, 1) lanewise over its six taps,
+/// unnormalized: pixel taps give [-2550, 5610], well inside int16.
+inline i16x8 filter6(i16x8 t0, i16x8 t1, i16x8 t2, i16x8 t3, i16x8 t4, i16x8 t5) {
+  return (t0 + t5) - 5 * (t1 + t4) + 20 * (t2 + t3);
 }
 
-/// Horizontal 6-tap filter of 16 adjacent samples starting at p.
-template <typename V>
-inline void filter_h(const Pixel* p, V& out) {
-  const Pixel* const taps[6] = {p - 2, p - 1, p, p + 1, p + 2, p + 3};
-  filter6(taps, out);
+inline i16x8 load_i16x8(const std::int16_t* p) {
+  i16x8 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-/// Rounds a raw 6-tap value ((v + 16) >> 5), clips it to a pixel and stores.
-inline void store_rounded(Pixel* dst, i16x16& v) {
-  v = (v + 16) >> 5;
-  simd::clamp_pixel_lanes(v);
-  simd::store_u8x16(dst, simd::narrow_u8(v));
+/// Rounds raw 6-tap values ((v + 16) >> 5), clips them to pixels and
+/// stores them.
+inline void store_rounded(Pixel* dst, i16x8 raw) {
+  simd::store_narrow_u8x8(dst, simd::clamp_pixel_lanes((raw + 16) >> 5));
+}
+
+/// HV: the vertical 6-tap v = a - 5b + 20c over six rows of raw H (tap
+/// pairs a = t0 + t5, b = t1 + t4, c = t2 + t3), normalized as
+/// clip((v + 512) >> 10). v overflows int16, the pairs do not, and with
+/// floor shifts
+///   ((((a - b) >> 2) - b + c) >> 2) + c == v >> 4
+/// exactly: the first shift drops (a - b) mod 4 = v mod 4, which the second
+/// shift discards anyway. So (v + 512) >> 10 == ((v >> 4) + 32) >> 6, with
+/// every intermediate inside int16.
+inline void store_rounded_hv(Pixel* dst, i16x8 t0, i16x8 t1, i16x8 t2, i16x8 t3, i16x8 t4,
+                             i16x8 t5) {
+  const i16x8 a = t0 + t5, b = t1 + t4, c = t2 + t3;
+  const i16x8 v16 = ((((a - b) >> 2) - b + c) >> 2) + c;
+  simd::store_narrow_u8x8(dst, simd::clamp_pixel_lanes((v16 + 32) >> 6));
 }
 
 }  // namespace
 
-void motion_compensate_16x16_simd(const Plane& ref, int mb_px_x, int mb_px_y,
-                                  const MotionVector& mv, Pixel dst[16 * 16]) {
-  const int base_x = mb_px_x + (mv.x >> 1);
-  const int base_y = mb_px_y + (mv.y >> 1);
-  const bool half_x = (mv.x & 1) != 0;
-  const bool half_y = (mv.y & 1) != 0;
-  // Conservative footprint of the 6-tap filter around the 16x16 block; any
-  // clamped access means the scalar edge-replication path.
-  if (base_x - 2 < 0 || base_x + 19 > ref.width() || base_y - 2 < 0 ||
-      base_y + 19 > ref.height()) {
-    motion_compensate_16x16_scalar(ref, mb_px_x, mb_px_y, mv, dst);
-    return;
+void RefPlanes::build(const Plane& src, int search_range) {
+  const int w = src.width(), h = src.height();
+  const int pad = half_pel_pad(search_range);
+  if (full_.width() != w || full_.height() != h || full_.pad() != pad + 8) {
+    full_ = PaddedPlane(w, h, pad + 8);
+    for (PaddedPlane& p : half_) p = PaddedPlane(w, h, pad);
   }
-  if (!half_x && !half_y) {
-    for (int y = 0; y < 16; ++y) std::memcpy(dst + y * 16, ref.row(base_y + y) + base_x, 16);
-    return;
-  }
-  if (half_x && !half_y) {
-    for (int y = 0; y < 16; ++y) {
-      i16x16 v{};
-      filter_h(ref.row(base_y + y) + base_x, v);
-      store_rounded(dst + y * 16, v);
+  full_.replicate(src);
+
+  // Each half-pel row covers columns [-pad, w + pad) in chunks of eight;
+  // the 6-tap reach (-2 .. +3 around a chunk) stays inside the source pad.
+  const int n = w + 2 * pad;
+  const auto taps = [&](int y, int i) { return full_.row(y) - pad + i; };
+  // Raw (unrounded) H for rows [-pad - 2, h + pad + 3): the HV filter runs
+  // vertically over them. Raw values lie in [-2550, 5610].
+  h_raw_.resize(static_cast<std::size_t>(h + 2 * pad + 5) * n);
+  const auto raw_row = [&](int y) {
+    return h_raw_.data() + static_cast<std::size_t>(y + pad + 2) * n;
+  };
+  for (int y = -pad - 2; y < h + pad + 3; ++y) {
+    const Pixel* s = taps(y, 0);
+    std::int16_t* out = raw_row(y);
+    for (int i = 0; i < n; i += 8) {
+      const i16x8 raw = filter6(simd::load_widen_u8x8(s + i - 2), simd::load_widen_u8x8(s + i - 1),
+                                simd::load_widen_u8x8(s + i), simd::load_widen_u8x8(s + i + 1),
+                                simd::load_widen_u8x8(s + i + 2), simd::load_widen_u8x8(s + i + 3));
+      std::memcpy(out + i, &raw, sizeof raw);
     }
-    return;
   }
-  if (!half_x && half_y) {
-    for (int y = 0; y < 16; ++y) {
-      const int ry = base_y + y;
-      const Pixel* const taps[6] = {ref.row(ry - 2) + base_x, ref.row(ry - 1) + base_x,
-                                    ref.row(ry) + base_x,     ref.row(ry + 1) + base_x,
-                                    ref.row(ry + 2) + base_x, ref.row(ry + 3) + base_x};
-      i16x16 v{};
-      filter6(taps, v);
-      store_rounded(dst + y * 16, v);
+  for (int y = -pad; y < h + pad; ++y) {
+    Pixel* out_h = half_[0].row(y) - pad;
+    Pixel* out_v = half_[1].row(y) - pad;
+    Pixel* out_hv = half_[2].row(y) - pad;
+    const std::int16_t* r[6];
+    for (int k = 0; k < 6; ++k) r[k] = raw_row(y - 2 + k);
+    for (int i = 0; i < n; i += 8) {
+      store_rounded(out_h + i, load_i16x8(r[2] + i));
+      store_rounded(out_v + i, filter6(simd::load_widen_u8x8(taps(y - 2, i)),
+                                       simd::load_widen_u8x8(taps(y - 1, i)),
+                                       simd::load_widen_u8x8(taps(y, i)),
+                                       simd::load_widen_u8x8(taps(y + 1, i)),
+                                       simd::load_widen_u8x8(taps(y + 2, i)),
+                                       simd::load_widen_u8x8(taps(y + 3, i))));
+      store_rounded_hv(out_hv + i, load_i16x8(r[0] + i), load_i16x8(r[1] + i),
+                       load_i16x8(r[2] + i), load_i16x8(r[3] + i), load_i16x8(r[4] + i),
+                       load_i16x8(r[5] + i));
     }
-    return;
-  }
-  // half_x && half_y: vertical 6-tap over raw horizontal intermediates
-  // (range exceeds int16, so 32-bit lanes), then the combined (v+512)>>10.
-  i32x16 hrow[21];
-  for (int r = 0; r < 21; ++r) filter_h(ref.row(base_y - 2 + r) + base_x, hrow[r]);
-  for (int y = 0; y < 16; ++y) {
-    i32x16 v = hrow[y] - 5 * hrow[y + 1] + 20 * hrow[y + 2] + 20 * hrow[y + 3] -
-               5 * hrow[y + 4] + hrow[y + 5];
-    v = (v + 512) >> 10;
-    simd::clamp_pixel_lanes(v);
-    simd::store_u8x16(dst + y * 16, simd::narrow_u8(v));
   }
 }
 
 #else  // !RISPP_SIMD
 
-void motion_compensate_16x16_simd(const Plane& ref, int mb_px_x, int mb_px_y,
-                                  const MotionVector& mv, Pixel dst[16 * 16]) {
-  motion_compensate_16x16_scalar(ref, mb_px_x, mb_px_y, mv, dst);
+void RefPlanes::build(const Plane& src, int search_range) {
+  const int w = src.width(), h = src.height();
+  const int pad = half_pel_pad(search_range);
+  full_ = PaddedPlane(w, h, pad + 8);
+  full_.replicate(src);
+  for (int k = 0; k < 3; ++k) {
+    half_[k] = PaddedPlane(w, h, pad);
+    for (int y = -pad; y < h + pad; ++y)
+      for (int x = -pad; x < w + pad; ++x)
+        half_[k].row(y)[x] = interpolate_half_pel(src, x, y, k != 1, k != 0);
+  }
 }
 
 #endif  // RISPP_SIMD
-
-void motion_compensate_16x16(const Plane& ref, int mb_px_x, int mb_px_y, const MotionVector& mv,
-                             Pixel dst[16 * 16]) {
-  if (active_kernel_backend() == KernelBackend::kSimd)
-    motion_compensate_16x16_simd(ref, mb_px_x, mb_px_y, mv, dst);
-  else
-    motion_compensate_16x16_scalar(ref, mb_px_x, mb_px_y, mv, dst);
-}
 
 }  // namespace rispp::h264

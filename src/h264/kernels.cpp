@@ -18,6 +18,17 @@ inline void hadamard4(int& a, int& b, int& c, int& d) {
   d = s2 - s3;
 }
 
+/// SATD of a 4x4 residual (row-major, transformed in place): the abs-sum of
+/// its 2-D Hadamard transform, halved.
+std::uint32_t hadamard_satd_4x4(int d[16]) {
+  // Horizontal then vertical butterflies.
+  for (int y = 0; y < 4; ++y) hadamard4(d[y * 4 + 0], d[y * 4 + 1], d[y * 4 + 2], d[y * 4 + 3]);
+  for (int x = 0; x < 4; ++x) hadamard4(d[0 + x], d[4 + x], d[8 + x], d[12 + x]);
+  std::uint32_t acc = 0;
+  for (int i = 0; i < 16; ++i) acc += static_cast<std::uint32_t>(std::abs(d[i]));
+  return acc / 2;
+}
+
 KernelBackend default_backend() {
   if (!simd_available()) return KernelBackend::kScalar;
   return parse_env_int("RISPP_SIMD", 1, 0, 1) != 0 ? KernelBackend::kSimd
@@ -71,12 +82,7 @@ std::uint32_t satd_4x4(const Plane& cur, int cx, int cy, const Plane& ref, int r
     for (int x = 0; x < 4; ++x)
       d[y * 4 + x] = static_cast<int>(cur.at(cx + x, cy + y)) -
                      static_cast<int>(ref.at_clamped(rx + x, ry + y));
-  // Horizontal then vertical butterflies.
-  for (int y = 0; y < 4; ++y) hadamard4(d[y * 4 + 0], d[y * 4 + 1], d[y * 4 + 2], d[y * 4 + 3]);
-  for (int x = 0; x < 4; ++x) hadamard4(d[0 + x], d[4 + x], d[8 + x], d[12 + x]);
-  std::uint32_t acc = 0;
-  for (int i = 0; i < 16; ++i) acc += static_cast<std::uint32_t>(std::abs(d[i]));
-  return acc / 2;
+  return hadamard_satd_4x4(d);
 }
 
 std::uint32_t satd_16x16_scalar(const Plane& cur, int cx, int cy, const Plane& ref, int rx,
@@ -97,14 +103,18 @@ std::uint32_t satd_16x16_pred_scalar(const Plane& cur, int cx, int cy, const Pix
         for (int x = 0; x < 4; ++x)
           d[y * 4 + x] = static_cast<int>(cur.at(cx + bx + x, cy + by + y)) -
                          static_cast<int>(pred[(by + y) * 16 + bx + x]);
-      for (int y = 0; y < 4; ++y)
-        hadamard4(d[y * 4 + 0], d[y * 4 + 1], d[y * 4 + 2], d[y * 4 + 3]);
-      for (int x = 0; x < 4; ++x) hadamard4(d[0 + x], d[4 + x], d[8 + x], d[12 + x]);
-      std::uint32_t s = 0;
-      for (int i = 0; i < 16; ++i) s += static_cast<std::uint32_t>(std::abs(d[i]));
-      acc += s / 2;
+      acc += hadamard_satd_4x4(d);
     }
   }
+  return acc;
+}
+
+std::uint32_t sad_16x16(const Pixel* a, int a_stride, const Pixel* b, int b_stride) {
+  // The plain loop: compilers turn it into packed SAD instructions, which
+  // no vector-extension form matches (micro_ops BM_Sad16x16Backend).
+  std::uint32_t acc = 0;
+  for (int y = 0; y < 16; ++y, a += a_stride, b += b_stride)
+    for (int x = 0; x < 16; ++x) acc += static_cast<std::uint32_t>(std::abs(a[x] - b[x]));
   return acc;
 }
 
@@ -112,145 +122,85 @@ std::uint32_t satd_16x16_pred_scalar(const Plane& cur, int cx, int cy, const Pix
 
 namespace {
 
-using simd::i16x16;
-using simd::i32x16;
+using simd::i16x8;
 
-/// 4-point Hadamard butterfly within each 4-lane group of one vector, via
-/// shuffles. Output lanes come out as {y0, y2, y1, y3} of the scalar
-/// hadamard4 — a within-group permutation, invisible to the abs-sum.
-inline void hadamard4_groups(i16x16& v) {
-  const i16x16 u =
-      __builtin_shufflevector(v, v, 2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13);
-  const i16x16 s = v + u;  // lanes 0,1 of each group: a+c, b+d
-  const i16x16 t = v - u;  // lanes 0,1 of each group: a-c, b-d
-  const i16x16 w = __builtin_shufflevector(s, t, 0, 1, 16, 17, 4, 5, 20, 21, 8, 9, 24, 25, 12, 13,
-                                           28, 29);  // {s0, s1, s2, s3}
-  const i16x16 u2 =
-      __builtin_shufflevector(w, w, 1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14);
-  const i16x16 s2 = w + u2;
-  const i16x16 t2 = w - u2;
-  v = __builtin_shufflevector(s2, t2, 0, 16, 2, 18, 4, 20, 6, 22, 8, 24, 10, 26, 12, 28, 14,
-                              30);  // {s0+s1, s0-s1, s2+s3, s2-s3}
+/// Interleaves lane pairs of a and b: 16-bit lanes for kWidth 1, 32-bit
+/// for 2, 64-bit for 4; kHigh picks the upper half of each input.
+template <int kWidth, bool kHigh>
+inline i16x8 interleave(i16x8 a, i16x8 b) {
+  constexpr int o = kHigh ? 4 : 0;
+  if constexpr (kWidth == 1)
+    return __builtin_shufflevector(a, b, o, 8 + o, o + 1, 9 + o, o + 2, 10 + o, o + 3, 11 + o);
+  else if constexpr (kWidth == 2)
+    return __builtin_shufflevector(a, b, o, o + 1, 8 + o, 9 + o, o + 2, o + 3, 10 + o, 11 + o);
+  else
+    return __builtin_shufflevector(a, b, o, o + 1, o + 2, o + 3, 8 + o, 9 + o, 10 + o, 11 + o);
 }
 
-/// Lanewise difference of 16 pixels of `a` and `b`, widened to 16 bits.
-inline void row_diff(const Pixel* a, const Pixel* b, i16x16& out) {
-  i16x16 wb{};
-  simd::widen(simd::load_u8x16(a), out);
-  simd::widen(simd::load_u8x16(b), wb);
-  out -= wb;
-}
-
-/// SATD contribution of one 4-row band (four 4x4 blocks side by side): the
-/// 2-D Hadamard is evaluated columns-first + lane-permuted — both exact-
-/// integer-equal in abs-sum to the scalar rows-first order — and each
-/// block's abs-sum is halved separately, exactly like the scalar kernel.
-inline std::uint32_t satd_band(const Pixel* cur[4], const Pixel* pred[4]) {
-  i16x16 d0{}, d1{}, d2{}, d3{};
-  row_diff(cur[0], pred[0], d0);
-  row_diff(cur[1], pred[1], d1);
-  row_diff(cur[2], pred[2], d2);
-  row_diff(cur[3], pred[3], d3);
-  // Vertical (column) butterflies, lanewise across the four rows.
-  const i16x16 s0 = d0 + d2, s1 = d1 + d3, s2 = d0 - d2, s3 = d1 - d3;
-  i16x16 v[4] = {s0 + s1, s2 + s3, s0 - s1, s2 - s3};
-  // Horizontal butterflies within each 4-lane group, then abs-sum.
-  // Coefficients reach +-4080, so per-lane column totals need 32 bits.
-  i32x16 tot{};
-  for (i16x16& vi : v) {
-    hadamard4_groups(vi);
-    simd::abs_lanes(vi);
-    i32x16 wide{};
-    simd::widen(vi, wide);
-    tot += wide;
-  }
-  std::uint32_t acc = 0;
-  for (int b = 0; b < 4; ++b) {
-    const std::uint32_t s = static_cast<std::uint32_t>(tot[4 * b + 0] + tot[4 * b + 1] +
-                                                       tot[4 * b + 2] + tot[4 * b + 3]);
-    acc += s / 2;
-  }
-  return acc;
+/// SATD of two side-by-side 4x4 blocks (8 columns x 4 rows), per lane:
+/// lane r sums row r of the left block's transform, lane 4 + r of the
+/// right one's. Each lane is at most 4080 (8 x 255 / 2 per coefficient
+/// pair), so a 16x16 block's eight calls sum to at most 32640 per lane and
+/// stay inside int16.
+///
+/// Vertical butterflies run lanewise across the four row vectors; a 4x4
+/// transpose of both blocks then puts the horizontal butterflies lanewise
+/// too. Its last stage uses |a + b| + |a - b| = 2 max(|a|, |b|): the
+/// coefficients' abs-sum is twice the sum of pairwise maxima, so the JM
+/// "/2" of each 4x4 block is exact and the maxima are the SATD.
+inline i16x8 satd_8x4(const Pixel* a, int a_stride, const Pixel* b, int b_stride) {
+  i16x8 d[4];
+  for (int y = 0; y < 4; ++y)
+    d[y] = simd::load_widen_u8x8(a + y * a_stride) - simd::load_widen_u8x8(b + y * b_stride);
+  const i16x8 s0 = d[0] + d[2], s1 = d[1] + d[3], s2 = d[0] - d[2], s3 = d[1] - d[3];
+  const i16x8 v0 = s0 + s1, v1 = s2 + s3, v2 = s0 - s1, v3 = s2 - s3;
+  // Transpose: afterwards c0 holds columns 0 and 1 of the left block, c1
+  // its columns 2 and 3; c2 and c3 the same for the right block.
+  const i16x8 u0 = interleave<1, false>(v0, v1), u1 = interleave<1, true>(v0, v1);
+  const i16x8 u2 = interleave<1, false>(v2, v3), u3 = interleave<1, true>(v2, v3);
+  const i16x8 c0 = interleave<2, false>(u0, u2), c1 = interleave<2, true>(u0, u2);
+  const i16x8 c2 = interleave<2, false>(u1, u3), c3 = interleave<2, true>(u1, u3);
+  // First horizontal stage: column sums (0+2 | 1+3) and differences.
+  const i16x8 sum_l = simd::abs_lanes(c0 + c1), sum_r = simd::abs_lanes(c2 + c3);
+  const i16x8 dif_l = simd::abs_lanes(c0 - c1), dif_r = simd::abs_lanes(c2 - c3);
+  // Last stage: the max of each column pair's halves.
+  return simd::max_lanes(interleave<4, false>(sum_l, sum_r), interleave<4, true>(sum_l, sum_r)) +
+         simd::max_lanes(interleave<4, false>(dif_l, dif_r), interleave<4, true>(dif_l, dif_r));
 }
 
 }  // namespace
 
-std::uint32_t sad_16x16_simd(const Plane& cur, int cx, int cy, const Plane& ref, int rx, int ry) {
-  const bool inside = rx >= 0 && ry >= 0 && rx + 16 <= ref.width() && ry + 16 <= ref.height();
-  if (!inside) return sad_16x16_scalar(cur, cx, cy, ref, rx, ry);
-  i16x16 acc{};  // per-lane max 16 * 255 = 4080, no i16 overflow
-  for (int y = 0; y < 16; ++y) {
-    i16x16 d{};
-    row_diff(cur.row(cy + y) + cx, ref.row(ry + y) + rx, d);
-    simd::abs_lanes(d);
-    acc += d;
-  }
-  return simd::horizontal_sum_u32(acc);
-}
-
-std::uint32_t satd_16x16_simd(const Plane& cur, int cx, int cy, const Plane& ref, int rx,
-                              int ry) {
-  const bool inside = rx >= 0 && ry >= 0 && rx + 16 <= ref.width() && ry + 16 <= ref.height();
-  if (!inside) return satd_16x16_scalar(cur, cx, cy, ref, rx, ry);
-  std::uint32_t acc = 0;
-  for (int by = 0; by < 16; by += 4) {
-    const Pixel* crow[4];
-    const Pixel* rrow[4];
-    for (int y = 0; y < 4; ++y) {
-      crow[y] = cur.row(cy + by + y) + cx;
-      rrow[y] = ref.row(ry + by + y) + rx;
-    }
-    acc += satd_band(crow, rrow);
-  }
-  return acc;
-}
-
-std::uint32_t satd_16x16_pred_simd(const Plane& cur, int cx, int cy, const Pixel pred[16 * 16]) {
-  std::uint32_t acc = 0;
-  for (int by = 0; by < 16; by += 4) {
-    const Pixel* crow[4];
-    const Pixel* prow[4];
-    for (int y = 0; y < 4; ++y) {
-      crow[y] = cur.row(cy + by + y) + cx;
-      prow[y] = pred + (by + y) * 16;
-    }
-    acc += satd_band(crow, prow);
-  }
-  return acc;
+std::uint32_t satd_16x16(const Pixel* a, int a_stride, const Pixel* b, int b_stride) {
+  i16x8 acc{};
+  for (int y = 0; y < 16; y += 4)
+    for (int x = 0; x < 16; x += 8)
+      acc += satd_8x4(a + y * a_stride + x, a_stride, b + y * b_stride + x, b_stride);
+  const simd::i32x4 s = simd::widen_lo(acc) + simd::widen_hi(acc);
+  return static_cast<std::uint32_t>(s[0] + s[1] + s[2] + s[3]);
 }
 
 #else  // !RISPP_SIMD
 
-std::uint32_t sad_16x16_simd(const Plane& cur, int cx, int cy, const Plane& ref, int rx, int ry) {
-  return sad_16x16_scalar(cur, cx, cy, ref, rx, ry);
-}
-
-std::uint32_t satd_16x16_simd(const Plane& cur, int cx, int cy, const Plane& ref, int rx,
-                              int ry) {
-  return satd_16x16_scalar(cur, cx, cy, ref, rx, ry);
-}
-
-std::uint32_t satd_16x16_pred_simd(const Plane& cur, int cx, int cy, const Pixel pred[16 * 16]) {
-  return satd_16x16_pred_scalar(cur, cx, cy, pred);
+std::uint32_t satd_16x16(const Pixel* a, int a_stride, const Pixel* b, int b_stride) {
+  std::uint32_t acc = 0;
+  for (int by = 0; by < 16; by += 4) {
+    for (int bx = 0; bx < 16; bx += 4) {
+      int d[16];
+      for (int y = 0; y < 4; ++y)
+        for (int x = 0; x < 4; ++x)
+          d[y * 4 + x] = static_cast<int>(a[(by + y) * a_stride + bx + x]) -
+                         static_cast<int>(b[(by + y) * b_stride + bx + x]);
+      acc += hadamard_satd_4x4(d);
+    }
+  }
+  return acc;
 }
 
 #endif  // RISPP_SIMD
 
-std::uint32_t sad_16x16(const Plane& cur, int cx, int cy, const Plane& ref, int rx, int ry) {
-  return active_kernel_backend() == KernelBackend::kSimd ? sad_16x16_simd(cur, cx, cy, ref, rx, ry)
-                                                         : sad_16x16_scalar(cur, cx, cy, ref, rx,
-                                                                            ry);
-}
-
-std::uint32_t satd_16x16(const Plane& cur, int cx, int cy, const Plane& ref, int rx, int ry) {
-  return active_kernel_backend() == KernelBackend::kSimd
-             ? satd_16x16_simd(cur, cx, cy, ref, rx, ry)
-             : satd_16x16_scalar(cur, cx, cy, ref, rx, ry);
-}
-
 std::uint32_t satd_16x16_pred(const Plane& cur, int cx, int cy, const Pixel pred[16 * 16]) {
   return active_kernel_backend() == KernelBackend::kSimd
-             ? satd_16x16_pred_simd(cur, cx, cy, pred)
+             ? satd_16x16(cur.row(cy) + cx, cur.width(), pred, 16)
              : satd_16x16_pred_scalar(cur, cx, cy, pred);
 }
 

@@ -7,26 +7,17 @@
 namespace rispp::h264 {
 namespace {
 
-/// SATD of the current MB against the half-pel interpolated candidate.
-std::uint32_t half_pel_satd(const Plane& cur, const Plane& ref, int mb_px_x, int mb_px_y,
-                            const MotionVector& mv) {
-  Pixel pred[16 * 16];
-  motion_compensate_16x16(ref, mb_px_x, mb_px_y, mv, pred);
-  return satd_16x16_pred(cur, mb_px_x, mb_px_y, pred);
-}
-
-}  // namespace
-
-MotionSearchResult motion_search_16x16(const Plane& cur, const Plane& ref, int mb_px_x,
-                                       int mb_px_y, const MotionVector& prediction,
-                                       const MotionSearchConfig& config,
-                                       const KernelHook& hook) {
+/// The search itself: sad(fx, fy) costs the full-pel candidate (fx, fy),
+/// satd(mv) the half-pel one.
+template <typename Sad, typename Satd>
+MotionSearchResult search(const MotionVector& prediction, const MotionSearchConfig& config,
+                          const KernelHook& hook, const Sad& sad, const Satd& satd) {
   MotionSearchResult result;
 
   auto eval_sad = [&](int fx, int fy) {
     ++result.sad_evaluations;
     if (hook) hook(false);
-    return sad_16x16(cur, mb_px_x, mb_px_y, ref, mb_px_x + fx, mb_px_y + fy);
+    return sad(fx, fy);
   };
 
   // Start at the prediction (full-pel part) and at (0,0); keep the better.
@@ -112,7 +103,7 @@ MotionSearchResult motion_search_16x16(const Plane& cur, const Plane& ref, int m
   auto eval_satd = [&](const MotionVector& mv) {
     ++result.satd_evaluations;
     if (hook) hook(true);
-    return half_pel_satd(cur, ref, mb_px_x, mb_px_y, mv);
+    return satd(mv);
   };
   std::uint32_t best_cost = eval_satd(best_mv);
   for (int dy = -1; dy <= 1; ++dy) {
@@ -129,6 +120,42 @@ MotionSearchResult motion_search_16x16(const Plane& cur, const Plane& ref, int m
   result.mv = best_mv;
   result.satd = best_cost;
   return result;
+}
+
+}  // namespace
+
+MotionSearchResult motion_search_16x16(const Plane& cur, const Plane& ref, int mb_px_x,
+                                       int mb_px_y, const MotionVector& prediction,
+                                       const MotionSearchConfig& config,
+                                       const KernelHook& hook) {
+  return search(
+      prediction, config, hook,
+      [&](int fx, int fy) {
+        return sad_16x16_scalar(cur, mb_px_x, mb_px_y, ref, mb_px_x + fx, mb_px_y + fy);
+      },
+      [&](const MotionVector& mv) {
+        Pixel pred[16 * 16];
+        motion_compensate_16x16_scalar(ref, mb_px_x, mb_px_y, mv, pred);
+        return satd_16x16_pred_scalar(cur, mb_px_x, mb_px_y, pred);
+      });
+}
+
+MotionSearchResult motion_search_16x16(const Plane& cur, const RefPlanes& ref, int mb_px_x,
+                                       int mb_px_y, const MotionVector& prediction,
+                                       const MotionSearchConfig& config,
+                                       const KernelHook& hook) {
+  const Pixel* mb = cur.row(mb_px_y) + mb_px_x;
+  const int stride = cur.width();
+  const PaddedPlane& full = ref.full();
+  return search(
+      prediction, config, hook,
+      [&](int fx, int fy) {
+        return sad_16x16(mb, stride, full.block16(mb_px_x + fx, mb_px_y + fy), full.stride());
+      },
+      [&](const MotionVector& mv) {
+        const BlockRef pred = ref.prediction(mb_px_x, mb_px_y, mv);
+        return satd_16x16(mb, stride, pred.data, pred.stride);
+      });
 }
 
 }  // namespace rispp::h264

@@ -32,7 +32,17 @@ using KernelHook = std::function<void(bool is_satd)>;
 
 /// Searches the 16x16 MB at pixel (mb_px_x, mb_px_y) of `cur` in `ref`.
 /// `prediction` seeds the search (median/left-neighbour MV in the encoder).
+/// The scalar reference: edge-clamped kernels, and every half-pel candidate
+/// filtered per block (motion_compensate_16x16_scalar).
 MotionSearchResult motion_search_16x16(const Plane& cur, const Plane& ref, int mb_px_x,
+                                       int mb_px_y, const MotionVector& prediction,
+                                       const MotionSearchConfig& config,
+                                       const KernelHook& hook = {});
+
+/// The same search over reference planes built for config.search_range:
+/// each candidate is read in place from the padded or half-pel plane. The
+/// result equals the Plane overload's on the same reference.
+MotionSearchResult motion_search_16x16(const Plane& cur, const RefPlanes& ref, int mb_px_x,
                                        int mb_px_y, const MotionVector& prediction,
                                        const MotionSearchConfig& config,
                                        const KernelHook& hook = {});

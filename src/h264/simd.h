@@ -7,13 +7,12 @@
 // scalar reference — the paper's SADRow trap handler makes the same
 // packed-word argument for the hardware SIs.
 //
-// When the extensions are unavailable RISPP_SIMD stays undefined and the
-// dispatching kernels (kernels.h) keep the scalar path.
+// Every vector is 16 bytes wide (8 x int16 or 4 x int32): on the default
+// x86-64 target (SSE2, no -march) wider vectors are split into several
+// registers and compile to code slower than the scalar reference.
 //
-// 32- and 64-byte vectors (i16x16, i32x16) never cross a function boundary
-// by value: helpers take them by reference and write results through an
-// out-parameter or in place. By value their calling convention depends on
-// whether AVX is enabled, which GCC reports as an ABI change (-Wpsabi).
+// When the extensions are unavailable RISPP_SIMD stays undefined and the
+// kernels keep their scalar form.
 #pragma once
 
 #include <cstdint>
@@ -27,18 +26,22 @@
 
 namespace rispp::h264::simd {
 
-using u8x16 = std::uint8_t __attribute__((vector_size(16)));
-using i16x16 = std::int16_t __attribute__((vector_size(32)));
+using u8x8 = std::uint8_t __attribute__((vector_size(8)));
+using i16x8 = std::int16_t __attribute__((vector_size(16)));
 using i32x4 = std::int32_t __attribute__((vector_size(16)));
-using i32x16 = std::int32_t __attribute__((vector_size(64)));
 
-inline u8x16 load_u8x16(const std::uint8_t* p) {
-  u8x16 v;
+/// Eight pixels at p, widened to 16-bit lanes.
+inline i16x8 load_widen_u8x8(const std::uint8_t* p) {
+  u8x8 v;
   std::memcpy(&v, p, sizeof v);
-  return v;
+  return __builtin_convertvector(v, i16x8);
 }
 
-inline void store_u8x16(std::uint8_t* p, u8x16 v) { std::memcpy(p, &v, sizeof v); }
+/// Stores eight lanes as pixels (lanes must already lie in [0, 255]).
+inline void store_narrow_u8x8(std::uint8_t* p, i16x8 v) {
+  const u8x8 n = __builtin_convertvector(v, u8x8);
+  std::memcpy(p, &n, sizeof n);
+}
 
 inline i32x4 load_i32x4(const int* p) {
   i32x4 v;
@@ -48,27 +51,31 @@ inline i32x4 load_i32x4(const int* p) {
 
 inline void store_i32x4(int* p, i32x4 v) { std::memcpy(p, &v, sizeof v); }
 
-/// Lanewise widening conversions.
-inline void widen(u8x16 v, i16x16& out) { out = __builtin_convertvector(v, i16x16); }
-inline void widen(u8x16 v, i32x16& out) { out = __builtin_convertvector(v, i32x16); }
-inline void widen(const i16x16& v, i32x16& out) { out = __builtin_convertvector(v, i32x16); }
-/// Lanewise truncating narrowing conversions (lanes must fit a pixel).
-inline u8x16 narrow_u8(const i16x16& v) { return __builtin_convertvector(v, u8x16); }
-inline u8x16 narrow_u8(const i32x16& v) { return __builtin_convertvector(v, u8x16); }
-
-/// In-place lanewise |v| via sign-mask arithmetic (no lane may be INT_MIN —
-/// pixel differences and Hadamard coefficients are far smaller).
-inline void abs_lanes(i16x16& v) {
-  const i16x16 m = v >> 15;
-  v = (v ^ m) - m;
+template <typename V>
+inline V max_lanes(V a, V b) {
+  return a > b ? a : b;
 }
 
-/// In-place lanewise clamp to the pixel range [0, 255] via mask arithmetic.
 template <typename V>
-inline void clamp_pixel_lanes(V& v) {
-  v &= ~(v >> (sizeof(v[0]) * 8 - 1));  // negative lanes -> 0
-  const V over = (255 - v) >> (sizeof(v[0]) * 8 - 1);
-  v = (v & ~over) | (over & 255);
+inline V min_lanes(V a, V b) {
+  return a < b ? a : b;
+}
+
+/// Lanewise |v| (no lane may be the type's minimum — pixel differences and
+/// Hadamard coefficients are far smaller).
+inline i16x8 abs_lanes(i16x8 v) { return max_lanes(v, -v); }
+
+/// Lanewise clamp to the pixel range [0, 255].
+inline i16x8 clamp_pixel_lanes(i16x8 v) {
+  return min_lanes(max_lanes(v, i16x8{}), i16x8{} + 255);
+}
+
+/// The low and high four lanes, widened to 32 bits.
+inline i32x4 widen_lo(i16x8 v) {
+  return __builtin_convertvector(__builtin_shufflevector(v, v, 0, 1, 2, 3), i32x4);
+}
+inline i32x4 widen_hi(i16x8 v) {
+  return __builtin_convertvector(__builtin_shufflevector(v, v, 4, 5, 6, 7), i32x4);
 }
 
 /// In-place 4x4 transpose of four row vectors.
@@ -81,14 +88,6 @@ inline void transpose4(i32x4& a, i32x4& b, i32x4& c, i32x4& d) {
   b = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
   c = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
   d = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
-}
-
-template <typename V>
-inline std::uint32_t horizontal_sum_u32(const V& v) {
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < sizeof(v) / sizeof(v[0]); ++i)
-    acc += static_cast<std::uint32_t>(v[i]);
-  return acc;
 }
 
 }  // namespace rispp::h264::simd

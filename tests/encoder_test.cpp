@@ -130,6 +130,28 @@ TEST(Encoder, WavefrontDeterministicAcrossKernelBackends) {
         << "instance " << i;
 }
 
+TEST(Encoder, WideSearchRangeMatchesScalarBackend) {
+  // The SIMD path's reference planes are padded for the configured search
+  // range: at twice the default, the trace must still be the scalar
+  // reference's.
+  if (!simd_available()) GTEST_SKIP() << "SIMD backend not compiled in";
+  const auto set = h264sis::build_h264_si_set();
+  auto config = small_config(4);
+  config.encoder.search.search_range = 32;
+  const KernelBackend entry = active_kernel_backend();
+  set_kernel_backend(KernelBackend::kScalar);
+  const auto scalar = generate_h264_workload(set, config);
+  set_kernel_backend(KernelBackend::kSimd);
+  const auto simd = generate_h264_workload(set, config);
+  set_kernel_backend(entry);
+  EXPECT_EQ(scalar.mean_psnr, simd.mean_psnr);
+  EXPECT_EQ(scalar.mean_bitrate_kbps, simd.mean_bitrate_kbps);
+  ASSERT_EQ(scalar.trace.instances.size(), simd.trace.instances.size());
+  for (std::size_t i = 0; i < scalar.trace.instances.size(); ++i)
+    EXPECT_EQ(scalar.trace.instances[i].runs, simd.trace.instances[i].runs)
+        << "instance " << i;
+}
+
 TEST(Workload, CifMeCountsNearPaperProfile) {
   // Figure 2: 31,977 SAD+SATD executions in one frame's ME hot spot. Our
   // synthetic sequence lands in the same band (20K-40K).

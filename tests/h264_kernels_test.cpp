@@ -2,8 +2,11 @@
 // algebraic identities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "base/prng.h"
 #include "h264/deblock.h"
@@ -11,6 +14,7 @@
 #include "h264/interpolate.h"
 #include "h264/intra.h"
 #include "h264/kernels.h"
+#include "h264/motion_search.h"
 #include "h264/quant.h"
 #include "h264/synthetic_video.h"
 #include "h264/transform.h"
@@ -38,6 +42,8 @@ TEST(SadTest, MatchesNaiveReference) {
   Xoshiro256 rng(1);
   const Plane a = random_plane(rng, 64, 64);
   const Plane b = random_plane(rng, 64, 64);
+  PaddedPlane padded(64, 64, 8);
+  padded.replicate(b);
   for (int trial = 0; trial < 20; ++trial) {
     const int cx = static_cast<int>(rng.bounded(48));
     const int cy = static_cast<int>(rng.bounded(48));
@@ -48,21 +54,23 @@ TEST(SadTest, MatchesNaiveReference) {
       for (int x = 0; x < 16; ++x)
         expected += static_cast<std::uint32_t>(
             std::abs(static_cast<int>(a.at(cx + x, cy + y)) - b.at_clamped(rx + x, ry + y)));
-    EXPECT_EQ(sad_16x16(a, cx, cy, b, rx, ry), expected);
+    EXPECT_EQ(sad_16x16_scalar(a, cx, cy, b, rx, ry), expected);
+    EXPECT_EQ(sad_16x16(a.row(cy) + cx, a.width(), padded.block16(rx, ry), padded.stride()),
+              expected);
   }
 }
 
 TEST(SadTest, ZeroForIdenticalBlocks) {
   Xoshiro256 rng(2);
   const Plane a = random_plane(rng, 32, 32);
-  EXPECT_EQ(sad_16x16(a, 8, 8, a, 8, 8), 0u);
+  EXPECT_EQ(sad_16x16_scalar(a, 8, 8, a, 8, 8), 0u);
 }
 
 TEST(SatdTest, ZeroForIdenticalBlocks) {
   Xoshiro256 rng(3);
   const Plane a = random_plane(rng, 32, 32);
   EXPECT_EQ(satd_4x4(a, 4, 4, a, 4, 4), 0u);
-  EXPECT_EQ(satd_16x16(a, 8, 8, a, 8, 8), 0u);
+  EXPECT_EQ(satd_16x16_scalar(a, 8, 8, a, 8, 8), 0u);
 }
 
 TEST(SatdTest, DcDifferenceTransformsToSingleCoefficient) {
@@ -81,7 +89,7 @@ TEST(SatdTest, SatdLowerBoundedByHalfSad) {
   for (int trial = 0; trial < 10; ++trial) {
     const int x = static_cast<int>(rng.bounded(16));
     const int y = static_cast<int>(rng.bounded(16));
-    EXPECT_GE(2 * satd_16x16(a, x, y, b, x, y) + 32, sad_16x16(a, x, y, b, x, y));
+    EXPECT_GE(2 * satd_16x16_scalar(a, x, y, b, x, y) + 32, sad_16x16_scalar(a, x, y, b, x, y));
   }
 }
 
@@ -92,7 +100,7 @@ TEST(SatdTest, Blockwise16x16Decomposition) {
   std::uint32_t sum = 0;
   for (int by = 0; by < 16; by += 4)
     for (int bx = 0; bx < 16; bx += 4) sum += satd_4x4(a, bx, by, b, bx, by);
-  EXPECT_EQ(satd_16x16(a, 0, 0, b, 0, 0), sum);
+  EXPECT_EQ(satd_16x16_scalar(a, 0, 0, b, 0, 0), sum);
 }
 
 TEST(TransformTest, DctRoundTripIsExactUpTo400) {
@@ -187,7 +195,7 @@ TEST(InterpolateTest, MotionCompensationFullPelCopies) {
   Xoshiro256 rng(11);
   const Plane p = random_plane(rng, 64, 64);
   Pixel dst[16 * 16];
-  motion_compensate_16x16(p, 16, 16, MotionVector{4, -6}, dst);  // (+2,-3) full pel
+  motion_compensate_16x16_scalar(p, 16, 16, MotionVector{4, -6}, dst);  // (+2,-3) full pel
   for (int y = 0; y < 16; ++y)
     for (int x = 0; x < 16; ++x) EXPECT_EQ(dst[y * 16 + x], p.at(16 + 2 + x, 16 - 3 + y));
 }
@@ -199,7 +207,7 @@ TEST(InterpolateTest, NegativeHalfPelVectorDecomposition) {
   Xoshiro256 rng(12);
   const Plane p = random_plane(rng, 64, 64);
   Pixel dst[16 * 16];
-  motion_compensate_16x16(p, 32, 32, mv, dst);
+  motion_compensate_16x16_scalar(p, 32, 32, mv, dst);
   EXPECT_EQ(dst[0], interpolate_half_pel(p, 32 - 2, 32, true, false));
 }
 
@@ -279,10 +287,12 @@ TEST(SyntheticVideoTest, DeterministicAndMoving) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar/SIMD backend equivalence. The SIMD kernels claim bit-exactness; the
-// fuzzers below hammer that claim with random content, random block
-// positions, and reference positions that cross the frame border (the
-// edge-clamped path, where the SIMD kernels must fall back to scalar).
+// Scalar/SIMD backend equivalence. The SIMD path's kernels read padded
+// reference planes through row pointers and claim bit-exactness with the
+// scalar references, which clamp each access to the frame; the fuzzers
+// below hammer that claim with random and saturated content, random block
+// positions, and reference positions that cross the frame border (into the
+// pad).
 
 TEST(KernelBackendTest, OverrideAndAvailability) {
   const KernelBackend entry = active_kernel_backend();
@@ -298,39 +308,43 @@ TEST(KernelBackendTest, OverrideAndAvailability) {
 TEST(KernelBackendTest, DispatchFollowsOverride) {
   Xoshiro256 rng(20);
   const Plane a = random_plane(rng, 48, 48);
-  const Plane b = random_plane(rng, 48, 48);
+  Pixel pred[16 * 16];
+  for (auto& p : pred) p = static_cast<Pixel>(rng.bounded(256));
   const KernelBackend entry = active_kernel_backend();
   set_kernel_backend(KernelBackend::kScalar);
-  const std::uint32_t scalar = sad_16x16(a, 8, 8, b, 9, 7);
+  const std::uint32_t scalar = satd_16x16_pred(a, 8, 8, pred);
   set_kernel_backend(KernelBackend::kSimd);
-  const std::uint32_t dispatched = sad_16x16(a, 8, 8, b, 9, 7);
+  const std::uint32_t dispatched = satd_16x16_pred(a, 8, 8, pred);
   set_kernel_backend(entry);
-  EXPECT_EQ(scalar, sad_16x16_scalar(a, 8, 8, b, 9, 7));
+  EXPECT_EQ(scalar, satd_16x16_pred_scalar(a, 8, 8, pred));
   EXPECT_EQ(dispatched, scalar);  // bit-exact whichever backend ran
 }
 
 TEST(KernelEquivalenceTest, SadAndSatdFuzz) {
-  if (!simd_available()) GTEST_SKIP() << "SIMD backend not compiled in";
   Xoshiro256 rng(21);
   const Plane a = random_plane(rng, 80, 64);
   const Plane b = random_plane(rng, 80, 64);
+  PaddedPlane padded(80, 64, 24);
+  padded.replicate(b);
   for (int trial = 0; trial < 400; ++trial) {
     const int cx = static_cast<int>(rng.bounded(80 - 16 + 1));
     const int cy = static_cast<int>(rng.bounded(64 - 16 + 1));
-    // Reference positions deliberately overshoot the plane on every side so
-    // the clamped out-of-bounds path is exercised alongside the fast path.
+    // Reference positions deliberately overshoot the plane on every side:
+    // the scalar kernels clamp there, the row-pointer kernels read the pad.
     const int rx = static_cast<int>(rng.range(-24, 88));
     const int ry = static_cast<int>(rng.range(-24, 72));
-    ASSERT_EQ(sad_16x16_scalar(a, cx, cy, b, rx, ry), sad_16x16_simd(a, cx, cy, b, rx, ry))
+    const Pixel* cur = a.row(cy) + cx;
+    const Pixel* ref = padded.block16(rx, ry);
+    ASSERT_EQ(sad_16x16_scalar(a, cx, cy, b, rx, ry),
+              sad_16x16(cur, a.width(), ref, padded.stride()))
         << "cx=" << cx << " cy=" << cy << " rx=" << rx << " ry=" << ry;
     ASSERT_EQ(satd_16x16_scalar(a, cx, cy, b, rx, ry),
-              satd_16x16_simd(a, cx, cy, b, rx, ry))
+              satd_16x16(cur, a.width(), ref, padded.stride()))
         << "cx=" << cx << " cy=" << cy << " rx=" << rx << " ry=" << ry;
   }
 }
 
 TEST(KernelEquivalenceTest, SatdPredFuzz) {
-  if (!simd_available()) GTEST_SKIP() << "SIMD backend not compiled in";
   Xoshiro256 rng(22);
   const Plane a = random_plane(rng, 64, 64);
   for (int trial = 0; trial < 200; ++trial) {
@@ -339,29 +353,192 @@ TEST(KernelEquivalenceTest, SatdPredFuzz) {
     const int cx = static_cast<int>(rng.bounded(64 - 16 + 1));
     const int cy = static_cast<int>(rng.bounded(64 - 16 + 1));
     ASSERT_EQ(satd_16x16_pred_scalar(a, cx, cy, pred),
-              satd_16x16_pred_simd(a, cx, cy, pred))
+              satd_16x16(a.row(cy) + cx, a.width(), pred, 16))
         << "cx=" << cx << " cy=" << cy;
   }
 }
 
-TEST(KernelEquivalenceTest, MotionCompensateFuzz) {
-  if (!simd_available()) GTEST_SKIP() << "SIMD backend not compiled in";
-  Xoshiro256 rng(23);
-  const Plane ref = random_plane(rng, 80, 64);
-  for (int trial = 0; trial < 400; ++trial) {
-    // MB origins across the whole plane (including border MBs) and motion
-    // vectors spanning all four full/half phase combinations, far enough to
-    // push the filter footprint out of bounds.
-    const int px = static_cast<int>(rng.bounded(80 - 16 + 1));
-    const int py = static_cast<int>(rng.bounded(64 - 16 + 1));
-    const MotionVector mv{static_cast<int>(rng.range(-40, 40)),
-                          static_cast<int>(rng.range(-40, 40))};
-    Pixel scalar_dst[16 * 16], simd_dst[16 * 16];
-    motion_compensate_16x16_scalar(ref, px, py, mv, scalar_dst);
-    motion_compensate_16x16_simd(ref, px, py, mv, simd_dst);
-    for (int i = 0; i < 16 * 16; ++i)
-      ASSERT_EQ(scalar_dst[i], simd_dst[i])
-          << "px=" << px << " py=" << py << " mv=(" << mv.x << "," << mv.y << ") i=" << i;
+TEST(KernelEquivalenceTest, SaturatedSadAndSatdFuzz) {
+  // Extreme residuals: 0 against 255 everywhere, and 0/255 checkerboards
+  // against their inverse or against random content. They drive the
+  // row-pointer SATD's int16 lane accumulators to 32640 of 32767. Both
+  // planes have strides other than 16.
+  Xoshiro256 rng(25);
+  const auto fill = [&](Plane& p, int pattern) {
+    for (int y = 0; y < p.height(); ++y)
+      for (int x = 0; x < p.width(); ++x) {
+        Pixel v = 0;
+        switch (pattern) {
+          case 0: v = 0; break;
+          case 1: v = 255; break;
+          case 2: v = ((x + y) & 1) != 0 ? 255 : 0; break;         // pixel checkerboard
+          case 3: v = ((x + y) & 1) != 0 ? 0 : 255; break;         // its inverse
+          case 4: v = (((x >> 1) + (y >> 1)) & 1) != 0 ? 255 : 0; break;  // 2x2 squares
+          default: v = rng.bounded(2) != 0 ? 255 : 0; break;      // random 0/255
+        }
+        p.at(x, y) = v;
+      }
+  };
+  constexpr int kPatterns = 6;
+  for (int pa = 0; pa < kPatterns; ++pa) {
+    for (int pb = 0; pb < kPatterns; ++pb) {
+      Plane a(48, 40), b(56, 48);
+      fill(a, pa);
+      fill(b, pb);
+      PaddedPlane padded(56, 48, 16);
+      padded.replicate(b);
+      for (int trial = 0; trial < 40; ++trial) {
+        const int cx = static_cast<int>(rng.bounded(48 - 16 + 1));
+        const int cy = static_cast<int>(rng.bounded(40 - 16 + 1));
+        const int rx = static_cast<int>(rng.range(-16, 56));
+        const int ry = static_cast<int>(rng.range(-16, 48));
+        const Pixel* cur = a.row(cy) + cx;
+        const Pixel* ref = padded.block16(rx, ry);
+        ASSERT_EQ(sad_16x16_scalar(a, cx, cy, b, rx, ry),
+                  sad_16x16(cur, a.width(), ref, padded.stride()))
+            << "patterns " << pa << "/" << pb << " cx=" << cx << " cy=" << cy << " rx=" << rx
+            << " ry=" << ry;
+        ASSERT_EQ(satd_16x16_scalar(a, cx, cy, b, rx, ry),
+                  satd_16x16(cur, a.width(), ref, padded.stride()))
+            << "patterns " << pa << "/" << pb << " cx=" << cx << " cy=" << cy << " rx=" << rx
+            << " ry=" << ry;
+      }
+    }
+  }
+  // The worst case for the SATD accumulators is a residual whose every
+  // Hadamard coefficient pair peaks: a pixel checkerboard of +-255.
+  Plane board(16, 16), inverse(16, 16);
+  fill(board, 2);
+  fill(inverse, 3);
+  EXPECT_EQ(satd_16x16(board.row(0), 16, inverse.row(0), 16),
+            satd_16x16_scalar(board, 0, 0, inverse, 0, 0));
+}
+
+// ---------------------------------------------------------------------------
+// Reference planes: the padded source and the H, V and HV half-pel planes
+// the SIMD encode path reads instead of filtering each block.
+
+/// Plane contents the plane tests sweep: random, all 0, all 255 and a
+/// 0/255 checkerboard.
+Plane content_plane(int w, int h, int content, Xoshiro256& rng) {
+  if (content == 0) return random_plane(rng, w, h);
+  Plane p(w, h);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x)
+      p.at(x, y) = content == 1 ? 0 : (content == 2 ? 255 : (((x + y) & 1) != 0 ? 255 : 0));
+  return p;
+}
+
+TEST(RefPlanesTest, EverySampleMatchesInterpolation) {
+  Xoshiro256 rng(26);
+  const int sizes[][2] = {{16, 16}, {96, 64}, {kCifWidth, kCifHeight}};
+  const MotionSearchConfig search;
+  for (const auto& [w, h] : sizes) {
+    for (int content = 0; content < 4; ++content) {
+      const Plane src = content_plane(w, h, content, rng);
+      RefPlanes planes;
+      planes.build(src, search.search_range);
+      const int pad = RefPlanes::half_pel_pad(search.search_range);
+      ASSERT_EQ(planes.full().pad(), pad + 8);
+      const int fpad = planes.full().pad();
+      for (int y = -fpad; y < h + fpad; ++y)
+        for (int x = -fpad; x < w + fpad; ++x)
+          ASSERT_EQ(planes.full().row(y)[x], src.at_clamped(x, y))
+              << w << "x" << h << " content " << content << " (" << x << "," << y << ")";
+      for (const int phase : {1, 2, 3}) {
+        const bool half_x = (phase & 1) != 0, half_y = (phase & 2) != 0;
+        const PaddedPlane& plane = planes.plane(half_x, half_y);
+        ASSERT_EQ(plane.pad(), pad);
+        for (int y = -pad; y < h + pad; ++y)
+          for (int x = -pad; x < w + pad; ++x)
+            ASSERT_EQ(plane.row(y)[x], interpolate_half_pel(src, x, y, half_x, half_y))
+                << w << "x" << h << " content " << content << " phase " << phase << " ("
+                << x << "," << y << ")";
+      }
+    }
+  }
+}
+
+TEST(RefPlanesTest, PredictionMatchesScalarMcForEveryMv) {
+  // Every MV the search can emit (|mv| <= 2R + 1 half-pels) at the corner
+  // MBs and random interior ones: the in-place read must be the block
+  // motion_compensate_16x16_scalar filters.
+  Xoshiro256 rng(27);
+  const Plane src = random_plane(rng, 96, 64);
+  const MotionSearchConfig search;
+  RefPlanes planes;
+  planes.build(src, search.search_range);
+  const int reach = 2 * search.search_range + 1;
+  std::vector<std::pair<int, int>> origins = {{0, 0}, {80, 0}, {0, 48}, {80, 48}};
+  for (int i = 0; i < 2; ++i)
+    origins.emplace_back(16 * static_cast<int>(1 + rng.bounded(4)),
+                         16 * static_cast<int>(1 + rng.bounded(2)));
+  for (const auto& [px, py] : origins)
+    for (int mvy = -reach; mvy <= reach; ++mvy)
+      for (int mvx = -reach; mvx <= reach; ++mvx) {
+        const MotionVector mv{mvx, mvy};
+        Pixel expected[16 * 16];
+        motion_compensate_16x16_scalar(src, px, py, mv, expected);
+        const BlockRef got = planes.prediction(px, py, mv);
+        for (int y = 0; y < 16; ++y)
+          ASSERT_TRUE(std::equal(expected + y * 16, expected + y * 16 + 16,
+                                 got.data + y * got.stride))
+              << "mb=(" << px << "," << py << ") mv=(" << mvx << "," << mvy << ") row " << y;
+      }
+}
+
+TEST(RefPlanesTest, BlockOutsidePadFailsCheck) {
+  Xoshiro256 rng(28);
+  const Plane src = random_plane(rng, 48, 32);
+  const int range = 16;
+  RefPlanes planes;
+  planes.build(src, range);
+  const int reach = 2 * range + 1;
+  // The search's extremes are inside the pads...
+  EXPECT_NO_THROW((void)planes.prediction(0, 0, MotionVector{-reach, -reach}));
+  EXPECT_NO_THROW((void)planes.prediction(32, 16, MotionVector{reach, reach}));
+  // ...one whole pel beyond a half-pel plane's pad is not.
+  const int pad = RefPlanes::half_pel_pad(range);
+  EXPECT_THROW((void)planes.prediction(0, 0, MotionVector{-2 * pad - 1, 0}), std::logic_error);
+  EXPECT_THROW((void)planes.prediction(0, 0, MotionVector{0, -2 * pad - 1}), std::logic_error);
+  EXPECT_THROW((void)planes.prediction(32, 16, MotionVector{2 * pad + 3, 1}), std::logic_error);
+  const int fpad = planes.full().pad();
+  EXPECT_THROW((void)planes.full().block16(-fpad - 1, 0), std::logic_error);
+  EXPECT_THROW((void)planes.full().block16(48 + fpad - 15, 0), std::logic_error);
+}
+
+TEST(MotionSearchTest, PlanesMatchScalarReference) {
+  // The search over reference planes must take the scalar search's every
+  // step: same MV, costs and evaluation counts, from seeds that drive it
+  // to the search-range border at the frame edges, for ranges below, at
+  // and above the default.
+  Xoshiro256 rng(29);
+  const Plane cur = random_plane(rng, 96, 64);
+  const Plane ref = random_plane(rng, 96, 64);
+  for (const int range : {4, 16, 32}) {
+    MotionSearchConfig search;
+    search.search_range = range;
+    search.early_exit = 0;  // never stop early: longest trajectories
+    RefPlanes planes;
+    planes.build(ref, range);
+    for (int trial = 0; trial < 48; ++trial) {
+      const int px = 16 * static_cast<int>(rng.bounded(6));
+      const int py = 16 * static_cast<int>(rng.bounded(4));
+      const int seed = 2 * range + 8;
+      const MotionVector prediction{static_cast<int>(rng.range(-seed, seed)),
+                                    static_cast<int>(rng.range(-seed, seed))};
+      const MotionSearchResult scalar =
+          motion_search_16x16(cur, ref, px, py, prediction, search);
+      const MotionSearchResult fast =
+          motion_search_16x16(cur, planes, px, py, prediction, search);
+      EXPECT_EQ(fast.mv, scalar.mv) << "range " << range << " trial " << trial;
+      EXPECT_EQ(fast.sad, scalar.sad) << "range " << range << " trial " << trial;
+      EXPECT_EQ(fast.satd, scalar.satd) << "range " << range << " trial " << trial;
+      EXPECT_EQ(fast.sad_evaluations, scalar.sad_evaluations)
+          << "range " << range << " trial " << trial;
+      EXPECT_EQ(fast.satd_evaluations, scalar.satd_evaluations)
+          << "range " << range << " trial " << trial;
+    }
   }
 }
 
