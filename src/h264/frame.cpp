@@ -5,6 +5,17 @@
 
 namespace rispp::h264 {
 
+// Defined here, not in the header: inlined into interpolate.cpp, this
+// allocation made GCC 12 stop inlining Plane::at_clamped into the scalar
+// half-pel filters, which halved the scalar reference MC's speed.
+PaddedPlane::PaddedPlane(int width, int height, int pad)
+    : width_(width),
+      height_(height),
+      pad_(pad),
+      data_(static_cast<std::size_t>(width + 2 * pad) * (height + 2 * pad)) {
+  RISPP_CHECK(width > 0 && height > 0 && pad >= 0);
+}
+
 void PaddedPlane::replicate(const Plane& src) {
   RISPP_CHECK(src.width() == width_ && src.height() == height_);
   for (int y = 0; y < height_; ++y) {

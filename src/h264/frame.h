@@ -60,13 +60,7 @@ class Plane {
 class PaddedPlane {
  public:
   PaddedPlane() = default;
-  PaddedPlane(int width, int height, int pad)
-      : width_(width),
-        height_(height),
-        pad_(pad),
-        data_(static_cast<std::size_t>(width + 2 * pad) * (height + 2 * pad)) {
-    RISPP_CHECK(width > 0 && height > 0 && pad >= 0);
-  }
+  PaddedPlane(int width, int height, int pad);
 
   int width() const { return width_; }
   int height() const { return height_; }

@@ -138,10 +138,12 @@ inline i16x8 interleave(i16x8 a, i16x8 b) {
 }
 
 /// SATD of two side-by-side 4x4 blocks (8 columns x 4 rows), per lane:
-/// lane r sums row r of the left block's transform, lane 4 + r of the
-/// right one's. Each lane is at most 4080 (8 x 255 / 2 per coefficient
-/// pair), so a 16x16 block's eight calls sum to at most 32640 per lane and
-/// stay inside int16.
+/// lane r holds half the abs-sum of row r of the left block's 2-D Hadamard
+/// transform, lane 4 + r the same for the right block. A vertical
+/// butterfly output is at most 4 x 255 = 1020 in magnitude and a first
+/// horizontal stage output twice that, so a lane is at most 2 x 2040 =
+/// 4080, and a 16x16 block's eight calls sum to at most 32640 per lane,
+/// inside int16.
 ///
 /// Vertical butterflies run lanewise across the four row vectors; a 4x4
 /// transpose of both blocks then puts the horizontal butterflies lanewise
