@@ -52,10 +52,11 @@ struct BlockRef {
 /// it per block.
 ///
 /// The pads follow the search range R. Full-pel candidates lie within R of
-/// the MB, and the half-pel refinement one half-pel beyond: the half-pel
-/// planes are padded by R + 1, rounded up to a multiple of 8 so that every
-/// padded row is a whole number of 16-pixel chunks, and the source by 8
-/// more, which covers the 6-tap filter's reach of 3.
+/// the MB, and the half-pel refinement one half-pel beyond; mv >> 1 floors,
+/// so an MV of -(2R + 1) half-pels starts its block R + 1 pixels out. The
+/// half-pel planes are padded by R + 1, rounded up to a multiple of 8 so
+/// that every padded row is a whole number of 16-pixel chunks, and the
+/// source by 8 more, which covers the 6-tap filter's reach of 3.
 class RefPlanes {
  public:
   /// Pad of the half-pel planes for search range `search_range`.

@@ -7,9 +7,10 @@
 // scalar reference — the paper's SADRow trap handler makes the same
 // packed-word argument for the hardware SIs.
 //
-// Every vector is 16 bytes wide (8 x int16 or 4 x int32): on the default
-// x86-64 target (SSE2, no -march) wider vectors are split into several
-// registers and compile to code slower than the scalar reference.
+// Arithmetic vectors are 16 bytes wide (8 x int16 or 4 x int32; pixels
+// load and store eight at a time): on the default x86-64 target (SSE2, no
+// -march) wider vectors are split into several registers and compile to
+// code slower than the scalar reference.
 //
 // When the extensions are unavailable RISPP_SIMD stays undefined and the
 // kernels keep their scalar form.

@@ -64,6 +64,7 @@ TEST(SadTest, ZeroForIdenticalBlocks) {
   Xoshiro256 rng(2);
   const Plane a = random_plane(rng, 32, 32);
   EXPECT_EQ(sad_16x16_scalar(a, 8, 8, a, 8, 8), 0u);
+  EXPECT_EQ(sad_16x16(a.row(8) + 8, a.width(), a.row(8) + 8, a.width()), 0u);
 }
 
 TEST(SatdTest, ZeroForIdenticalBlocks) {
@@ -71,6 +72,7 @@ TEST(SatdTest, ZeroForIdenticalBlocks) {
   const Plane a = random_plane(rng, 32, 32);
   EXPECT_EQ(satd_4x4(a, 4, 4, a, 4, 4), 0u);
   EXPECT_EQ(satd_16x16_scalar(a, 8, 8, a, 8, 8), 0u);
+  EXPECT_EQ(satd_16x16(a.row(8) + 8, a.width(), a.row(8) + 8, a.width()), 0u);
 }
 
 TEST(SatdTest, DcDifferenceTransformsToSingleCoefficient) {
@@ -90,6 +92,10 @@ TEST(SatdTest, SatdLowerBoundedByHalfSad) {
     const int x = static_cast<int>(rng.bounded(16));
     const int y = static_cast<int>(rng.bounded(16));
     EXPECT_GE(2 * satd_16x16_scalar(a, x, y, b, x, y) + 32, sad_16x16_scalar(a, x, y, b, x, y));
+    const Pixel* pa = a.row(y) + x;
+    const Pixel* pb = b.row(y) + x;
+    EXPECT_GE(2 * satd_16x16(pa, a.width(), pb, b.width()) + 32,
+              sad_16x16(pa, a.width(), pb, b.width()));
   }
 }
 
@@ -101,6 +107,7 @@ TEST(SatdTest, Blockwise16x16Decomposition) {
   for (int by = 0; by < 16; by += 4)
     for (int bx = 0; bx < 16; bx += 4) sum += satd_4x4(a, bx, by, b, bx, by);
   EXPECT_EQ(satd_16x16_scalar(a, 0, 0, b, 0, 0), sum);
+  EXPECT_EQ(satd_16x16(a.row(0), a.width(), b.row(0), b.width()), sum);
 }
 
 TEST(TransformTest, DctRoundTripIsExactUpTo400) {
@@ -196,8 +203,14 @@ TEST(InterpolateTest, MotionCompensationFullPelCopies) {
   const Plane p = random_plane(rng, 64, 64);
   Pixel dst[16 * 16];
   motion_compensate_16x16_scalar(p, 16, 16, MotionVector{4, -6}, dst);  // (+2,-3) full pel
+  RefPlanes planes;
+  planes.build(p, MotionSearchConfig{}.search_range);
+  const BlockRef read = planes.prediction(16, 16, MotionVector{4, -6});
   for (int y = 0; y < 16; ++y)
-    for (int x = 0; x < 16; ++x) EXPECT_EQ(dst[y * 16 + x], p.at(16 + 2 + x, 16 - 3 + y));
+    for (int x = 0; x < 16; ++x) {
+      EXPECT_EQ(dst[y * 16 + x], p.at(16 + 2 + x, 16 - 3 + y));
+      EXPECT_EQ(read.data[y * read.stride + x], p.at(16 + 2 + x, 16 - 3 + y));
+    }
 }
 
 TEST(InterpolateTest, NegativeHalfPelVectorDecomposition) {
@@ -209,6 +222,9 @@ TEST(InterpolateTest, NegativeHalfPelVectorDecomposition) {
   Pixel dst[16 * 16];
   motion_compensate_16x16_scalar(p, 32, 32, mv, dst);
   EXPECT_EQ(dst[0], interpolate_half_pel(p, 32 - 2, 32, true, false));
+  RefPlanes planes;
+  planes.build(p, MotionSearchConfig{}.search_range);
+  EXPECT_EQ(planes.prediction(32, 32, mv).data[0], dst[0]);
 }
 
 TEST(IntraTest, HdcAveragesLeftColumn) {
@@ -358,33 +374,37 @@ TEST(KernelEquivalenceTest, SatdPredFuzz) {
   }
 }
 
-TEST(KernelEquivalenceTest, SaturatedSadAndSatdFuzz) {
-  // Extreme residuals: 0 against 255 everywhere, and 0/255 checkerboards
-  // against their inverse or against random content. They drive the
-  // row-pointer SATD's int16 lane accumulators to 32640 of 32767. Both
-  // planes have strides other than 16.
-  Xoshiro256 rng(25);
-  const auto fill = [&](Plane& p, int pattern) {
-    for (int y = 0; y < p.height(); ++y)
-      for (int x = 0; x < p.width(); ++x) {
-        Pixel v = 0;
-        switch (pattern) {
-          case 0: v = 0; break;
-          case 1: v = 255; break;
-          case 2: v = ((x + y) & 1) != 0 ? 255 : 0; break;         // pixel checkerboard
-          case 3: v = ((x + y) & 1) != 0 ? 0 : 255; break;         // its inverse
-          case 4: v = (((x >> 1) + (y >> 1)) & 1) != 0 ? 255 : 0; break;  // 2x2 squares
-          default: v = rng.bounded(2) != 0 ? 255 : 0; break;      // random 0/255
-        }
-        p.at(x, y) = v;
+/// Test plane contents: 0 random, 1 all 0, 2 all 255, 3 a 0/255 pixel
+/// checkerboard, 4 its inverse, 5 columns 0-2 of every four at 255 and
+/// column 3 at 0, 6 the inverse of 5, 7 random 0/255.
+Plane pattern_plane(Xoshiro256& rng, int w, int h, int pattern) {
+  if (pattern == 0) return random_plane(rng, w, h);
+  Plane p(w, h);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x) {
+      bool on = false;
+      switch (pattern) {
+        case 1: on = false; break;
+        case 2: on = true; break;
+        case 3: on = ((x + y) & 1) != 0; break;
+        case 4: on = ((x + y) & 1) == 0; break;
+        case 5: on = (x & 3) != 3; break;
+        case 6: on = (x & 3) == 3; break;
+        default: on = rng.bounded(2) != 0; break;
       }
-  };
-  constexpr int kPatterns = 6;
-  for (int pa = 0; pa < kPatterns; ++pa) {
-    for (int pb = 0; pb < kPatterns; ++pb) {
-      Plane a(48, 40), b(56, 48);
-      fill(a, pa);
-      fill(b, pb);
+      p.at(x, y) = on ? 255 : 0;
+    }
+  return p;
+}
+
+TEST(KernelEquivalenceTest, SaturatedSadAndSatdFuzz) {
+  // Extreme residuals: every pair of all-0, all-255, checkerboard, column
+  // and random 0/255 contents, at strides other than 16.
+  Xoshiro256 rng(25);
+  for (int pa = 1; pa <= 7; ++pa) {
+    for (int pb = 1; pb <= 7; ++pb) {
+      const Plane a = pattern_plane(rng, 48, 40, pa);
+      const Plane b = pattern_plane(rng, 56, 48, pb);
       PaddedPlane padded(56, 48, 16);
       padded.replicate(b);
       for (int trial = 0; trial < 40; ++trial) {
@@ -405,37 +425,28 @@ TEST(KernelEquivalenceTest, SaturatedSadAndSatdFuzz) {
       }
     }
   }
-  // The worst case for the SATD accumulators is a residual whose every
-  // Hadamard coefficient pair peaks: a pixel checkerboard of +-255.
-  Plane board(16, 16), inverse(16, 16);
-  fill(board, 2);
-  fill(inverse, 3);
-  EXPECT_EQ(satd_16x16(board.row(0), 16, inverse.row(0), 16),
-            satd_16x16_scalar(board, 0, 0, inverse, 0, 0));
+  // The largest SATD a 16x16 block can have: rows of residual
+  // (+255, +255, +255, -255) give every 4x4 block four coefficients of
+  // 2040, SATD 4080 each. The row-pointer kernel then holds 8 x 4080 =
+  // 32640 in two of its int16 lanes, 127 short of overflow.
+  const Plane cols = pattern_plane(rng, 48, 16, 5);
+  const Plane inverse = pattern_plane(rng, 48, 16, 6);
+  EXPECT_EQ(satd_16x16_scalar(cols, 16, 0, inverse, 16, 0), 16u * 4080u);
+  EXPECT_EQ(satd_16x16(cols.row(0) + 16, cols.width(), inverse.row(0) + 16, inverse.width()),
+            16u * 4080u);
 }
 
 // ---------------------------------------------------------------------------
 // Reference planes: the padded source and the H, V and HV half-pel planes
 // the SIMD encode path reads instead of filtering each block.
 
-/// Plane contents the plane tests sweep: random, all 0, all 255 and a
-/// 0/255 checkerboard.
-Plane content_plane(int w, int h, int content, Xoshiro256& rng) {
-  if (content == 0) return random_plane(rng, w, h);
-  Plane p(w, h);
-  for (int y = 0; y < h; ++y)
-    for (int x = 0; x < w; ++x)
-      p.at(x, y) = content == 1 ? 0 : (content == 2 ? 255 : (((x + y) & 1) != 0 ? 255 : 0));
-  return p;
-}
-
 TEST(RefPlanesTest, EverySampleMatchesInterpolation) {
   Xoshiro256 rng(26);
   const int sizes[][2] = {{16, 16}, {96, 64}, {kCifWidth, kCifHeight}};
   const MotionSearchConfig search;
   for (const auto& [w, h] : sizes) {
-    for (int content = 0; content < 4; ++content) {
-      const Plane src = content_plane(w, h, content, rng);
+    for (int content = 0; content < 4; ++content) {  // random, 0, 255, checkerboard
+      const Plane src = pattern_plane(rng, w, h, content);
       RefPlanes planes;
       planes.build(src, search.search_range);
       const int pad = RefPlanes::half_pel_pad(search.search_range);
