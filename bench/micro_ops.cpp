@@ -317,6 +317,7 @@ void BM_RefPlanesBuild(benchmark::State& state) {
   for (auto _ : state) {
     planes.build(src, search.search_range);
     benchmark::DoNotOptimize(planes.full().row(0));
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_RefPlanesBuild)->Unit(benchmark::kMicrosecond);
