@@ -3,10 +3,14 @@
 // pseudocode, the division-free benefit comparison, and oracle comparisons.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <numeric>
 
 #include "base/prng.h"
 #include "isa/h264_si_library.h"
+#include "jpeg/jpeg_si_library.h"
 #include "sched/asf.h"
 #include "sched/fsfr.h"
 #include "sched/hef.h"
@@ -392,6 +396,91 @@ TEST(Oracle, HefIsNearOptimalOnSmallRandomInstances) {
     if (hef <= opt * 1.10L + 1e-6L) ++hef_within_10_percent;
   }
   EXPECT_GE(hef_within_10_percent, kTrials - 2);
+}
+
+/// One strategy's weighted_wait_cost gap to the oracle over a set of
+/// instances, in parts per million of the optimum (floored, exact integers).
+struct OptimalityGap {
+  unsigned optimal = 0;  // instances on which the strategy's cost is optimal
+  std::uint64_t mean_ppm = 0;
+  std::uint64_t p90_ppm = 0;  // nearest rank
+  std::uint64_t max_ppm = 0;
+  bool operator==(const OptimalityGap&) const = default;
+};
+
+void PrintTo(const OptimalityGap& g, std::ostream* os) {
+  *os << "{" << g.optimal << ", " << g.mean_ppm << ", " << g.p90_ppm << ", " << g.max_ppm
+      << "}";
+}
+
+TEST(Oracle, GapOfEveryStrategyIsPinned) {
+  // The standing optimality gate: seeded 2-3-SI instances from the H.264 and
+  // JPEG sets (random selected molecules, forecasts and warm-start atoms,
+  // within the oracle's 40-candidate limit), each strategy's cost gap to the
+  // exhaustive optimum pinned exactly. A change to a strategy's pick loop
+  // that moves a gap must say so by editing the constants below.
+  const auto h264 = h264sis::build_h264_si_set();
+  const auto jpeg = jpegsis::build_jpeg_si_set();
+  constexpr Cycles kAtomCycles = 87'403;
+  constexpr int kInstances = 120;
+  Xoshiro256 rng(2026);
+  std::map<std::string, std::vector<std::uint64_t>> gaps;
+  for (int instance = 0; instance < kInstances;) {
+    const SpecialInstructionSet& set = instance % 2 == 0 ? h264 : jpeg;
+    ScheduleRequest req;
+    req.set = &set;
+    req.expected_executions.assign(set.si_count(), 0);
+    const std::size_t n = 2 + rng.bounded(2);
+    while (req.selected.size() < n) {
+      const auto si = static_cast<SiId>(rng.bounded(set.si_count()));
+      if (std::any_of(req.selected.begin(), req.selected.end(),
+                      [&](const SiRef& s) { return s.si == si; }))
+        continue;
+      req.selected.push_back(
+          SiRef{si, static_cast<MoleculeId>(rng.bounded(set.si(si).molecules.size()))});
+      req.expected_executions[si] = 1 + rng.bounded(30'000);
+    }
+    // Warm start: about half the instances hold a random smaller molecule
+    // of one selected SI, so some of its upgrade steps cost fewer atoms.
+    req.available = Molecule(set.atom_type_count());
+    if (rng.bounded(2) == 1) {
+      const SiRef& warm = req.selected[rng.bounded(req.selected.size())];
+      const auto smaller = smaller_candidates(set, std::span<const SiRef>(&warm, 1));
+      req.available = set.si(warm.si).molecule(smaller[rng.bounded(smaller.size())].mol).atoms;
+    }
+    if (smaller_candidates(set, req.selected).size() > 40) continue;  // the oracle's limit
+    ++instance;
+
+    const long double opt =
+        weighted_wait_cost(req, OracleScheduler(kAtomCycles).schedule(req), kAtomCycles);
+    ASSERT_EQ(opt, std::floor(opt)) << "costs are integers below 2^64";
+    for (const auto& name : scheduler_names()) {
+      const long double cost =
+          weighted_wait_cost(req, make_scheduler(name)->schedule(req), kAtomCycles);
+      ASSERT_GE(cost, opt) << name << " beat the oracle on instance " << instance;
+      const auto excess = static_cast<__uint128_t>(cost - opt);
+      gaps[name].push_back(opt == 0 ? 0
+                                    : static_cast<std::uint64_t>(
+                                          excess * 1'000'000 /
+                                          static_cast<__uint128_t>(opt)));
+    }
+  }
+
+  const std::map<std::string, OptimalityGap> pinned = {
+      {"FSFR", {32, 179'791, 453'051, 846'497}},
+      {"ASF", {44, 187'555, 571'768, 1'318'431}},
+      {"SJF", {69, 14'902, 37'020, 420'419}},
+      {"HEF", {87, 2'519, 842, 57'670}},
+  };
+  for (auto& [name, g] : gaps) {
+    std::sort(g.begin(), g.end());
+    OptimalityGap measured;
+    measured.optimal = static_cast<unsigned>(std::count(g.begin(), g.end(), 0u));
+    measured.mean_ppm = std::accumulate(g.begin(), g.end(), std::uint64_t{0}) / g.size();
+    measured.p90_ppm = g[(g.size() * 9 + 9) / 10 - 1];
+    measured.max_ppm = g.back();
+    EXPECT_EQ(measured, pinned.at(name)) << name;
+  }
 }
 
 TEST(Oracle, RefusesHugeInstances) {
