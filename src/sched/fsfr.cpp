@@ -51,6 +51,8 @@ Schedule FsfrScheduler::schedule(const ScheduleRequest& request) const {
   static MetricCounter& candidates = metric_counter("sched.fsfr.candidates_evaluated");
   invocations.add();
   candidates.add(examined);
+  // Only by_importance and the payback rule read the forecast here.
+  if (request.record != nullptr) request.record->complete = true;
   return state.take_schedule();
 }
 

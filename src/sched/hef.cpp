@@ -13,10 +13,31 @@ bool benefit_greater(const Benefit& a, const Benefit& b) {
   return lhs > rhs;
 }
 
+std::uint32_t pick_highest_benefit(std::span<const CandidateRow> rows,
+                                   const std::vector<std::uint64_t>& expected) {
+  // bestBenefit starts at 0 and the comparison is strict, so the first
+  // maximum wins — matching the pseudocode's iteration order (SiId, then
+  // molecule id).
+  Benefit best{0, 1};
+  std::uint32_t chosen = kNoPick;
+  for (std::uint32_t i = 0; i < rows.size(); ++i) {
+    // Cleaning guarantees gain > 0 and atoms > 0 for live candidates.
+    const Benefit b{expected[rows[i].candidate.si] * rows[i].gain, rows[i].atoms};
+    if (chosen == kNoPick ? b.gain_weighted > 0 : benefit_greater(b, best)) {
+      best = b;
+      chosen = i;
+    }
+  }
+  return chosen;
+}
+
 Schedule HefScheduler::schedule(const ScheduleRequest& request) const {
   // UpgradeState implements Figure 6 lines 1-9 (candidates M' and the
   // bestLatency array) and lines 13-16 (cleaning) inside live_candidates().
   UpgradeState state(request);
+  thread_local ScheduleRecord unrecorded;
+  ScheduleRecord& record = request.record != nullptr ? *request.record : unrecorded;
+  if (request.record == nullptr) record.benefit.clear();
   if (counters_) ++counters_->invocations;
   std::uint64_t examined = 0;
 
@@ -27,40 +48,29 @@ Schedule HefScheduler::schedule(const ScheduleRequest& request) const {
     if (counters_) ++counters_->rounds;
     examined += live.size();
 
-    // Lines 18-24: pick the highest-benefit candidate. bestBenefit starts at
-    // 0 and the comparison is strict, so the first maximum wins — matching
-    // the pseudocode's iteration order (SiId, then molecule id).
-    Benefit best_benefit{0, 1};
-    const SiRef* chosen = nullptr;
-    for (const SiRef& o : live) {
-      const Cycles best_lat = state.best_latency(o.si);
-      const Cycles lat = state.latency(o);
-      // Cleaning guarantees lat < best_lat for live candidates.
-      Benefit b;
-      b.gain_weighted = state.expected_executions(o.si) * (best_lat - lat);
-      b.atoms = state.additional_atoms(o);
-      if (counters_) {
-        ++counters_->benefit_evaluations;
-        ++counters_->benefit_comparisons;
-      }
-      if (chosen == nullptr ? b.gain_weighted > 0 : benefit_greater(b, best_benefit)) {
-        best_benefit = b;
-        chosen = &o;
-      }
+    // Lines 18-24: the round's benefit table, then the highest-benefit pick.
+    std::vector<CandidateRow>& rows = record.benefit.rows();
+    const std::size_t begin = rows.size();
+    for (const SiRef& o : live) rows.push_back(state.candidate_row(o));
+    if (counters_) {
+      counters_->benefit_evaluations += live.size();
+      counters_->benefit_comparisons += live.size();
     }
-    if (chosen == nullptr) break;  // all live candidates have zero benefit
+    const std::uint32_t pick = record.benefit.close_round(request.expected_executions);
+    if (pick == kNoPick) break;  // all live candidates have zero benefit
 
     // Lines 25-28.
     if (counters_) {
       ++counters_->commits;
-      counters_->atoms_scheduled += best_benefit.atoms;
+      counters_->atoms_scheduled += rows[begin + pick].atoms;
     }
-    state.commit(*chosen);
+    state.commit(live[pick]);
   }
   static MetricCounter& invocations = metric_counter("sched.hef.invocations");
   static MetricCounter& candidates = metric_counter("sched.hef.candidates_evaluated");
   invocations.add();
   candidates.add(examined);
+  record.complete = true;
   return state.take_schedule();
 }
 

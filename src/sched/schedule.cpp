@@ -96,12 +96,11 @@ void UpgradeState::clean() {
   clean_candidates(*set_, candidates_, available_, best_latency_);
   if (request_->payback_cycles_per_atom > 0) {
     std::erase_if(candidates_, [&](const SiRef& c) {
-      const Cycles gain = best_latency_[c.si] - set_->latency(c);  // > 0 after cleaning
-      const auto saving =
-          static_cast<__uint128_t>(request_->expected_executions[c.si]) * gain;
-      const auto cost = static_cast<__uint128_t>(additional_atoms(c)) *
-                        request_->payback_cycles_per_atom;
-      return saving <= cost;
+      const CandidateRow row = candidate_row(c);  // gain > 0 after cleaning
+      const bool keep = pays_back(row, request_->expected_executions,
+                                  request_->payback_cycles_per_atom);
+      if (request_->record != nullptr) request_->record->payback.push_back({row, keep});
+      return !keep;
     });
   }
   dirty_ = false;
@@ -151,22 +150,72 @@ unsigned UpgradeState::additional_atoms(const SiRef& candidate) const {
   return missing_determinant(available_, atoms);
 }
 
-std::uint64_t si_importance(const ScheduleRequest& request, const SiRef& selected) {
-  const SpecialInstructionSet& set = *request.set;
-  const Cycles now = set.fastest_available_latency(selected.si, request.available);
-  const Cycles then = set.latency(selected);
-  const Cycles gain = now > then ? now - then : 0;
-  return request.expected_executions[selected.si] * gain;
+CandidateRow UpgradeState::candidate_row(const SiRef& candidate) const {
+  return CandidateRow{candidate, additional_atoms(candidate),
+                      best_latency_[candidate.si] - set_->latency(candidate)};
+}
+
+bool pays_back(const CandidateRow& row, const std::vector<std::uint64_t>& expected,
+               Cycles cycles_per_atom) {
+  const auto saving = static_cast<__uint128_t>(expected[row.candidate.si]) * row.gain;
+  const auto cost = static_cast<__uint128_t>(row.atoms) * cycles_per_atom;
+  return saving > cost;
+}
+
+std::uint32_t pick_most_important(std::span<const CandidateRow> rows,
+                                  const std::vector<std::uint64_t>& expected) {
+  std::uint32_t best = kNoPick;
+  std::uint64_t best_importance = 0;
+  for (std::uint32_t i = 0; i < rows.size(); ++i) {
+    const std::uint64_t importance = expected[rows[i].candidate.si] * rows[i].gain;
+    if (best == kNoPick || importance > best_importance ||
+        (importance == best_importance && rows[i].candidate.si < rows[best].candidate.si)) {
+      best = i;
+      best_importance = importance;
+    }
+  }
+  return best;
 }
 
 std::vector<SiRef> by_importance(const ScheduleRequest& request) {
-  std::vector<SiRef> order = request.selected;
-  std::stable_sort(order.begin(), order.end(), [&](const SiRef& a, const SiRef& b) {
-    const std::uint64_t ia = si_importance(request, a), ib = si_importance(request, b);
-    if (ia != ib) return ia > ib;
-    return a.si < b.si;
-  });
+  const SpecialInstructionSet& set = *request.set;
+  thread_local ScheduleRecord unrecorded;
+  thread_local std::vector<CandidateRow> left;
+  ScheduleRecord& record = request.record != nullptr ? *request.record : unrecorded;
+  if (request.record == nullptr) record.importance.clear();
+
+  // Each selected SI's improvement over what is available now.
+  left.clear();
+  for (const SiRef& s : request.selected) {
+    const Cycles now = set.fastest_available_latency(s.si, request.available);
+    const Cycles then = set.latency(s);
+    left.push_back(CandidateRow{s, 0, now > then ? now - then : 0});
+  }
+  // A selection sort: the most important SI left, position by position.
+  std::vector<SiRef> order;
+  order.reserve(left.size());
+  while (!left.empty()) {
+    record.importance.rows().insert(record.importance.rows().end(), left.begin(), left.end());
+    const std::uint32_t pick = record.importance.close_round(request.expected_executions);
+    order.push_back(left[pick].candidate);
+    left.erase(left.begin() + pick);
+  }
   return order;
+}
+
+bool ScheduleRecord::replays(const std::vector<std::uint64_t>& expected,
+                             Cycles payback_cycles_per_atom) const {
+  if (!complete) return false;
+  for (const PaybackVerdict& v : payback)
+    if (pays_back(v.row, expected, payback_cycles_per_atom) != v.keep) return false;
+  return importance.replays(expected) && benefit.replays(expected);
+}
+
+void ScheduleRecord::clear() {
+  payback.clear();
+  importance.clear();
+  benefit.clear();
+  complete = false;
 }
 
 }  // namespace rispp

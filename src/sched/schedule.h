@@ -9,18 +9,80 @@
 // All four strategies (§4.3/4.4) reduce Atom scheduling to *Molecule*
 // scheduling: each step commits one candidate molecule and emits the atoms
 // it still misses (a ⊖ m). The shared machinery lives in UpgradeState.
+//
+// Only three functions read the forecast: the payback verdict (pays_back),
+// the importance order's pick (pick_most_important) and HEF's benefit argmax
+// (pick_highest_benefit). Everything they compare — candidates, latency
+// gains, additional atoms — follows from the request without it. A
+// ScheduleRecord keeps each call's inputs and outcome, so the RTM can re-run
+// only those calls under a drifted forecast (DESIGN §6.2).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "alg/molecule.h"
+#include "base/pick_log.h"
 #include "isa/candidates.h"
 #include "isa/si.h"
 
 namespace rispp {
+
+/// A candidate molecule with the forecast-independent inputs of its benefit:
+/// the atoms it still misses, |a ⊖ m|, and its latency gain. A row of the
+/// importance and HEF pick tables and of the payback verdicts.
+struct CandidateRow {
+  SiRef candidate;
+  unsigned atoms = 0;
+  Cycles gain = 0;
+};
+
+/// The payback rule (ScheduleRequest::payback_cycles_per_atom): a candidate
+/// stays iff its expected saving within the hot-spot instance,
+/// expected[si] * gain, exceeds its load time, atoms * cycles_per_atom
+/// (128-bit products).
+bool pays_back(const CandidateRow& row, const std::vector<std::uint64_t>& expected,
+               Cycles cycles_per_atom);
+
+/// by_importance's pick: the row with the largest importance expected[si] *
+/// gain (uint64 products), ties to the lower SiId, then to the first row.
+/// kNoPick only for an empty table.
+std::uint32_t pick_most_important(std::span<const CandidateRow> rows,
+                                  const std::vector<std::uint64_t>& expected);
+
+/// HEF's pick (Figure 6 lines 18-24, defined in sched/hef.cpp): the row with
+/// the highest benefit expected[si] * gain / atoms under the §5
+/// division-free compare; the first maximum wins. kNoPick when every benefit
+/// is 0.
+std::uint32_t pick_highest_benefit(std::span<const CandidateRow> rows,
+                                   const std::vector<std::uint64_t>& expected);
+
+/// One payback verdict of an UpgradeState cleaning.
+struct PaybackVerdict {
+  CandidateRow row;
+  bool keep = false;
+};
+
+/// Everything one schedule() call read from the forecast. UpgradeState logs
+/// the payback verdicts, by_importance its picks and HEF its rounds; a
+/// strategy sets `complete` once all of its forecast reads went through
+/// them (the four built-in strategies do, so a wrapper that forwards the
+/// request records too). A record that is not complete is never replayed.
+struct ScheduleRecord {
+  std::vector<PaybackVerdict> payback;
+  PickLog<CandidateRow, pick_most_important> importance;
+  PickLog<CandidateRow, pick_highest_benefit> benefit;
+  bool complete = false;
+
+  /// True when every recorded verdict and pick comes out the same under
+  /// `expected`: the strategy would then commit the recorded molecules.
+  bool replays(const std::vector<std::uint64_t>& expected,
+               Cycles payback_cycles_per_atom) const;
+  void clear();
+};
 
 struct ScheduleRequest {
   const SpecialInstructionSet* set = nullptr;
@@ -40,6 +102,9 @@ struct ScheduleRequest {
   /// it prunes tail upgrades that would only evict other hot spots' atoms
   /// without ever repaying their own load.
   Cycles payback_cycles_per_atom = 0;
+
+  /// Optional, cleared by the caller: receives the call's forecast reads.
+  ScheduleRecord* record = nullptr;
 };
 
 /// One committed upgrade step: the molecule composed and how many atom loads
@@ -103,6 +168,8 @@ class UpgradeState {
   std::uint64_t expected_executions(SiId si) const;
   unsigned additional_atoms(const SiRef& candidate) const;
   Cycles latency(const SiRef& candidate) const { return set_->latency(candidate); }
+  /// A live candidate's row: additional atoms and gain over bestLatency.
+  CandidateRow candidate_row(const SiRef& candidate) const;
 
   Schedule take_schedule() { return std::move(schedule_); }
   const ScheduleRequest& request() const { return *request_; }
@@ -121,12 +188,10 @@ class UpgradeState {
   UpgradeScratch* scratch_ = nullptr;  // owning pool slot, returned in dtor
 };
 
-/// Importance of a selected SI (used by FSFR/ASF to order the SIs):
-/// expected executions x potential improvement of the selected Molecule over
-/// what is currently available.
-std::uint64_t si_importance(const ScheduleRequest& request, const SiRef& selected);
-
-/// Orders `selected` by descending importance (stable; ties by SiId).
+/// Orders `selected` by descending importance — expected executions x the
+/// selected Molecule's improvement over what is available — ties by SiId,
+/// then stable: one pick_most_important per position, logged to
+/// request.record (FSFR, ASF and SJF order their SIs with it).
 std::vector<SiRef> by_importance(const ScheduleRequest& request);
 
 }  // namespace rispp

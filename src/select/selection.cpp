@@ -91,7 +91,8 @@ struct SelectionScratch {
   // pre[k] = join of chosen molecules at positions < k; suf[k] = at >= k.
   std::vector<Molecule> pre;
   std::vector<Molecule> suf;
-  Molecule excl;  // join of all positions != k, rebuilt per trial position
+  Molecule excl;             // join of all positions != k, rebuilt per trial position
+  SelectionRecord unrecorded;  // the rounds of a request without a record
 };
 
 bool has_duplicate_sis(const std::vector<SiId>& sis) {
@@ -102,6 +103,27 @@ bool has_duplicate_sis(const std::vector<SiId>& sis) {
 }
 
 }  // namespace
+
+std::uint32_t pick_best_trial(std::span<const SelectionTrial> trials,
+                              const std::vector<std::uint64_t>& expected) {
+  std::uint32_t best = kNoPick;
+  long double best_score = 0.0L;
+  for (std::uint32_t i = 0; i < trials.size(); ++i) {
+    const SelectionTrial& t = trials[i];
+    const long double profit =
+        static_cast<long double>(expected[t.si]) * static_cast<long double>(t.gain);
+    if (profit <= 0.0L) continue;  // never burn area on unexecuted SIs
+    const long double density =
+        profit / static_cast<long double>(t.growth == 0 ? 1 : t.growth);
+    // Zero-growth improvements dominate everything else.
+    const long double score = t.growth == 0 ? density * 1e9L : density;
+    if (best == kNoPick || score > best_score) {
+      best = i;
+      best_score = score;
+    }
+  }
+  return best;
+}
 
 std::vector<SiRef> select_molecules(const SelectionRequest& request) {
   const SpecialInstructionSet& set = *request.set;
@@ -121,6 +143,9 @@ std::vector<SiRef> select_molecules(const SelectionRequest& request) {
   if (scratch.pre.size() < n + 1) scratch.pre.resize(n + 1);
   if (scratch.suf.size() < n + 1) scratch.suf.resize(n + 1);
 
+  SelectionRecord& record = request.record != nullptr ? *request.record : scratch.unrecorded;
+  if (request.record == nullptr) record.clear();
+  std::vector<SelectionTrial>& trials = record.rounds.rows();
   unsigned sup_now_det = 0;  // |sup of chosen| — all the reference reads of sup_now
 
   for (;;) {
@@ -140,17 +165,12 @@ std::vector<SiRef> select_molecules(const SelectionRequest& request) {
         join_into(scratch.suf[k], set.si(request.hot_spot_sis[k]).molecule(c).atoms);
     }
 
-    bool found = false;
-    long double best_density = 0.0L;
-    SiId best_si = 0;
-    MoleculeId best_mol = 0;
-    unsigned best_sup_det = 0;
-
+    // The round's trial table, in the reference's iteration order.
+    const std::size_t begin = trials.size();
     for (std::size_t k = 0; k < n; ++k) {
       const SiId si = request.hot_spot_sis[k];
       const SpecialInstruction& s = set.si(si);
       const Cycles current = s.latency(chosen[si]);
-      const std::uint64_t execs = request.expected_executions[si];
       scratch.excl = scratch.pre[k];
       join_into(scratch.excl, scratch.suf[k + 1]);
       for (MoleculeId m = 0; m < s.molecules.size(); ++m) {
@@ -158,29 +178,18 @@ std::vector<SiRef> select_molecules(const SelectionRequest& request) {
         // |excl ∪ candidate| — the reference's trial determinant, O(dim).
         const unsigned trial_det = join_determinant(scratch.excl, s.molecules[m].atoms);
         if (trial_det > request.container_count) continue;  // unaffordable
-
         const unsigned growth = trial_det >= sup_now_det ? trial_det - sup_now_det : 0;
-        const long double profit =
-            static_cast<long double>(execs) *
-            static_cast<long double>(current - s.molecules[m].latency);
-        if (profit <= 0.0L) continue;  // never burn area on unexecuted SIs
-        const long double density =
-            profit / static_cast<long double>(growth == 0 ? 1 : growth);
-        // Zero-growth improvements dominate everything else.
-        const long double score = growth == 0 ? density * 1e9L : density;
-        if (!found || score > best_density) {
-          found = true;
-          best_density = score;
-          best_si = si;
-          best_mol = m;
-          best_sup_det = trial_det;
-        }
+        trials.push_back(
+            SelectionTrial{si, m, trial_det, growth, current - s.molecules[m].latency});
       }
     }
-    if (!found) break;
-    chosen[best_si] = best_mol;
-    sup_now_det = best_sup_det;
+    const std::uint32_t pick = record.rounds.close_round(request.expected_executions);
+    if (pick == kNoPick) break;
+    const SelectionTrial& best = trials[begin + pick];
+    chosen[best.si] = best.mol;
+    sup_now_det = best.trial_det;
   }
+  record.complete = true;
 
   std::vector<SiRef> selection;
   for (SiId si : request.hot_spot_sis)

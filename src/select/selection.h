@@ -14,15 +14,57 @@
 //
 // (zero-growth improvements are taken eagerly — atom-type sharing between
 // SIs makes them common) until no affordable improving swap remains.
+//
+// Each round is a trial table plus one argmax: the table (every affordable,
+// improving swap with its latency gain and sup growth) does not depend on the
+// forecast, and pick_best_trial is the only code that reads it. A
+// SelectionRecord keeps both, so the RTM can re-run only the picks under a
+// drifted forecast (DESIGN §6.2).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "alg/molecule.h"
+#include "base/pick_log.h"
 #include "isa/si.h"
 
 namespace rispp {
+
+/// One affordable, improving swap of a selection round: SI `si` to molecule
+/// `mol`. Nothing in it depends on the forecast.
+struct SelectionTrial {
+  SiId si = 0;
+  MoleculeId mol = 0;
+  unsigned trial_det = 0;  // |sup M| after the swap
+  unsigned growth = 0;     // how much the swap grows |sup M| (0 = free)
+  Cycles gain = 0;         // latency of the SI's current molecule minus mol's, > 0
+};
+
+/// A round's pick: the trial with the highest profit density
+/// expected[si] * gain / max(growth, 1), zero-growth trials scaled by 1e9,
+/// in long double; the first maximum wins. kNoPick when no trial has profit.
+std::uint32_t pick_best_trial(std::span<const SelectionTrial> trials,
+                              const std::vector<std::uint64_t>& expected);
+
+/// Everything a select_molecules run read from the forecast: each round's
+/// trial table and pick. `complete` is set when the run recorded every round
+/// (requests with duplicate SIs take the unrecorded reference path).
+struct SelectionRecord {
+  PickLog<SelectionTrial, pick_best_trial> rounds;
+  bool complete = false;
+
+  /// True when every recorded round picks the same trial under `expected`:
+  /// select_molecules would then return the recorded selection.
+  bool replays(const std::vector<std::uint64_t>& expected) const {
+    return complete && rounds.replays(expected);
+  }
+  void clear() {
+    rounds.clear();
+    complete = false;
+  }
+};
 
 struct SelectionRequest {
   const SpecialInstructionSet* set = nullptr;
@@ -32,6 +74,8 @@ struct SelectionRequest {
   std::vector<std::uint64_t> expected_executions;
   /// Atom Container budget (#ACs).
   unsigned container_count = 0;
+  /// Optional, cleared by the caller: receives the run's rounds.
+  SelectionRecord* record = nullptr;
 };
 
 /// Returns at most one SiRef per hot-spot SI; SIs that did not get hardware
@@ -46,7 +90,8 @@ struct SelectionRequest {
 /// elementwise max (grouping-independent), the trial determinant, growth,
 /// profit, and score expressions are verbatim those of the reference, and
 /// the trial iteration order is unchanged. Inputs whose hot_spot_sis contain
-/// duplicate ids (the reference excludes by *value*) take the reference path.
+/// duplicate ids (the reference excludes by *value*) take the reference path
+/// and leave request.record untouched.
 std::vector<SiRef> select_molecules(const SelectionRequest& request);
 
 /// The original O(rounds·|SIs|²·molecules·dim) greedy, kept as the oracle for
