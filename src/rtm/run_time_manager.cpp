@@ -43,6 +43,12 @@ RunTimeManager::RunTimeManager(const SpecialInstructionSet* set, std::size_t hot
       cache_ready_(set->atom_type_count()),
       upgrade_lane_(trace_new_lane()) {
   RISPP_CHECK(config_.scheduler != nullptr);
+  // Registered up front, so snapshots carry the path store's counters even
+  // when no miss replayed.
+  static MetricCounter& replays [[maybe_unused]] =
+      metric_counter("rtm.decision_cache.replays");
+  static MetricCounter& divergences [[maybe_unused]] =
+      metric_counter("rtm.decision_cache.replay_divergences");
   trace_name_lane(TraceTrack::kExecutor, upgrade_lane_, "SI upgrades");
   // Without a shared device the RTM owns the paper's: one tenant, every
   // container, the single port.
@@ -332,6 +338,9 @@ const DecisionMemo::Decision& RunTimeManager::decide(const std::vector<SiId>& si
                                                      unsigned budget) {
   static MetricCounter& hit_metric = metric_counter("rtm.decision_cache.hits");
   static MetricCounter& miss_metric = metric_counter("rtm.decision_cache.misses");
+  static MetricCounter& replay_metric = metric_counter("rtm.decision_cache.replays");
+  static MetricCounter& divergence_metric =
+      metric_counter("rtm.decision_cache.replay_divergences");
   const DecisionMemo::Key key{memo_domain_, sis, forecast, cf_->ready_atoms(), budget};
   if (config_.enable_decision_cache &&
       config_.decision_memo->lookup(key, config_.session_id, decision_)) {
@@ -345,11 +354,40 @@ const DecisionMemo::Decision& RunTimeManager::decide(const std::vector<SiId>& si
   ++decision_cache_misses_;
   miss_metric.add();
 
-  // The selection→schedule pipeline is the expensive path worth seeing on
-  // the timeline; memo hits above return in nanoseconds and stay silent.
+  // Wall-clock cost of a miss, replayed or computed; cache hits never get
+  // here, so this is the tail the memo layers are hiding. The pipeline is
+  // the expensive path worth seeing on the timeline; memo hits above return
+  // in nanoseconds and stay silent.
+  const auto started = std::chrono::steady_clock::now();
   trace_begin_now(TraceTrack::kRtm, "decide");
-  compute_decision(sis, forecast, budget, key.ready, decision_);
+  // The path store (DESIGN §6.2): a key seen before with another forecast
+  // re-runs its recorded picks, and only a differing pick costs the full
+  // pipeline. With the memo off every decision runs in full, unrecorded.
+  const auto compute = [&](DecisionPath* record) {
+    compute_decision(sis, forecast, budget, key.ready, decision_, record);
+  };
+  if (!config_.enable_decision_cache) {
+    compute(nullptr);
+  } else {
+    switch (paths_.answer(sis, key.ready, budget, forecast, payback_cycles_per_atom_,
+                          decision_, compute)) {
+      case PathStore::Answer::kReplayed:
+        ++decision_cache_replays_;
+        replay_metric.add();
+        break;
+      case PathStore::Answer::kDiverged:
+        divergence_metric.add();
+        break;
+      case PathStore::Answer::kComputed:
+        break;
+    }
+  }
   trace_end_now(TraceTrack::kRtm, "decide");
+  static MetricHistogram& latency = metric_histogram("rtm.decision_latency_ns");
+  latency.record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - started)
+          .count()));
   if (trace_enabled())
     trace_counter_now(TraceTrack::kRtm, "decision cache misses",
                       static_cast<double>(decision_cache_misses_));
@@ -361,15 +399,14 @@ const DecisionMemo::Decision& RunTimeManager::decide(const std::vector<SiId>& si
 void RunTimeManager::compute_decision(const std::vector<SiId>& sis,
                                       const std::vector<std::uint64_t>& forecast,
                                       unsigned budget, const Molecule& ready,
-                                      DecisionMemo::Decision& out) {
-  // Wall-clock cost of the uncached selection→schedule pipeline; cache hits
-  // never get here, so this is the tail the memo layers are hiding.
-  const auto started = std::chrono::steady_clock::now();
+                                      DecisionMemo::Decision& out, DecisionPath* record) {
+  if (record != nullptr) record->clear();
   SelectionRequest sel_req;
   sel_req.set = set_;
   sel_req.hot_spot_sis = sis;
   sel_req.expected_executions = forecast;
   sel_req.container_count = budget;
+  sel_req.record = record != nullptr ? &record->selection : nullptr;
   out.selection = select_molecules(sel_req);
 
   ScheduleRequest sched_req;
@@ -378,13 +415,10 @@ void RunTimeManager::compute_decision(const std::vector<SiId>& sis,
   sched_req.available = ready;
   sched_req.expected_executions = forecast;
   sched_req.payback_cycles_per_atom = payback_cycles_per_atom_;
+  sched_req.record = record != nullptr ? &record->schedule : nullptr;
   Schedule schedule = config_.scheduler->schedule(sched_req);
   out.loads = std::move(schedule.loads);
-  static MetricHistogram& latency = metric_histogram("rtm.decision_latency_ns");
-  latency.record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - started)
-          .count()));
+  if (record != nullptr) record->decision = out;
 }
 
 void RunTimeManager::refresh_cache() {

@@ -26,6 +26,7 @@
 #include "monitor/forecast.h"
 #include "rtm/decision_memo.h"
 #include "rtm/fabric_arbiter.h"
+#include "rtm/path_store.h"
 #include "sched/schedule.h"
 #include "select/selection.h"
 #include "sim/port_window_backend.h"
@@ -61,8 +62,10 @@ struct RtmConfig {
   /// a pure function of (hot-spot SI list, forecast vector, ready atoms,
   /// container budget) within the RTM's memo domain (SI set, scheduler
   /// strategy, payback constant, rtm_domain_digest), so replaying a memoized
-  /// decision is bit-exact by construction. Off is only useful for A/B
-  /// tests and the memo's own equivalence tests.
+  /// decision is bit-exact by construction. A miss first tries the RTM's
+  /// path store (re-running the picks of an earlier decision with the same
+  /// SIs, ready atoms and budget). Off computes every decision in full and
+  /// records nothing: the oracle path for A/B and equivalence tests.
   bool enable_decision_cache = true;
   /// A decision memo shared with other RTMs (the fleet's process-wide memo,
   /// DESIGN §8), so identical decisions computed by *other* sessions replay
@@ -142,6 +145,9 @@ class RunTimeManager final : public PortWindowBackend<RunTimeManager> {
   /// Decision-memo effectiveness (both the entry and the prefetch path).
   std::uint64_t decision_cache_hits() const { return decision_cache_hits_; }
   std::uint64_t decision_cache_misses() const { return decision_cache_misses_; }
+  /// Misses the path store answered by re-running recorded picks; the other
+  /// misses ran the full pipeline.
+  std::uint64_t decision_cache_replays() const { return decision_cache_replays_; }
 
  private:
   friend class PortWindowBackend<RunTimeManager>;
@@ -167,16 +173,19 @@ class RunTimeManager final : public PortWindowBackend<RunTimeManager> {
   void sync_fabric();
 
   /// Runs selection + scheduling for (sis, forecast, current ready atoms,
-  /// budget), or replays the memoized result verbatim on a key match. The
+  /// budget), or replays the memoized result verbatim on a key match. A miss
+  /// replays a recorded path when all its picks agree under `forecast`. The
   /// returned reference is the RTM's result slot: it is invalidated by the
   /// next decide() call, so consume it before any path that may decide again.
   const DecisionMemo::Decision& decide(const std::vector<SiId>& sis,
                                        const std::vector<std::uint64_t>& forecast,
                                        unsigned budget);
-  /// The unmemoized selection→schedule pipeline behind decide().
+  /// The unmemoized selection→schedule pipeline behind decide(); `record`,
+  /// when given, receives the decision and its forecast reads.
   void compute_decision(const std::vector<SiId>& sis,
                         const std::vector<std::uint64_t>& forecast, unsigned budget,
-                        const Molecule& ready, DecisionMemo::Decision& out);
+                        const Molecule& ready, DecisionMemo::Decision& out,
+                        DecisionPath* record);
 
   // config_.arbiter and config_.decision_memo are never null after
   // construction: without the caller's, they point at own_fabric_/own_memo_.
@@ -213,6 +222,8 @@ class RunTimeManager final : public PortWindowBackend<RunTimeManager> {
   DecisionMemo::DomainId memo_domain_ = 0;
   std::uint64_t decision_cache_hits_ = 0;
   std::uint64_t decision_cache_misses_ = 0;
+  std::uint64_t decision_cache_replays_ = 0;
+  PathStore paths_;                         // memo misses' recorded picks
   DecisionMemo::Decision decision_;         // decide()'s result slot
   mutable DecisionMemo::Decision probe_;    // entry_is_port_silent() scratch
   std::vector<std::uint64_t> oracle_forecast_;  // per-entry scratch (kOracle)
