@@ -199,37 +199,58 @@ void BM_SelectMoleculesReference(benchmark::State& state) {
 BENCHMARK(BM_SelectMoleculesReference)->Arg(8)->Arg(16)->Arg(24);
 
 // The full hot-spot-entry decision path (selection + scheduling + load-queue
-// rebuild), with the decision cache off (every entry runs the pipeline) vs
-// on (every entry after the first replays the memoized result). `now` stays
-// at 0 so the port never retires its first load and the ready-atom state —
-// part of the cache key — stays fixed; static seeds keep the forecast fixed.
+// rebuild): Arg 0 with the decision cache off (every entry runs the
+// pipeline), Arg 1 on (every entry after the first replays the memoized
+// result), Arg 2 on but missing the memo at every entry: two hot spots share
+// the SI list and the ready atoms, their forecasts differ slightly, and a
+// one-entry memo only ever holds the other hot spot's decision, so each
+// entry re-runs the path store's recorded picks (DESIGN §6.2; the
+// "replayed" counter is the share of entries that did). `now` stays at 0 so
+// the port never retires its first load and the ready-atom state — part of
+// the cache key — stays fixed; static seeds keep each forecast fixed.
 void BM_HotSpotEntryDecision(benchmark::State& state) {
   const auto& set = h264_set();
   const SiId sad = set.find("SAD").value();
   const SiId satd = set.find("SATD").value();
+  const bool alternate = state.range(0) == 2;
   WorkloadTrace trace;
   trace.hot_spots = {HotSpotInfo{"ME", {sad, satd}, 8}};
-  HotSpotInstance inst;
-  inst.hot_spot = 0;
-  inst.entry_overhead = 1000;
-  trace.instances.push_back(std::move(inst));
+  if (alternate) trace.hot_spots.push_back(HotSpotInfo{"ME'", {sad, satd}, 8});
+  for (HotSpotId hs = 0; hs < trace.hot_spots.size(); ++hs) {
+    HotSpotInstance inst;
+    inst.hot_spot = hs;
+    inst.entry_overhead = 1000;
+    trace.instances.push_back(std::move(inst));
+  }
 
   const HefScheduler hef;
+  DecisionMemo one_entry(1, 1, DecisionMemo::Scope::kPrivate);
   RtmConfig config;
   config.container_count = 17;
   config.scheduler = &hef;
   config.forecast_mode = ForecastMode::kStaticSeeds;
   config.enable_decision_cache = state.range(0) != 0;
-  RunTimeManager rtm(&set, 1, config);
+  if (alternate) config.decision_memo = &one_entry;
+  RunTimeManager rtm(&set, trace.hot_spots.size(), config);
   rtm.seed_forecast(0, sad, 87'500);
   rtm.seed_forecast(0, satd, 12'500);
-  for (auto _ : state) {
-    rtm.on_hot_spot_entry(trace, 0, 0);
-    rtm.on_hot_spot_exit(0);
+  if (alternate) {
+    rtm.seed_forecast(1, sad, 87'600);
+    rtm.seed_forecast(1, satd, 12'400);
   }
-  state.SetLabel(config.enable_decision_cache ? "cached" : "uncached");
+  const MetricCounter& replays = metric_counter("rtm.decision_cache.replays");
+  const std::uint64_t replays_before = replays.value();
+  std::size_t instance = 0;
+  for (auto _ : state) {
+    rtm.on_hot_spot_entry(trace, instance, 0);
+    rtm.on_hot_spot_exit(0);
+    if (alternate) instance ^= 1;
+  }
+  state.counters["replayed"] = benchmark::Counter(
+      static_cast<double>(replays.value() - replays_before), benchmark::Counter::kAvgIterations);
+  state.SetLabel(alternate ? "memo misses" : config.enable_decision_cache ? "cached" : "uncached");
 }
-BENCHMARK(BM_HotSpotEntryDecision)->Arg(0)->Arg(1);
+BENCHMARK(BM_HotSpotEntryDecision)->Arg(0)->Arg(1)->Arg(2);
 
 // The tracing-off cost every instrumentation site pays: a relaxed atomic
 // load plus a branch at span construction and destruction. The "zero-cost"
