@@ -35,9 +35,9 @@ Schedule HefScheduler::schedule(const ScheduleRequest& request) const {
   // UpgradeState implements Figure 6 lines 1-9 (candidates M' and the
   // bestLatency array) and lines 13-16 (cleaning) inside live_candidates().
   UpgradeState state(request);
-  thread_local ScheduleRecord unrecorded;
-  ScheduleRecord& record = request.record != nullptr ? *request.record : unrecorded;
-  if (request.record == nullptr) record.benefit.clear();
+  thread_local PickLog<CandidateRow, pick_highest_benefit> unrecorded;
+  auto& rounds = request.record != nullptr ? request.record->benefit : unrecorded;
+  if (request.record == nullptr) rounds.clear();
   if (counters_) ++counters_->invocations;
   std::uint64_t examined = 0;
 
@@ -49,14 +49,14 @@ Schedule HefScheduler::schedule(const ScheduleRequest& request) const {
     examined += live.size();
 
     // Lines 18-24: the round's benefit table, then the highest-benefit pick.
-    std::vector<CandidateRow>& rows = record.benefit.rows();
+    std::vector<CandidateRow>& rows = rounds.rows();
     const std::size_t begin = rows.size();
     for (const SiRef& o : live) rows.push_back(state.candidate_row(o));
     if (counters_) {
       counters_->benefit_evaluations += live.size();
       counters_->benefit_comparisons += live.size();
     }
-    const std::uint32_t pick = record.benefit.close_round(request.expected_executions);
+    const std::uint32_t pick = rounds.close_round(request.expected_executions);
     if (pick == kNoPick) break;  // all live candidates have zero benefit
 
     // Lines 25-28.
@@ -70,7 +70,7 @@ Schedule HefScheduler::schedule(const ScheduleRequest& request) const {
   static MetricCounter& candidates = metric_counter("sched.hef.candidates_evaluated");
   invocations.add();
   candidates.add(examined);
-  record.complete = true;
+  if (request.record != nullptr) request.record->complete = true;
   return state.take_schedule();
 }
 

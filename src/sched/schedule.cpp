@@ -179,10 +179,10 @@ std::uint32_t pick_most_important(std::span<const CandidateRow> rows,
 
 std::vector<SiRef> by_importance(const ScheduleRequest& request) {
   const SpecialInstructionSet& set = *request.set;
-  thread_local ScheduleRecord unrecorded;
+  thread_local PickLog<CandidateRow, pick_most_important> unrecorded;
   thread_local std::vector<CandidateRow> left;
-  ScheduleRecord& record = request.record != nullptr ? *request.record : unrecorded;
-  if (request.record == nullptr) record.importance.clear();
+  auto& rounds = request.record != nullptr ? request.record->importance : unrecorded;
+  if (request.record == nullptr) rounds.clear();
 
   // Each selected SI's improvement over what is available now.
   left.clear();
@@ -195,8 +195,8 @@ std::vector<SiRef> by_importance(const ScheduleRequest& request) {
   std::vector<SiRef> order;
   order.reserve(left.size());
   while (!left.empty()) {
-    record.importance.rows().insert(record.importance.rows().end(), left.begin(), left.end());
-    const std::uint32_t pick = record.importance.close_round(request.expected_executions);
+    rounds.rows().insert(rounds.rows().end(), left.begin(), left.end());
+    const std::uint32_t pick = rounds.close_round(request.expected_executions);
     order.push_back(left[pick].candidate);
     left.erase(left.begin() + pick);
   }

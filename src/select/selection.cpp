@@ -91,8 +91,8 @@ struct SelectionScratch {
   // pre[k] = join of chosen molecules at positions < k; suf[k] = at >= k.
   std::vector<Molecule> pre;
   std::vector<Molecule> suf;
-  Molecule excl;             // join of all positions != k, rebuilt per trial position
-  SelectionRecord unrecorded;  // the rounds of a request without a record
+  Molecule excl;  // join of all positions != k, rebuilt per trial position
+  PickLog<SelectionTrial, pick_best_trial> unrecorded;  // rounds of a request without a record
 };
 
 bool has_duplicate_sis(const std::vector<SiId>& sis) {
@@ -143,9 +143,9 @@ std::vector<SiRef> select_molecules(const SelectionRequest& request) {
   if (scratch.pre.size() < n + 1) scratch.pre.resize(n + 1);
   if (scratch.suf.size() < n + 1) scratch.suf.resize(n + 1);
 
-  SelectionRecord& record = request.record != nullptr ? *request.record : scratch.unrecorded;
-  if (request.record == nullptr) record.clear();
-  std::vector<SelectionTrial>& trials = record.rounds.rows();
+  auto& rounds = request.record != nullptr ? request.record->rounds : scratch.unrecorded;
+  if (request.record == nullptr) rounds.clear();
+  std::vector<SelectionTrial>& trials = rounds.rows();
   unsigned sup_now_det = 0;  // |sup of chosen| — all the reference reads of sup_now
 
   for (;;) {
@@ -183,13 +183,13 @@ std::vector<SiRef> select_molecules(const SelectionRequest& request) {
             SelectionTrial{si, m, trial_det, growth, current - s.molecules[m].latency});
       }
     }
-    const std::uint32_t pick = record.rounds.close_round(request.expected_executions);
+    const std::uint32_t pick = rounds.close_round(request.expected_executions);
     if (pick == kNoPick) break;
     const SelectionTrial& best = trials[begin + pick];
     chosen[best.si] = best.mol;
     sup_now_det = best.trial_det;
   }
-  record.complete = true;
+  if (request.record != nullptr) request.record->complete = true;
 
   std::vector<SiRef> selection;
   for (SiId si : request.hot_spot_sis)
