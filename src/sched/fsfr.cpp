@@ -10,14 +10,18 @@ namespace {
 /// latency, then molecule id (determinism). `examined` accumulates how many
 /// live candidates the scan looked at.
 bool pick_smallest(UpgradeState& state, SiId si, SiRef& out, std::uint64_t& examined) {
-  const auto live = state.live_candidates_of(si);
-  examined += live.size();
-  if (live.empty()) return false;
-  const SiRef* best = &live.front();
-  for (const SiRef& c : live) {
+  const SiRef* best = nullptr;
+  for (const SiRef& c : state.live_candidates()) {
+    if (c.si != si) continue;
+    ++examined;
+    if (best == nullptr) {
+      best = &c;
+      continue;
+    }
     const unsigned ca = state.additional_atoms(c), ba = state.additional_atoms(*best);
     if (ca < ba || (ca == ba && state.latency(c) < state.latency(*best))) best = &c;
   }
+  if (best == nullptr) return false;
   out = *best;
   return true;
 }

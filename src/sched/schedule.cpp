@@ -111,14 +111,6 @@ const std::vector<SiRef>& UpgradeState::live_candidates() {
   return candidates_;
 }
 
-std::vector<SiRef> UpgradeState::live_candidates_of(SiId si) {
-  clean();
-  std::vector<SiRef> out;
-  for (const SiRef& c : candidates_)
-    if (c.si == si) out.push_back(c);
-  return out;
-}
-
 void UpgradeState::commit(const SiRef& molecule) {
   const Molecule& atoms = set_->si(molecule.si).molecule(molecule.mol).atoms;
   missing_into(delta_, available_, atoms);

@@ -153,8 +153,6 @@ class UpgradeState {
 
   /// Live candidates after eq. (4) cleaning (cleans lazily on access).
   const std::vector<SiRef>& live_candidates();
-  /// Live candidates restricted to one SI.
-  std::vector<SiRef> live_candidates_of(SiId si);
 
   /// Commits a candidate: appends a ⊖ m to the schedule, updates a and
   /// bestLatency (Figure 6 lines 25-28).
