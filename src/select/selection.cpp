@@ -146,6 +146,7 @@ std::vector<SiRef> select_molecules(const SelectionRequest& request) {
   auto& rounds = request.record != nullptr ? request.record->rounds : scratch.unrecorded;
   if (request.record == nullptr) rounds.clear();
   std::vector<SelectionTrial>& trials = rounds.rows();
+  const unsigned budget = request.container_count;
   unsigned sup_now_det = 0;  // |sup of chosen| — all the reference reads of sup_now
 
   for (;;) {
@@ -170,17 +171,18 @@ std::vector<SiRef> select_molecules(const SelectionRequest& request) {
     for (std::size_t k = 0; k < n; ++k) {
       const SiId si = request.hot_spot_sis[k];
       const SpecialInstruction& s = set.si(si);
+      // Locals, so the row stores below do not force reloads of either.
+      const std::span<const MoleculeImpl> molecules = s.molecules;
       const Cycles current = s.latency(chosen[si]);
       scratch.excl = scratch.pre[k];
       join_into(scratch.excl, scratch.suf[k + 1]);
-      for (MoleculeId m = 0; m < s.molecules.size(); ++m) {
-        if (s.molecules[m].latency >= current) continue;  // not an improvement
+      for (MoleculeId m = 0; m < molecules.size(); ++m) {
+        if (molecules[m].latency >= current) continue;  // not an improvement
         // |excl ∪ candidate| — the reference's trial determinant, O(dim).
-        const unsigned trial_det = join_determinant(scratch.excl, s.molecules[m].atoms);
-        if (trial_det > request.container_count) continue;  // unaffordable
+        const unsigned trial_det = join_determinant(scratch.excl, molecules[m].atoms);
+        if (trial_det > budget) continue;  // unaffordable
         const unsigned growth = trial_det >= sup_now_det ? trial_det - sup_now_det : 0;
-        trials.push_back(
-            SelectionTrial{si, m, trial_det, growth, current - s.molecules[m].latency});
+        trials.push_back(SelectionTrial{si, m, trial_det, growth, current - molecules[m].latency});
       }
     }
     const std::uint32_t pick = rounds.close_round(request.expected_executions);
