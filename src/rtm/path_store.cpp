@@ -43,10 +43,6 @@ PathStore::Found PathStore::find(const std::vector<SiId>& sis, const Molecule& r
   // Second sighting: a fresh slot, or the least recently used one.
   std::size_t i = slots_.size();
   if (i < kCapacity) {
-    if (slots_.empty()) {
-      slots_.reserve(kCapacity);
-      digests_.reserve(kCapacity);
-    }
     slots_.emplace_back();
     digests_.push_back(0);
   } else {

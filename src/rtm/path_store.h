@@ -103,7 +103,7 @@ class PathStore {
   Found find(const std::vector<SiId>& sis, const Molecule& ready, unsigned budget);
 
   std::vector<std::uint64_t> digests_;    // digests_[i] keys slots_[i]
-  std::vector<Slot> slots_;               // reserved whole: slots never move
+  std::vector<Slot> slots_;               // grows with use, up to kCapacity
   std::vector<std::uint64_t> sightings_;  // first-sighting digests
   std::size_t next_sighting_ = 0;         // ring position once sightings_ is full
   std::uint64_t clock_ = 0;               // recency stamps for slots_
