@@ -24,7 +24,6 @@
 
 #include "base/parallel.h"
 #include "baselines/molen.h"
-#include "baselines/onechip.h"
 #include "fleet/spec.h"
 #include "h264/workload.h"
 #include "isa/h264_si_library.h"

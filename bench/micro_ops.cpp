@@ -9,7 +9,6 @@
 #include "base/prng.h"
 #include "base/trace_event.h"
 #include "baselines/molen.h"
-#include "baselines/onechip.h"
 #include "bench/common.h"
 #include "config/h264_platform.h"
 #include "dpg/enumerate.h"

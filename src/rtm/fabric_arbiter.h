@@ -22,16 +22,18 @@
 //
 // The paper's single-application system is the 1-tenant case: the quota is
 // the whole device, round-robin has one contender, and every grant decision
-// reduces to "is the port free". A RunTimeManager without a shared device
-// builds exactly that for itself (the solo constructor below), so solo and
-// multi-tenant runs share one fabric path; tests/golden_test.cpp pins the
-// solo numbers and tests/multitenant_test.cpp checks run_trace against
+// reduces to "is the port free". A RunTimeManager without a shared device,
+// and each of the Molen and OneChip baselines, builds exactly that for
+// itself (the solo constructor below), so every reconfigurable backend
+// loads through one fabric path; tests/golden_test.cpp pins the solo
+// numbers and tests/multitenant_test.cpp checks run_trace against
 // run_tenants on a 1-tenant device.
 //
 // Observability: rtm.arbiter.{grants,evictions,port_wait_cycles} counters
 // and one simulated-time lane per tenant on the "fabric arbiter" track (the
-// multi-tenant version of Figure 4's port timeline). A solo device's loads
-// are Figure 4 itself: they go to the "reconfig port" track and count as
+// multi-tenant version of Figure 4's port timeline). rtm.arbiter.grants
+// counts every device's loads. A solo device's loads are Figure 4 itself:
+// they go to the "reconfig port" track and also count as
 // port.loads_started.
 #pragma once
 
@@ -47,7 +49,6 @@
 #include "dpg/atom_library.h"
 #include "hw/atom_container.h"
 #include "hw/bitstream.h"
-#include "hw/reconfig_port.h"
 
 namespace rispp {
 
@@ -111,7 +112,11 @@ class FabricArbiter {
   const ContainerFile& containers(TenantId t) const;
 
   // -- The single reconfiguration port ---------------------------------
-  using InflightLoad = ReconfigPort::InflightLoad;
+  struct InflightLoad {
+    AtomTypeId type;
+    ContainerId container;
+    Cycles finishes_at;
+  };
 
   /// The tenant's own in-flight load (independent of who holds the port
   /// *now* — a finished load stays visible until its owner retires it).

@@ -2,8 +2,8 @@
 // Molen-like prefetch model, and their relation to RISPP.
 #include <gtest/gtest.h>
 
+#include "base/metrics.h"
 #include "baselines/molen.h"
-#include "baselines/onechip.h"
 #include "baselines/software_only.h"
 #include "h264/workload.h"
 #include "isa/h264_si_library.h"
@@ -116,6 +116,55 @@ TEST(Baselines, FullH264OrderingHolds) {
   EXPECT_LT(demand, sw);
   EXPECT_LE(static_cast<double>(prefetch), static_cast<double>(demand) * 1.05);
   EXPECT_LT(rispp, prefetch);
+}
+
+TEST(Baselines, EveryLoadCountsAsOnePortLoadAndOneArbiterGrant) {
+  // Molen, OneChip and the RTM each load through a solo FabricArbiter, so
+  // every load is one port.loads_started and one rtm.arbiter.grants,
+  // whichever backend issued it.
+  const auto set = h264sis::build_h264_si_set();
+  h264::WorkloadConfig config;
+  config.frames = 2;
+  WorkloadTrace trace = h264::generate_h264_workload(set, config).trace;
+  // An idle tail (a hot spot without SIs, entered a simulated 10 s later)
+  // retires every queued load, so the loads started equal the loads
+  // completed.
+  trace.hot_spots.push_back(HotSpotInfo{"idle", {}, 0});
+  HotSpotInstance idle;
+  idle.hot_spot = static_cast<HotSpotId>(trace.hot_spots.size() - 1);
+  idle.entry_overhead = 1'000'000'000;
+  trace.instances.push_back(idle);
+  const std::size_t hot_spots = trace.hot_spots.size();
+  const MetricCounter& port_loads = metric_counter("port.loads_started");
+  const MetricCounter& grants = metric_counter("rtm.arbiter.grants");
+  const auto check = [&](auto& backend) {
+    h264::seed_default_forecasts(set, backend);
+    const std::uint64_t port_loads_before = port_loads.value();
+    const std::uint64_t grants_before = grants.value();
+    const SimResult result = run_trace(trace, backend);
+    EXPECT_GT(result.atom_loads, 0u) << backend.name();
+    EXPECT_EQ(result.atom_loads, backend.completed_loads()) << backend.name();
+    EXPECT_EQ(port_loads.value() - port_loads_before, result.atom_loads) << backend.name();
+    EXPECT_EQ(grants.value() - grants_before, result.atom_loads) << backend.name();
+  };
+  constexpr unsigned kAcs = 10;
+
+  MolenConfig mc;
+  mc.container_count = kAcs;
+  MolenBackend molen(&set, hot_spots, mc);
+  check(molen);
+
+  OneChipConfig oc;
+  oc.container_count = kAcs;
+  OneChipBackend onechip(&set, hot_spots, oc);
+  check(onechip);
+
+  HefScheduler hef;
+  RtmConfig rtm_config;
+  rtm_config.container_count = kAcs;
+  rtm_config.scheduler = &hef;
+  RunTimeManager rtm(&set, hot_spots, rtm_config);
+  check(rtm);
 }
 
 }  // namespace

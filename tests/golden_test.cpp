@@ -20,7 +20,6 @@
 
 #include "base/parallel.h"
 #include "baselines/molen.h"
-#include "baselines/onechip.h"
 #include "fleet/session_batch.h"
 #include "fleet/tenant_fleet.h"
 #include "fleet/trace_repository.h"

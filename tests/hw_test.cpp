@@ -1,11 +1,11 @@
 // Tests for the hardware models: Atom Containers, bitstream/reconfiguration
-// timing, the single reconfiguration port and eviction.
+// timing and eviction (the single reconfiguration port is the fabric
+// arbiter's, tests/multitenant_test.cpp).
 #include <gtest/gtest.h>
 
 #include "hw/atom_container.h"
 #include "hw/bitstream.h"
 #include "hw/eviction.h"
-#include "hw/reconfig_port.h"
 #include "isa/h264_si_library.h"
 
 namespace rispp {
@@ -59,22 +59,6 @@ TEST(ContainerFile, DoubleLoadOnSameContainerRejected) {
   file.begin_load(0, 0);
   EXPECT_THROW(file.begin_load(0, 1), std::logic_error);
   EXPECT_THROW(file.complete_load(1), std::logic_error);
-}
-
-TEST(ReconfigPort, SingleChannelTiming) {
-  const auto set = h264sis::build_h264_si_set();
-  BitstreamModel model;
-  ReconfigPort port(&set.library(), model);
-  EXPECT_FALSE(port.busy());
-  const Cycles done = port.start(0, 0, 1000);
-  EXPECT_EQ(done, 1000 + port.load_cycles(0));
-  EXPECT_TRUE(port.busy());
-  EXPECT_THROW(port.start(1, 1, 1500), std::logic_error);    // single channel
-  EXPECT_THROW(port.retire(done - 1), std::logic_error);     // not finished
-  const auto load = port.retire(done);
-  EXPECT_EQ(load.type, 0);
-  EXPECT_FALSE(port.busy());
-  EXPECT_EQ(port.completed_loads(), 1u);
 }
 
 TEST(Eviction, PrefersEmptyContainers) {

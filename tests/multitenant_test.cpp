@@ -127,6 +127,26 @@ TEST(Multitenant, SoloEquivalencePerScheduler) {
   }
 }
 
+TEST(Multitenant, SoloPortSingleChannelTiming) {
+  // The paper's single reconfiguration port, as every solo backend drives
+  // it: one load at a time, retired no earlier than it finishes.
+  const auto set = h264sis::build_h264_si_set();
+  const std::vector<Cycles> lru(set.atom_type_count(), 0);
+  FabricArbiter solo(2, BitstreamModel{});
+  solo.bind(0, &set.library(), set.atom_type_count(), &lru);
+  EXPECT_FALSE(solo.inflight(0).has_value());
+  EXPECT_FALSE(solo.try_start(0, 0, 0, 1000).has_value());  // granted
+  ASSERT_TRUE(solo.inflight(0).has_value());
+  const Cycles done = solo.inflight(0)->finishes_at;
+  EXPECT_EQ(done, 1000 + solo.load_cycles(0, 0));
+  EXPECT_THROW(solo.try_start(0, 1, 1, 1500), std::logic_error);  // single channel
+  EXPECT_THROW(solo.retire(0, done - 1), std::logic_error);       // not finished
+  const auto load = solo.retire(0, done);
+  EXPECT_EQ(load.type, 0);
+  EXPECT_FALSE(solo.inflight(0).has_value());
+  EXPECT_EQ(solo.completed_loads(0), 1u);
+}
+
 /// Builds a bound 2-tenant arbiter over the H.264 atom library for the port
 /// unit tests. The RTMs exist only to bind the tenants' container views.
 struct TwoTenantFixture {

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "baselines/molen.h"
-#include "baselines/onechip.h"
 #include "baselines/software_only.h"
 #include "baselines/static_asip.h"
 #include "h264/workload.h"
