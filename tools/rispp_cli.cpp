@@ -18,6 +18,7 @@
 //       speedup vs software — the area/performance trade-off a platform
 //       designer reads off before fixing the AC count.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "base/env.h"
 #include "baselines/molen.h"
 #include "baselines/software_only.h"
 #include "config/platform_parser.h"
@@ -60,6 +62,23 @@ std::optional<std::string> arg_value(std::vector<std::string>& args, const std::
   return std::nullopt;
 }
 
+/// Removes `key` and its value from `args` and parses the value strictly as
+/// an integer in [min_value, max_value] (`fallback` when the flag is absent).
+/// Garbage, trailing junk or an out-of-range value exits with
+/// kEnvParseExitCode and a message naming the flag.
+long int_flag_or_die(std::vector<std::string>& args, const char* key, long fallback,
+                     long min_value, long max_value) {
+  const auto text = arg_value(args, key);
+  if (!text.has_value()) return fallback;
+  const auto value = parse_int_strict(text->c_str(), min_value, max_value);
+  if (!value) {
+    std::fprintf(stderr, "%s=%s is not an integer in [%ld, %ld]\n", key, text->c_str(),
+                 min_value, max_value);
+    std::exit(kEnvParseExitCode);
+  }
+  return *value;
+}
+
 bool flag(std::vector<std::string>& args, const std::string& key) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == key) {
@@ -85,7 +104,7 @@ int cmd_describe(std::vector<std::string> args) {
 
 int cmd_schedule(std::vector<std::string> args) {
   const auto si_list = arg_value(args, "--si");
-  const unsigned acs = std::stoul(arg_value(args, "--acs").value_or("10"));
+  const auto acs = static_cast<unsigned>(int_flag_or_die(args, "--acs", 10, 0, 1'000));
   const std::string scheduler_name = arg_value(args, "--scheduler").value_or("HEF");
   if (args.size() != 1 || !si_list.has_value()) return usage();
   const auto set = load_platform(args[0]);
@@ -126,9 +145,9 @@ int cmd_schedule(std::vector<std::string> args) {
 }
 
 int cmd_h264(std::vector<std::string> args) {
-  const unsigned acs = std::stoul(arg_value(args, "--acs").value_or("10"));
+  const auto acs = static_cast<unsigned>(int_flag_or_die(args, "--acs", 10, 0, 1'000));
   const std::string scheduler_name = arg_value(args, "--scheduler").value_or("HEF");
-  const int frames = std::stoi(arg_value(args, "--frames").value_or("20"));
+  const auto frames = static_cast<int>(int_flag_or_die(args, "--frames", 20, 1, 10'000));
   const bool with_molen = flag(args, "--molen");
   if (!args.empty()) return usage();
 
@@ -166,9 +185,9 @@ int cmd_h264(std::vector<std::string> args) {
 }
 
 int cmd_dse(std::vector<std::string> args) {
-  const unsigned min_acs = std::stoul(arg_value(args, "--min").value_or("4"));
-  const unsigned max_acs = std::stoul(arg_value(args, "--max").value_or("24"));
-  const int frames = std::stoi(arg_value(args, "--frames").value_or("20"));
+  const auto min_acs = static_cast<unsigned>(int_flag_or_die(args, "--min", 4, 0, 1'000));
+  const auto max_acs = static_cast<unsigned>(int_flag_or_die(args, "--max", 24, 0, 1'000));
+  const auto frames = static_cast<int>(int_flag_or_die(args, "--frames", 20, 1, 10'000));
   if (!args.empty() || min_acs > max_acs) return usage();
 
   const auto set = h264sis::build_h264_si_set();
