@@ -7,6 +7,7 @@
 #include <system_error>
 
 #include "base/env.h"
+#include "base/json_mini.h"
 #include "fleet/trace_repository.h"
 
 namespace rispp::bench {
@@ -115,8 +116,9 @@ BenchPerfLog::~BenchPerfLog() {
   const std::filesystem::path path =
       std::filesystem::path(dir) / ("BENCH_" + name_ + ".json");
   std::ofstream out(path);
-  out << "{\n"
-      << "  \"bench\": \"" << name_ << "\",\n"
+  out << "{\n  \"bench\": \"";
+  jsonmini::write_escaped(out, name_);
+  out << "\",\n"
       << "  \"wall_seconds\": " << seconds << ",\n"
       << "  \"cells\": " << cells_ << ",\n"
       << "  \"cells_per_sec\": " << (seconds > 0.0 ? cells_ / seconds : 0.0) << ",\n"

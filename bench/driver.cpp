@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -13,13 +12,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <system_error>
 
 #include "base/check.h"
+#include "base/json_mini.h"
+#include "base/stats.h"
 #include "base/table.h"
 #include "base/trace_event.h"
 
@@ -69,141 +69,37 @@ std::string read_file(const std::filesystem::path& path) {
   return buffer.str();
 }
 
-// The records are our own fixed "key": value format (BenchPerfLog), so a
-// targeted scan beats a JSON dependency: find `"key"`, skip `: `, parse the
-// value. Good for both BENCH_<name>.json and BENCH_SUITE.json chunks.
-//
-// Hardening: because the scan is first-occurrence-wins, a duplicated key or
-// text after the closing brace would be silently (mis)accepted — and both
-// can only mean a corrupted or hand-mangled record, so they are loud errors
-// (RISPP_CHECK throws) instead.
+using jsonmini::JsonValue;
 
-/// Rejects `text` containing `"key"` more than once (first occurrence wins
-/// in the scanners above, so a duplicate would silently shadow the rest).
-void check_no_duplicate_key(const std::string& text, const std::string& key,
-                            const std::string& context) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t first = text.find(needle);
-  if (first == std::string::npos) return;
-  RISPP_CHECK_MSG(text.find(needle, first + needle.size()) == std::string::npos,
-                  context << ": duplicate key " << needle);
+/// Parses `text` as one JSON object. Anything else — a syntax error, trailing
+/// garbage, a duplicated key, another top-level value — throws naming
+/// `context`.
+JsonValue parse_object(const std::string& text, const std::string& context) {
+  JsonValue doc;
+  std::string error;
+  RISPP_CHECK_MSG(jsonmini::parse_document(text, doc, error), context << ": " << error);
+  RISPP_CHECK_MSG(doc.kind == JsonValue::Kind::kObject, context << ": expected a JSON object");
+  return doc;
 }
 
-/// Index of the '}' closing the object whose '{' is at `text[open]`,
-/// honoring strings and escapes; npos when unbalanced.
-std::size_t balanced_object_end(const std::string& text, std::size_t open) {
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t p = open; p < text.size(); ++p) {
-    const char c = text[p];
-    if (in_string) {
-      if (c == '\\')
-        ++p;  // skip the escaped character
-      else if (c == '"')
-        in_string = false;
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      if (--depth == 0) return p;
-    }
-  }
-  return std::string::npos;
+/// `obj[key]` as a number: nullopt when absent, throws when not a number.
+std::optional<double> number_field(const JsonValue& obj, std::string_view key,
+                                   const std::string& context) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return std::nullopt;
+  RISPP_CHECK_MSG(v->kind == JsonValue::Kind::kNumber,
+                  context << ": " << key << " is not a number");
+  return v->number;
 }
 
-/// Rejects anything but one balanced {...} object surrounded by whitespace —
-/// in particular trailing garbage after the closing brace (a truncated write
-/// concatenated with an older record, a merge artifact, ...).
-void check_single_json_object(const std::string& text, const std::string& context) {
-  std::size_t p = 0;
-  while (p < text.size() && std::isspace(static_cast<unsigned char>(text[p]))) ++p;
-  RISPP_CHECK_MSG(p < text.size() && text[p] == '{',
-                  context << ": expected a JSON object");
-  const std::size_t end = balanced_object_end(text, p);
-  RISPP_CHECK_MSG(end != std::string::npos, context << ": unbalanced braces");
-  for (p = end + 1; p < text.size(); ++p)
-    RISPP_CHECK_MSG(std::isspace(static_cast<unsigned char>(text[p])),
-                    context << ": trailing garbage after the closing brace");
-}
-
-std::optional<double> find_number(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::size_t p = at + needle.size();
-  while (p < text.size() && (text[p] == ':' || text[p] == ' ')) ++p;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str() + p, &end);
-  if (end == text.c_str() + p) return std::nullopt;
-  return value;
-}
-
-std::optional<std::string> find_string(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  std::size_t at = text.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  at = text.find('"', at + needle.size() + 1);  // opening quote of the value
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t close = text.find('"', at + 1);
-  if (close == std::string::npos) return std::nullopt;
-  return text.substr(at + 1, close - at - 1);
-}
-
-std::optional<PerfRecord> parse_perf_text(const std::string& text,
-                                          const std::string& context) {
-  check_single_json_object(text, context);
-  for (const char* key : {"bench", "wall_seconds", "cells", "cells_per_sec", "threads",
-                          "frames"})
-    check_no_duplicate_key(text, key, context);
-  const auto bench = find_string(text, "bench");
-  const auto wall = find_number(text, "wall_seconds");
-  if (!bench || !wall) return std::nullopt;
-  PerfRecord record;
-  record.bench = *bench;
-  record.wall_seconds = *wall;
-  record.cells = find_number(text, "cells").value_or(0.0);
-  record.cells_per_sec = find_number(text, "cells_per_sec").value_or(0.0);
-  record.threads = find_number(text, "threads").value_or(0.0);
-  record.frames = find_number(text, "frames").value_or(0.0);
-  return record;
-}
-
-/// Scans the flat `"name": number` pairs of one metrics subobject
-/// (text[open] == '{', text[close] == its '}') into `out`. Registry names
-/// never contain escapes, so the key scan is a plain quote-to-quote read.
-void parse_flat_metrics(const std::string& text, std::size_t open, std::size_t close,
-                        const std::string& context, std::map<std::string, double>& out) {
-  std::size_t p = open + 1;
-  const auto skip_ws = [&] {
-    while (p < close && std::isspace(static_cast<unsigned char>(text[p]))) ++p;
-  };
-  for (;;) {
-    skip_ws();
-    if (p >= close) break;
-    if (text[p] == ',') {
-      ++p;
-      continue;
-    }
-    RISPP_CHECK_MSG(text[p] == '"', context << ": expected a quoted metric name");
-    const std::size_t key_end = text.find('"', p + 1);
-    RISPP_CHECK_MSG(key_end != std::string::npos && key_end < close,
-                    context << ": unterminated metric name");
-    const std::string key = text.substr(p + 1, key_end - p - 1);
-    p = key_end + 1;
-    skip_ws();
-    RISPP_CHECK_MSG(p < close && text[p] == ':', context << ": expected ':' after " << key);
-    ++p;
-    skip_ws();
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str() + p, &end);
-    RISPP_CHECK_MSG(end != text.c_str() + p,
-                    context << ": metric " << key << " has no numeric value");
-    p = static_cast<std::size_t>(end - text.c_str());
-    RISPP_CHECK_MSG(out.emplace(key, value).second, context << ": duplicate metric " << key);
-  }
+/// `obj[key]` as a string: nullopt when absent, throws when not a string.
+std::optional<std::string> string_field(const JsonValue& obj, std::string_view key,
+                                        const std::string& context) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return std::nullopt;
+  RISPP_CHECK_MSG(v->kind == JsonValue::Kind::kString,
+                  context << ": " << key << " is not a string");
+  return v->string;
 }
 
 /// The single BENCH_*.json a child wrote into its private json dir, if any.
@@ -232,72 +128,37 @@ void append_metric_number(std::ostream& out, double value) {
 }  // namespace
 
 std::optional<PerfRecord> parse_perf_record(const std::filesystem::path& path) {
-  return parse_perf_text(read_file(path), path.string());
+  const std::string context = path.string();
+  const JsonValue doc = parse_object(read_file(path), context);
+  const auto bench = string_field(doc, "bench", context);
+  const auto wall = number_field(doc, "wall_seconds", context);
+  if (!bench || !wall) return std::nullopt;
+  PerfRecord record;
+  record.bench = *bench;
+  record.wall_seconds = *wall;
+  record.cells = number_field(doc, "cells", context).value_or(0.0);
+  record.cells_per_sec = number_field(doc, "cells_per_sec", context).value_or(0.0);
+  record.threads = number_field(doc, "threads", context).value_or(0.0);
+  record.frames = number_field(doc, "frames", context).value_or(0.0);
+  return record;
 }
 
 std::map<std::string, double> parse_metrics_record(const std::filesystem::path& path) {
-  std::map<std::string, double> metrics;
   const std::string text = read_file(path);
-  if (text.empty()) return metrics;  // child wrote no snapshot: not an error
-  check_single_json_object(text, path.string());
-  for (const char* section : {"counters", "gauges"}) {
-    check_no_duplicate_key(text, section, path.string());
-    std::string needle = "\"";
-    needle += section;
-    needle += '"';
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos) continue;
-    const std::size_t open = text.find('{', at + needle.size());
-    RISPP_CHECK_MSG(open != std::string::npos,
-                    path.string() << ": " << section << " is not an object");
-    const std::size_t close = balanced_object_end(text, open);
-    RISPP_CHECK_MSG(close != std::string::npos,
-                    path.string() << ": unbalanced " << section << " object");
-    parse_flat_metrics(text, open, close, path.string(), metrics);
-  }
-  // Histogram series fold into the same flat map as
-  // <name>.count/.sum/.min/.max/.p50/.p90/.p99 — the full bucket array stays
-  // in the snapshot file (rispp_stats reads it); the suite record keeps the
-  // summary shape a regression gate can diff.
-  check_no_duplicate_key(text, "histograms", path.string());
-  const std::size_t hist_at = text.find("\"histograms\"");
-  if (hist_at != std::string::npos) {
-    const std::size_t open = text.find('{', hist_at + 12);
-    RISPP_CHECK_MSG(open != std::string::npos,
-                    path.string() << ": histograms is not an object");
-    const std::size_t close = balanced_object_end(text, open);
-    RISPP_CHECK_MSG(close != std::string::npos,
-                    path.string() << ": unbalanced histograms object");
-    std::size_t p = open + 1;
-    while (p < close) {
-      // Histogram names may contain '{' / '}' (label suffixes) but those live
-      // inside JSON strings, so the quote-to-quote read and the string-aware
-      // balanced scan below both stay correct.
-      const std::size_t name_open = text.find('"', p);
-      if (name_open == std::string::npos || name_open >= close) break;
-      const std::size_t name_close = text.find('"', name_open + 1);
-      RISPP_CHECK_MSG(name_close != std::string::npos && name_close < close,
-                      path.string() << ": unterminated histogram name");
-      const std::string name = text.substr(name_open + 1, name_close - name_open - 1);
-      const std::size_t h_open = text.find('{', name_close + 1);
-      RISPP_CHECK_MSG(h_open != std::string::npos && h_open < close,
-                      path.string() << ": histogram " << name << " is not an object");
-      const std::size_t h_close = balanced_object_end(text, h_open);
-      RISPP_CHECK_MSG(h_close != std::string::npos && h_close < close,
-                      path.string() << ": unbalanced histogram " << name);
-      const std::string chunk = text.substr(h_open, h_close - h_open + 1);
-      for (const char* field : {"count", "sum", "min", "max", "p50", "p90", "p99"}) {
-        const auto value = find_number(chunk, field);
-        RISPP_CHECK_MSG(value.has_value(),
-                        path.string() << ": histogram " << name << " lacks " << field);
-        const std::string key = name + "." + field;
-        RISPP_CHECK_MSG(metrics.emplace(key, *value).second,
-                        path.string() << ": duplicate metric " << key);
-      }
-      p = h_close + 1;
-    }
-  }
-  return metrics;
+  if (text.empty()) return {};  // child wrote no snapshot: not an error
+  stats::MetricsDocument doc;
+  std::string error;
+  RISPP_CHECK_MSG(stats::parse_metrics_document(text, doc, error),
+                  path.string() << ": " << error);
+  std::map<std::string, double> flat = stats::flatten(doc);
+  // flatten() merges a name two sections share (a counter and a gauge, or a
+  // histogram fold such as x.count next to a scalar x.count); only
+  // corruption does that, and the merge would silently drop one value.
+  constexpr std::size_t kFoldsPerHistogram = 7;  // count/sum/min/max/p50/p90/p99
+  RISPP_CHECK_MSG(flat.size() == doc.counters.size() + doc.gauges.size() +
+                                     kFoldsPerHistogram * doc.histograms.size(),
+                  path.string() << ": a metric name appears in two sections");
+  return flat;
 }
 
 unsigned compute_child_threads(unsigned total_threads, unsigned jobs, std::size_t unfinished) {
@@ -427,6 +288,11 @@ std::string render_summary_table(const std::vector<ReportResult>& results) {
 void write_suite(const std::vector<ReportResult>& results, int frames,
                  const DriverOptions& options, const std::filesystem::path& path) {
   std::ofstream out(path);
+  const auto quoted = [&out](std::string_view text) -> std::ostream& {
+    out << '"';
+    jsonmini::write_escaped(out, text);
+    return out << '"';
+  };
   out << "{\n"
       << "  \"frames\": " << frames << ",\n"
       << "  \"jobs\": " << options.jobs << ",\n"
@@ -434,17 +300,21 @@ void write_suite(const std::vector<ReportResult>& results, int frames,
       << "  \"reports\": [";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ReportResult& r = results[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << r.name
-        << "\", \"exit_code\": " << r.exit_code << ", \"wall_seconds\": " << r.wall_seconds;
-    if (r.perf)
-      out << ", \"bench\": \"" << r.perf->bench << "\", \"cells\": " << r.perf->cells
-          << ", \"cells_per_sec\": " << r.perf->cells_per_sec
-          << ", \"threads\": " << r.perf->threads;
+    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": ";
+    quoted(r.name) << ", \"exit_code\": " << r.exit_code
+                   << ", \"wall_seconds\": " << r.wall_seconds;
+    if (r.perf) {
+      out << ", \"bench\": ";
+      quoted(r.perf->bench) << ", \"cells\": " << r.perf->cells
+                            << ", \"cells_per_sec\": " << r.perf->cells_per_sec
+                            << ", \"threads\": " << r.perf->threads;
+    }
     if (!r.metrics.empty()) {
       out << ", \"metrics\": {";
       bool first = true;
       for (const auto& [key, value] : r.metrics) {
-        out << (first ? "" : ", ") << "\"" << key << "\": ";
+        out << (first ? "" : ", ");
+        quoted(key) << ": ";
         append_metric_number(out, value);
         first = false;
       }
@@ -470,130 +340,41 @@ std::map<std::string, PerfRecord> load_baseline(const std::filesystem::path& pat
     }
     return baseline;
   }
-  // BENCH_SUITE.json: one {...} chunk per report inside "reports": [...].
+  // BENCH_SUITE.json: one object per report inside "reports": [...].
   const std::string text = read_file(path);
   // A missing/unreadable baseline stays an *empty* map — the CLI reports
   // that case with its own clean diagnostic; the strict checks below only
   // police content that was actually read.
   if (text.empty()) return baseline;
-  check_single_json_object(text, path.string());
-  check_no_duplicate_key(text, "reports", path.string());
-  const std::size_t reports = text.find("\"reports\"");
-  std::size_t at = reports == std::string::npos ? std::string::npos
-                                                : text.find('{', reports);
-  while (at != std::string::npos) {
-    // Balanced scan, not find('}'): a report chunk may hold a nested
-    // "metrics" subobject whose first '}' is not the chunk's end.
-    const std::size_t close = balanced_object_end(text, at);
-    if (close == std::string::npos) break;
-    std::string chunk = text.substr(at, close - at + 1);
-    // Read, then strip the metrics subobject before the flat scans below:
-    // its registry names are arbitrary and must never shadow (or dup-flag) a
-    // report key.
+  const std::string context = path.string();
+  const JsonValue doc = parse_object(text, context);
+  const JsonValue* reports = doc.find("reports");
+  if (reports == nullptr) return baseline;
+  RISPP_CHECK_MSG(reports->kind == JsonValue::Kind::kArray,
+                  context << ": reports is not an array");
+  for (const JsonValue& report : reports->array) {
+    RISPP_CHECK_MSG(report.kind == JsonValue::Kind::kObject,
+                    context << ": a report entry is not an object");
+    const auto name = string_field(report, "name", context);
+    const auto wall = number_field(report, "wall_seconds", context);
+    if (!name || !wall) continue;
     PerfRecord record;
-    const std::size_t metrics_at = chunk.find("\"metrics\"");
-    if (metrics_at != std::string::npos) {
-      const std::size_t metrics_open = chunk.find('{', metrics_at);
-      const std::size_t metrics_close =
-          metrics_open == std::string::npos
-              ? std::string::npos
-              : balanced_object_end(chunk, metrics_open);
-      if (metrics_close != std::string::npos) {
-        parse_flat_metrics(chunk, metrics_open, metrics_close, path.string(), record.metrics);
-        chunk.erase(metrics_at, metrics_close - metrics_at + 1);
+    record.bench = string_field(report, "bench", context).value_or(*name);
+    record.wall_seconds = *wall;
+    record.cells = number_field(report, "cells", context).value_or(0.0);
+    record.cells_per_sec = number_field(report, "cells_per_sec", context).value_or(0.0);
+    if (const JsonValue* metrics = report.find("metrics")) {
+      RISPP_CHECK_MSG(metrics->kind == JsonValue::Kind::kObject,
+                      context << ": metrics of " << *name << " is not an object");
+      for (const auto& [key, value] : metrics->object) {
+        RISPP_CHECK_MSG(value.kind == JsonValue::Kind::kNumber,
+                        context << ": metric " << key << " of " << *name << " is not a number");
+        record.metrics[key] = value.number;
       }
     }
-    // Duplicate keys inside one report chunk would silently shadow the scan.
-    for (const char* key :
-         {"name", "exit_code", "wall_seconds", "bench", "cells", "cells_per_sec", "threads"})
-      check_no_duplicate_key(chunk, key, path.string());
-    const auto name = find_string(chunk, "name");
-    const auto wall = find_number(chunk, "wall_seconds");
-    if (name && wall) {
-      record.bench = find_string(chunk, "bench").value_or(*name);
-      record.wall_seconds = *wall;
-      record.cells = find_number(chunk, "cells").value_or(0.0);
-      record.cells_per_sec = find_number(chunk, "cells_per_sec").value_or(0.0);
-      baseline[*name] = record;
-    }
-    at = text.find('{', close);
+    baseline[*name] = std::move(record);
   }
   return baseline;
-}
-
-std::map<std::string, std::map<std::string, double>> load_baseline_metrics(
-    const std::filesystem::path& path) {
-  std::map<std::string, std::map<std::string, double>> baseline;
-  const std::string text = read_file(path);
-  if (text.empty()) return baseline;
-  check_single_json_object(text, path.string());
-  check_no_duplicate_key(text, "reports", path.string());
-  const std::size_t reports = text.find("\"reports\"");
-  std::size_t at = reports == std::string::npos ? std::string::npos
-                                                : text.find('{', reports);
-  while (at != std::string::npos) {
-    const std::size_t close = balanced_object_end(text, at);
-    if (close == std::string::npos) break;
-    const std::string chunk = text.substr(at, close - at + 1);
-    // The report name comes first in write_suite's chunk layout, so the
-    // first-occurrence scan reads it before any metric key could shadow it.
-    const auto name = find_string(chunk, "name");
-    const std::size_t metrics_at = chunk.find("\"metrics\"");
-    if (name && metrics_at != std::string::npos) {
-      const std::size_t metrics_open = chunk.find('{', metrics_at);
-      RISPP_CHECK_MSG(metrics_open != std::string::npos,
-                      path.string() << ": metrics of " << *name << " is not an object");
-      const std::size_t metrics_close = balanced_object_end(chunk, metrics_open);
-      RISPP_CHECK_MSG(metrics_close != std::string::npos,
-                      path.string() << ": unbalanced metrics of " << *name);
-      std::map<std::string, double> flat;
-      parse_flat_metrics(chunk, metrics_open, metrics_close, path.string(), flat);
-      if (!flat.empty()) baseline[*name] = std::move(flat);
-    }
-    at = text.find('{', close);
-  }
-  return baseline;
-}
-
-std::string render_metrics_diff(
-    const std::vector<ReportResult>& results,
-    const std::map<std::string, std::map<std::string, double>>& baseline,
-    std::size_t top_per_report) {
-  TextTable table({"report", "metric", "base", "now", "delta"});
-  std::size_t rows = 0;
-  for (const ReportResult& r : results) {
-    const auto it = baseline.find(r.name);
-    if (it == baseline.end() || r.metrics.empty()) continue;
-    struct Row {
-      const std::string* key;
-      double base, now, magnitude;
-    };
-    std::vector<Row> rows_for_report;
-    for (const auto& [key, now] : r.metrics) {
-      const auto base_it = it->second.find(key);
-      if (base_it == it->second.end()) continue;  // new metric: nothing to diff
-      const double base = base_it->second;
-      if (base == now) continue;
-      // Rank by relative change; a metric appearing from zero ranks highest.
-      const double magnitude =
-          base != 0.0 ? std::abs(now / base - 1.0)
-                      : std::numeric_limits<double>::infinity();
-      rows_for_report.push_back({&key, base, now, magnitude});
-    }
-    std::stable_sort(rows_for_report.begin(), rows_for_report.end(),
-                     [](const Row& a, const Row& b) { return a.magnitude > b.magnitude; });
-    if (rows_for_report.size() > top_per_report) rows_for_report.resize(top_per_report);
-    for (const Row& row : rows_for_report) {
-      const std::string delta =
-          row.base != 0.0 ? format_fixed((row.now / row.base - 1.0) * 100.0, 1) + "%"
-                          : std::string("new");
-      table.add(r.name, *row.key, format_fixed(row.base, 3), format_fixed(row.now, 3),
-                delta);
-      ++rows;
-    }
-  }
-  if (rows == 0) return "(no overlapping metrics changed)\n";
-  return table.render();
 }
 
 RegressionReport compare_against_baseline(const std::vector<ReportResult>& results,

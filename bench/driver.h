@@ -46,8 +46,9 @@ struct ReportResult {
   int exit_code = -1;              // 128+signal when killed by a signal
   double wall_seconds = 0.0;       // driver-measured (includes process spawn)
   std::optional<PerfRecord> perf;  // the child's BENCH_<name>.json, if written
-  /// The child's metrics-registry snapshot (METRICS.json: counters and
-  /// gauges flattened into one name → value map); empty when absent.
+  /// The child's metrics-registry snapshot (METRICS.json: counters, gauges
+  /// and histogram summaries flattened into one name → value map); empty
+  /// when absent.
   std::map<std::string, double> metrics;
 };
 
@@ -81,19 +82,17 @@ bool glob_match(const std::string& pattern, const std::string& name);
 /// pass it explicitly to run it anyway.
 std::vector<std::filesystem::path> discover_reports(const std::filesystem::path& bench_dir);
 
-/// Parses one BENCH_<name>.json; nullopt when the expected keys are absent.
-/// Structural corruption — trailing garbage after the closing brace or a
-/// duplicated key (which the first-occurrence scan would silently shadow) —
-/// throws with a message naming the file, never parses wrong.
+/// Parses one BENCH_<name>.json; nullopt when `bench` or `wall_seconds` is
+/// absent. Anything that is not one JSON object — an empty file, trailing
+/// garbage, a duplicated key — or a field of the wrong type throws with a
+/// message naming the file, never parses wrong.
 std::optional<PerfRecord> parse_perf_record(const std::filesystem::path& path);
 
-/// Parses a METRICS.json registry snapshot ({"counters": {...}, "gauges":
-/// {...}, "histograms": {...}}) into one flat name → value map; each
-/// histogram folds to <name>.count/.sum/.min/.max/.p50/.p90/.p99 (the bucket
-/// arrays stay in the snapshot file — rispp_stats reads those). A missing or
-/// empty file yields an empty map; structural corruption (trailing garbage,
-/// unbalanced braces, duplicated metric names) throws with a message naming
-/// the file.
+/// Parses a METRICS.json registry snapshot (stats::parse_metrics_document)
+/// into one flat name → value map (stats::flatten: each histogram folds to
+/// <name>.count/.sum/.min/.max/.p50/.p90/.p99; the bucket arrays stay in the
+/// snapshot file). A missing or empty file yields an empty map; anything
+/// corrupt, including one name in two sections, throws naming the file.
 std::map<std::string, double> parse_metrics_record(const std::filesystem::path& path);
 
 /// Runs `binaries` across a bounded pool (options.jobs children at a time),
@@ -116,26 +115,12 @@ void write_suite(const std::vector<ReportResult>& results, int frames,
 
 /// Loads a baseline keyed by report name: either a BENCH_SUITE.json file or
 /// a directory of BENCH_<name>.json records (keyed by their bench name).
-/// Missing/empty files yield an empty map (the CLI reports that case);
-/// readable-but-corrupted content (trailing garbage, duplicate keys) throws.
+/// A suite entry without `name` or `wall_seconds` is skipped; `bench`
+/// defaults to the name, and the `metrics` subobject fills
+/// PerfRecord::metrics. Missing/empty files yield an empty map (the CLI
+/// reports that case); readable-but-corrupted content (trailing garbage,
+/// duplicate keys, a non-numeric metric) throws.
 std::map<std::string, PerfRecord> load_baseline(const std::filesystem::path& path);
-
-/// The per-report flat metrics maps of a BENCH_SUITE.json (report name →
-/// metric name → value), for rispp_bench --stats-diff. Reports without a
-/// metrics subobject are absent; a missing/empty file yields an empty map;
-/// corrupted content throws.
-std::map<std::string, std::map<std::string, double>> load_baseline_metrics(
-    const std::filesystem::path& path);
-
-/// Renders the largest per-report metric movements of this run against a
-/// baseline suite's metrics: for every report present in both, the
-/// `top_per_report` metrics with the biggest relative change (a metric
-/// growing from zero ranks highest, shown as "new"). Purely informational —
-/// the perf gate stays wall-clock/cells-per-sec based.
-std::string render_metrics_diff(
-    const std::vector<ReportResult>& results,
-    const std::map<std::string, std::map<std::string, double>>& baseline,
-    std::size_t top_per_report);
 
 struct RegressionDelta {
   std::string name;

@@ -16,10 +16,15 @@ inline constexpr int kEnvParseExitCode = 2;
 /// overflow all fail); returns nullopt on any failure.
 std::optional<long> parse_int_strict(const char* text, long min_value, long max_value);
 
+/// parse_int_strict for a knob the caller cannot run without: `text` when it
+/// parses as an integer in [min_value, max_value]; otherwise prints
+/// "<label>=<text> is not an integer in [min, max]" to stderr and exits with
+/// kEnvParseExitCode. `label` names the environment variable or the
+/// command-line flag the text came from.
+long parse_int_or_die(const char* label, const char* text, long min_value, long max_value);
+
 /// Reads the environment variable `name`: returns `fallback` when unset or
-/// empty, its value when it parses as an integer in [min_value, max_value],
-/// and otherwise prints a diagnostic naming the variable and the accepted
-/// range to stderr and exits with kEnvParseExitCode.
+/// empty, and otherwise parse_int_or_die(name, value, min_value, max_value).
 long parse_env_int(const char* name, long fallback, long min_value, long max_value);
 
 }  // namespace rispp

@@ -2,16 +2,19 @@
 // stats toolchain.
 //
 // This started life inside trace_event.cpp as the Chrome-trace validator's
-// private parser; the metrics snapshot validator and rispp_stats need the
-// same thing, so it lives here now. It is a *reader* for trusted-ish tool
+// private parser; the metrics snapshot validator, rispp_stats and the bench
+// driver need the same thing, so it lives here now. It is a *reader* for trusted-ish tool
 // input, not a general JSON library: numbers become double, \u escapes are
-// kept verbatim (no UTF-8 decoding), and object keys preserve file order so
-// duplicate keys stay visible to callers that care.
+// kept verbatim (no UTF-8 decoding), object keys preserve file order, and a
+// duplicated key is an error (any first- or last-wins read of it would
+// silently drop a value). write_escaped is the matching string writer.
 #pragma once
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -165,6 +168,7 @@ struct JsonParser {
       std::string key;
       if (pos >= text.size() || text[pos] != '"') return fail("expected object key");
       if (!parse_string(key)) return false;
+      if (out.find(key) != nullptr) return fail("duplicate key \"" + key + "\"");
       skip_ws();
       if (pos >= text.size() || text[pos] != ':') return fail("expected ':'");
       ++pos;
@@ -200,6 +204,23 @@ inline bool parse_document(const std::string& text, JsonValue& out, std::string&
     return false;
   }
   return true;
+}
+
+/// Writes `s` as the body of a JSON string (the caller writes the quotes):
+/// '"' and '\\' get a backslash, control characters a \u00XX escape.
+inline void write_escaped(std::ostream& out, std::string_view s) {
+  for (const char ch : s) {
+    const unsigned char c = static_cast<unsigned char>(ch);
+    if (c == '"' || c == '\\') {
+      out << '\\' << ch;
+    } else if (c < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out << buf;
+    } else {
+      out << ch;
+    }
+  }
 }
 
 }  // namespace rispp::jsonmini

@@ -154,21 +154,6 @@ std::uint64_t count_published(const ThreadBuffer& b) {
   return for_each_published(b, ~std::uint64_t{0}, [](const Event&) {});
 }
 
-void write_escaped(std::ostream& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const unsigned char c = static_cast<unsigned char>(*s);
-    if (c == '"' || c == '\\') {
-      out << '\\' << *s;
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out << buf;
-    } else {
-      out << *s;
-    }
-  }
-}
-
 int track_pid(TraceTrack track) { return static_cast<int>(track) + 1; }
 
 void write_event(std::ostream& out, bool& first, const Event& e) {
@@ -178,12 +163,12 @@ void write_event(std::ostream& out, bool& first, const Event& e) {
   if (e.phase == 'M') {
     out << R"({"name":"thread_name","ph":"M","pid":)" << track_pid(e.track)
         << ",\"tid\":" << e.tid << R"(,"args":{"name":")";
-    write_escaped(out, e.name);
+    jsonmini::write_escaped(out, e.name);
     out << "\"}}";
     return;
   }
   out << "{\"name\":\"";
-  write_escaped(out, e.name);
+  jsonmini::write_escaped(out, e.name);
   out << "\",\"ph\":\"" << e.phase << "\",\"pid\":" << track_pid(e.track)
       << ",\"tid\":" << e.tid;
   std::snprintf(buf, sizeof buf, "%.3f", e.ts);
@@ -237,7 +222,7 @@ void flush_locked(TraceRegistry& r) {
     first = false;
     out << R"({"name":"process_name","ph":"M","pid":)"
         << track_pid(static_cast<TraceTrack>(t)) << R"(,"tid":0,"args":{"name":")";
-    write_escaped(out, trace_track_name(static_cast<TraceTrack>(t)));
+    jsonmini::write_escaped(out, trace_track_name(static_cast<TraceTrack>(t)));
     out << "\"}}";
   }
 
@@ -399,7 +384,6 @@ void init_trace_from_env() {
 
 namespace {
 
-using jsonmini::JsonParser;
 using jsonmini::JsonValue;
 
 std::optional<double> event_number(const JsonValue& event, std::string_view key) {
@@ -417,10 +401,8 @@ std::optional<std::string> validate_chrome_trace(std::istream& in, TraceValidati
   if (text.empty()) return "empty input";
 
   JsonValue root;
-  JsonParser parser{text, 0, {}};
-  if (!parser.parse_value(root)) return parser.error;
-  parser.skip_ws();
-  if (parser.pos != text.size()) return "trailing garbage after the JSON value";
+  std::string error;
+  if (!jsonmini::parse_document(text, root, error)) return error;
 
   const JsonValue* events = nullptr;
   if (root.kind == JsonValue::Kind::kArray) {

@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "base/env.h"
+#include "base/metrics.h"
 #include "base/parallel.h"
+#include "base/stats.h"
 #include "bench/common.h"
 #include "bench/driver.h"
 #include "isa/h264_si_library.h"
@@ -259,6 +261,35 @@ TEST(RunReports, SuiteJsonRoundTripsThroughLoadBaseline) {
   fs::remove_all(suite.dir);
 }
 
+TEST(RunReports, SuiteRecordKeepsQuotesAndBackslashesInNames) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "rispp_driver_escapes";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // Both strings the suite writer copies from a report need JSON escapes:
+  // the binary name and the bench name its perf record declares.
+  const std::vector<fs::path> binaries = {write_script(
+      dir, "q\"uo\\te",
+      "printf '%s\\n' '{\"bench\": \"q\\\"b\", \"wall_seconds\": 0.5}' "
+      "> \"$RISPP_BENCH_JSON_DIR/BENCH_q.json\"\n")};
+  DriverOptions options;
+  options.jobs = 1;
+  options.threads_per_child = 1;
+  options.out_dir = dir / "out";
+  std::ostringstream status;
+  const auto results = run_reports(binaries, options, status);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].perf.has_value());
+  EXPECT_EQ(results[0].perf->bench, "q\"b");
+
+  const fs::path path = options.out_dir / "BENCH_SUITE.json";
+  write_suite(results, 8, options, path);
+  const auto baseline = load_baseline(path);
+  ASSERT_EQ(baseline.size(), 1u);
+  ASSERT_TRUE(baseline.count("q\"uo\\te")) << slurp(path);
+  EXPECT_EQ(baseline.at("q\"uo\\te").bench, "q\"b");
+  fs::remove_all(dir);
+}
+
 // --- metrics snapshots: per-child collection and the suite round trip ------
 
 TEST(ParseMetricsRecord, ReadsCountersAndGauges) {
@@ -289,15 +320,37 @@ TEST(ParseMetricsRecord, CorruptionThrows) {
   fs::create_directories(dir);
   const fs::path path = dir / "METRICS.json";
   // Trailing garbage (concatenated snapshots).
-  std::ofstream(path) << "{\"counters\": {\"a\": 1}}\n{\"counters\": {\"a\": 2}}\n";
+  std::ofstream(path) << "{\"counters\": {\"a\": 1}, \"gauges\": {}}\n"
+                         "{\"counters\": {\"a\": 2}, \"gauges\": {}}\n";
   EXPECT_THROW(parse_metrics_record(path), std::logic_error);
   // A duplicated metric name would silently shadow the other occurrence.
-  std::ofstream(path, std::ios::trunc) << "{\"counters\": {\"a\": 1, \"a\": 2}}\n";
+  std::ofstream(path, std::ios::trunc)
+      << "{\"counters\": {\"a\": 1, \"a\": 2}, \"gauges\": {}}\n";
   EXPECT_THROW(parse_metrics_record(path), std::logic_error);
   // A non-numeric value can only be corruption.
-  std::ofstream(path, std::ios::trunc) << "{\"counters\": {\"a\": oops}}\n";
+  std::ofstream(path, std::ios::trunc) << "{\"counters\": {\"a\": oops}, \"gauges\": {}}\n";
+  EXPECT_THROW(parse_metrics_record(path), std::logic_error);
+  // One name in two sections: the flat map could keep only one of them.
+  std::ofstream(path, std::ios::trunc) << "{\"counters\": {\"a\": 1}, \"gauges\": {\"a\": 2}}\n";
   EXPECT_THROW(parse_metrics_record(path), std::logic_error);
   fs::remove_all(dir);
+}
+
+TEST(ParseMetricsRecord, FoldsALiveSnapshotLikeStatsFlatten) {
+  metric_histogram("driver.test.wait_cycles", {"tenant", 2}).record(40);
+  metric_histogram("driver.test.wait_cycles", {"tenant", 2}).record(900);
+  const fs::path path = fs::path(::testing::TempDir()) / "rispp_metrics_live.json";
+  ASSERT_TRUE(write_metrics_json(path.string()));
+  const auto metrics = parse_metrics_record(path);
+  stats::MetricsDocument doc;
+  std::string error;
+  ASSERT_TRUE(stats::load_metrics_document(path.string(), doc, error)) << error;
+  EXPECT_EQ(metrics, stats::flatten(doc));
+  for (const char* field : {"count", "sum", "min", "max", "p50", "p90", "p99"})
+    EXPECT_EQ(metrics.count(std::string("driver.test.wait_cycles{tenant=2}.") + field), 1u)
+        << field;
+  EXPECT_EQ(metrics.at("driver.test.wait_cycles{tenant=2}.count"), 2.0);
+  fs::remove(path);
 }
 
 TEST(RunReports, CollectsChildMetricsSnapshots) {
@@ -447,7 +500,7 @@ TEST(ScannerHardening, QuotedBracesAndEscapesDoNotConfuseTheObjectCheck) {
   std::ofstream(path) << "{\"bench\": \"br{ce}s\\\"\", \"wall_seconds\": 1.0}\n";
   const auto record = parse_perf_record(path);
   ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->bench, "br{ce}s\\");  // find_string stops at the escape
+  EXPECT_EQ(record->bench, "br{ce}s\"");  // the escaped quote decodes
   fs::remove_all(dir);
 }
 

@@ -82,6 +82,10 @@ TEST(Stats, RejectsMalformedDocuments) {
   EXPECT_NE(error.find("lacks a summary field"), std::string::npos) << error;
   EXPECT_FALSE(stats::parse_metrics_document("{\"counters\": 3, \"gauges\": {}}", doc,
                                              error));
+  // A duplicated key: any first- or last-wins read would drop a value.
+  EXPECT_FALSE(stats::parse_metrics_document(
+      "{\"counters\": {\"a\": 1, \"a\": 2}, \"gauges\": {}}", doc, error));
+  EXPECT_NE(error.find("duplicate key"), std::string::npos) << error;
 }
 
 TEST(Stats, ParsesTheLastRingWindow) {

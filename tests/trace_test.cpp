@@ -151,6 +151,10 @@ TEST(TraceValidate, RejectsStructuralGarbage) {
                             "\"pid\": 1, \"tid\": 1}]")
                   .has_value())
       << "unknown phase letter";
+  EXPECT_TRUE(validate_text("[{\"name\": \"a\", \"ph\": \"X\", \"ph\": \"Q\", \"ts\": 1, "
+                            "\"dur\": 1, \"pid\": 1, \"tid\": 1}]")
+                  .has_value())
+      << "duplicated \"ph\"";
 }
 
 TEST(TraceValidate, RejectsUnmatchedDurationPairs) {

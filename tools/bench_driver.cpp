@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -23,6 +24,7 @@
 
 #include "base/env.h"
 #include "base/parallel.h"
+#include "base/stats.h"
 #include "bench/common.h"
 #include "bench/driver.h"
 
@@ -55,9 +57,7 @@ void usage(const char* argv0) {
                argv0);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace rispp;
   namespace fs = std::filesystem;
 
@@ -85,21 +85,17 @@ int main(int argc, char** argv) {
     if (arg == "--bench-dir") bench_dir = next_arg(i, "--bench-dir");
     else if (arg == "--filter") filter = next_arg(i, "--filter");
     else if (arg == "--jobs") {
-      const auto n = parse_int_strict(next_arg(i, "--jobs"), 1, 4096);
-      if (!n) { std::fprintf(stderr, "--jobs: not a positive integer\n"); return 2; }
-      jobs = static_cast<unsigned>(*n);
+      jobs = static_cast<unsigned>(parse_int_or_die("--jobs", next_arg(i, "--jobs"), 1, 4096));
     } else if (arg == "--frames") {
-      const auto n = parse_int_strict(next_arg(i, "--frames"), 1, 1'000'000);
-      if (!n) { std::fprintf(stderr, "--frames: not a positive integer\n"); return 2; }
+      const long n = parse_int_or_die("--frames", next_arg(i, "--frames"), 1, 1'000'000);
       // Children inherit the environment; bench_frames() in this process
       // (pre-warm, suite record) reads the same value.
-      ::setenv("RISPP_FRAMES", std::to_string(*n).c_str(), 1);
+      ::setenv("RISPP_FRAMES", std::to_string(n).c_str(), 1);
     } else if (arg == "--out") out_dir = next_arg(i, "--out");
     else if (arg == "--baseline") baseline_path = next_arg(i, "--baseline");
     else if (arg == "--threshold") {
-      const auto n = parse_int_strict(next_arg(i, "--threshold"), 1, 1000);
-      if (!n) { std::fprintf(stderr, "--threshold: not a percentage\n"); return 2; }
-      threshold = static_cast<double>(*n) / 100.0;
+      const long pct = parse_int_or_die("--threshold", next_arg(i, "--threshold"), 1, 1000);
+      threshold = static_cast<double>(pct) / 100.0;
     } else if (arg == "--refresh-baseline") refresh_path = next_arg(i, "--refresh-baseline");
     else if (arg == "--stats-diff") stats_diff_path = next_arg(i, "--stats-diff");
     else if (arg == "--trace-dir") trace_dir = next_arg(i, "--trace-dir");
@@ -201,14 +197,22 @@ int main(int argc, char** argv) {
     // Informational metrics movement vs a prior suite — never gates: metric
     // values (cycle counts, histogram quantiles) move legitimately with
     // workload changes, unlike the wall-clock/cells-per-sec budget above.
-    const auto metrics_baseline = bench::load_baseline_metrics(stats_diff_path);
-    if (metrics_baseline.empty()) {
+    const auto prior = bench::load_baseline(stats_diff_path);
+    std::string tables;
+    for (const auto& r : results) {
+      const auto it = prior.find(r.name);
+      if (it == prior.end() || it->second.metrics.empty()) continue;
+      stats::MetricsDocument base, now;
+      base.gauges = it->second.metrics;
+      now.gauges = r.metrics;
+      tables += r.name + ":\n" + stats::render_diff(base, now, 5);
+    }
+    if (tables.empty()) {
       std::fprintf(stderr, "--stats-diff: %s has no per-report metrics\n",
                    stats_diff_path.string().c_str());
     } else {
       std::printf("\nmetric movements vs %s (top 5 per report):\n%s\n",
-                  stats_diff_path.string().c_str(),
-                  bench::render_metrics_diff(results, metrics_baseline, 5).c_str());
+                  stats_diff_path.string().c_str(), tables.c_str());
     }
   }
 
@@ -234,4 +238,17 @@ int main(int argc, char** argv) {
     }
   }
   return exit_code;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A corrupt baseline or child snapshot throws (RISPP_CHECK); report it
+  // like an unreadable baseline instead of dying in std::terminate.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "rispp_bench: %s\n", e.what());
+    return 2;
+  }
 }

@@ -47,22 +47,12 @@ int usage() {
   return 2;
 }
 
-long int_flag_or_die(const char* label, const char* text, long min_value, long max_value) {
-  const auto value = parse_int_strict(text, min_value, max_value);
-  if (!value) {
-    std::fprintf(stderr, "%s=%s is not an integer in [%ld, %ld]\n", label, text, min_value,
-                 max_value);
-    std::exit(kEnvParseExitCode);
-  }
-  return *value;
-}
-
 std::vector<unsigned> parse_acs_or_die(const char* text) {
   std::vector<unsigned> budgets;
   std::stringstream ss(text);
   std::string piece;
   while (std::getline(ss, piece, ','))
-    budgets.push_back(static_cast<unsigned>(int_flag_or_die("--acs", piece.c_str(), 1, 1'000)));
+    budgets.push_back(static_cast<unsigned>(parse_int_or_die("--acs", piece.c_str(), 1, 1'000)));
   if (budgets.empty()) {
     std::fprintf(stderr, "--acs needs at least one container budget\n");
     std::exit(kEnvParseExitCode);
@@ -111,27 +101,27 @@ int main(int argc, char** argv) {
     if (value == nullptr) {
       return usage();
     } else if (arg == "--frames") {
-      frames = static_cast<int>(int_flag_or_die("--frames", value, 1, 10'000));
+      frames = static_cast<int>(parse_int_or_die("--frames", value, 1, 10'000));
       ++i;
     } else if (arg == "--generations") {
       options.generations =
-          static_cast<unsigned>(int_flag_or_die("--generations", value, 1, 10'000));
+          static_cast<unsigned>(parse_int_or_die("--generations", value, 1, 10'000));
       ++i;
     } else if (arg == "--population") {
       options.population =
-          static_cast<unsigned>(int_flag_or_die("--population", value, 1, 1'000));
+          static_cast<unsigned>(parse_int_or_die("--population", value, 1, 1'000));
       ++i;
     } else if (arg == "--mutations") {
       options.mutations_per_survivor =
-          static_cast<unsigned>(int_flag_or_die("--mutations", value, 1, 1'000));
+          static_cast<unsigned>(parse_int_or_die("--mutations", value, 1, 1'000));
       ++i;
     } else if (arg == "--budget") {
       options.budget =
-          static_cast<unsigned>(int_flag_or_die("--budget", value, 1, 1'000'000));
+          static_cast<unsigned>(parse_int_or_die("--budget", value, 1, 1'000'000));
       ++i;
     } else if (arg == "--seed") {
       options.seed =
-          static_cast<std::uint64_t>(int_flag_or_die("--seed", value, 0, 1'000'000'000'000L));
+          static_cast<std::uint64_t>(parse_int_or_die("--seed", value, 0, 1'000'000'000'000L));
       ++i;
     } else if (arg == "--scheduler") {
       if (!has_scheduler(value)) {

@@ -57,16 +57,6 @@ int usage() {
   return 2;
 }
 
-long int_flag_or_die(const char* label, const char* text, long min_value, long max_value) {
-  const auto value = parse_int_strict(text, min_value, max_value);
-  if (!value) {
-    std::fprintf(stderr, "%s=%s is not an integer in [%ld, %ld]\n", label, text, min_value,
-                 max_value);
-    std::exit(kEnvParseExitCode);
-  }
-  return *value;
-}
-
 /// Replays session `s` alone through the single-session path and compares
 /// against the batch, proving the fleet restructuring changed nothing.
 bool check_solo(const fleet::SessionBatch& batch, std::size_t s) {
@@ -123,7 +113,7 @@ int main(int argc, char** argv) {
     } else if (value == nullptr) {
       return usage();
     } else if (arg == "--sessions") {
-      spec.sessions = static_cast<int>(int_flag_or_die("--sessions", value, 1, 10'000'000));
+      spec.sessions = static_cast<int>(parse_int_or_die("--sessions", value, 1, 10'000'000));
       ++i;
     } else if (arg == "--mix") {
       fleet::parse_mix_or_die("--mix", value, spec);
@@ -143,22 +133,22 @@ int main(int argc, char** argv) {
       ++i;
     } else if (arg == "--block") {
       options.block_size =
-          static_cast<unsigned>(int_flag_or_die("--block", value, 1, 1'000'000));
+          static_cast<unsigned>(parse_int_or_die("--block", value, 1, 1'000'000));
       ++i;
     } else if (arg == "--seed") {
       spec.seed = static_cast<std::uint64_t>(
-          int_flag_or_die("--seed", value, 0, 1'000'000'000'000L));
+          parse_int_or_die("--seed", value, 0, 1'000'000'000'000L));
       ++i;
     } else if (arg == "--tenants") {
-      spec.tenants = static_cast<int>(int_flag_or_die(
+      spec.tenants = static_cast<int>(parse_int_or_die(
           "--tenants", value, 1, static_cast<long>(FabricArbiter::kMaxTenants)));
       ++i;
     } else if (arg == "--acs-per-tenant") {
       spec.acs_per_tenant =
-          static_cast<int>(int_flag_or_die("--acs-per-tenant", value, 1, 1'000));
+          static_cast<int>(parse_int_or_die("--acs-per-tenant", value, 1, 1'000));
       ++i;
     } else if (arg == "--floor") {
-      spec.tenant_floor = static_cast<int>(int_flag_or_die("--floor", value, 1, 1'000));
+      spec.tenant_floor = static_cast<int>(parse_int_or_die("--floor", value, 1, 1'000));
       ++i;
     } else if (arg == "--partition") {
       spec.partition = fleet::parse_partition_or_die("--partition", value);

@@ -62,21 +62,12 @@ std::optional<std::string> arg_value(std::vector<std::string>& args, const std::
   return std::nullopt;
 }
 
-/// Removes `key` and its value from `args` and parses the value strictly as
-/// an integer in [min_value, max_value] (`fallback` when the flag is absent).
-/// Garbage, trailing junk or an out-of-range value exits with
-/// kEnvParseExitCode and a message naming the flag.
+/// Removes `key` and its value from `args` and parses the value with
+/// parse_int_or_die (`fallback` when the flag is absent).
 long int_flag_or_die(std::vector<std::string>& args, const char* key, long fallback,
                      long min_value, long max_value) {
   const auto text = arg_value(args, key);
-  if (!text.has_value()) return fallback;
-  const auto value = parse_int_strict(text->c_str(), min_value, max_value);
-  if (!value) {
-    std::fprintf(stderr, "%s=%s is not an integer in [%ld, %ld]\n", key, text->c_str(),
-                 min_value, max_value);
-    std::exit(kEnvParseExitCode);
-  }
-  return *value;
+  return text ? parse_int_or_die(key, text->c_str(), min_value, max_value) : fallback;
 }
 
 bool flag(std::vector<std::string>& args, const std::string& key) {

@@ -87,10 +87,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--slo") {
-      const auto n = parse_int_strict(next_arg(i, "--slo"), 0,
-                                      std::numeric_limits<long>::max());
-      if (!n) { std::fprintf(stderr, "--slo: not a non-negative integer\n"); return 2; }
-      slo = *n;
+      slo = parse_int_or_die("--slo", next_arg(i, "--slo"), 0, std::numeric_limits<long>::max());
     } else if (arg == "--metric") metric = next_arg(i, "--metric");
     else if (arg == "--q") {
       // First --q drops the default grid; repeats accumulate.
@@ -101,9 +98,7 @@ int main(int argc, char** argv) {
     else if (arg == "--filter") filter = next_arg(i, "--filter");
     else if (arg == "--diff") diff_base = next_arg(i, "--diff");
     else if (arg == "--top") {
-      const auto n = parse_int_strict(next_arg(i, "--top"), 1, 10'000);
-      if (!n) { std::fprintf(stderr, "--top: not a positive integer\n"); return 2; }
-      top = static_cast<std::size_t>(*n);
+      top = static_cast<std::size_t>(parse_int_or_die("--top", next_arg(i, "--top"), 1, 10'000));
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;

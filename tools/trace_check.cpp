@@ -61,13 +61,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--min-tracks") {
-      const auto n = parse_int_strict(next_arg(i, "--min-tracks"), 0, 1'000'000);
-      if (!n) { std::fprintf(stderr, "--min-tracks: not an integer\n"); return 2; }
-      min_tracks = *n;
+      min_tracks = parse_int_or_die("--min-tracks", next_arg(i, "--min-tracks"), 0, 1'000'000);
     } else if (arg == "--min-events") {
-      const auto n = parse_int_strict(next_arg(i, "--min-events"), 0, 1'000'000'000);
-      if (!n) { std::fprintf(stderr, "--min-events: not an integer\n"); return 2; }
-      min_events = *n;
+      min_events =
+          parse_int_or_die("--min-events", next_arg(i, "--min-events"), 0, 1'000'000'000);
     } else if (arg == "--require-counter") {
       required_counters.emplace_back(next_arg(i, "--require-counter"));
     } else if (arg == "--metrics") {
