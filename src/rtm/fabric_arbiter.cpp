@@ -18,6 +18,11 @@ MetricCounter& grants_counter() {
   return c;
 }
 
+MetricCounter& denials_counter() {
+  static MetricCounter& c = metric_counter("rtm.arbiter.denials");
+  return c;
+}
+
 MetricCounter& evictions_counter() {
   static MetricCounter& c = metric_counter("rtm.arbiter.evictions");
   return c;
@@ -54,6 +59,7 @@ FabricArbiter::FabricArbiter(const ArbiterConfig& config) : config_(config) {
   // Register the counters eagerly so a multi-tenant run always exposes them
   // (tools/trace_check --require-counter), even before the first grant.
   grants_counter();
+  denials_counter();
   evictions_counter();
   port_wait_counter();
 }
@@ -190,6 +196,7 @@ std::optional<Cycles> FabricArbiter::try_start(TenantId t, AtomTypeId type,
 Cycles FabricArbiter::deny(Tenant& ten, Cycles now, Cycles duration) {
   // A solo tenant only asks once its own load retired: the port is free.
   RISPP_CHECK(!solo_);
+  denials_counter().add();
   // Denied: the claim stands until the queue drains or the tenant wins.
   if (!ten.claim) {
     ten.claim = true;
