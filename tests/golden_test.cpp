@@ -9,12 +9,17 @@
 //
 // Digest = fingerprint_mix over total_cycles, si_executions, atom_loads and
 // every hot_spot_cycles entry of a SimResult; a baseline cell replayed with
-// stats also folds in the SimStats. Golden.H264Traces pins the encoder's
+// stats also folds in the SimStats; a contended device also folds in its
+// arbiter's grants, evictions and port wait. Golden.ContendedArbiterShapes
+// spans the arbiter's knobs (tenant count, starvation bound, weights,
+// partition and rebalance period). Golden.H264Traces pins the encoder's
 // traces themselves, generated directly rather than through the trace cache.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,7 +31,9 @@
 #include "h264/kernels.h"
 #include "h264/workload.h"
 #include "isa/h264_si_library.h"
+#include "rtm/fabric_arbiter.h"
 #include "rtm/run_time_manager.h"
+#include "rtm/tenant_sim.h"
 #include "sched/registry.h"
 #include "sim/executor.h"
 #include "sim/stats.h"
@@ -405,6 +412,159 @@ TEST(Golden, ContendedDevices) {
         << (cell.partition == PartitionMode::kStatic ? "static " : "weighted ")
         << (cell.cosim == CosimMode::kFastForward ? "fast-forward" : "reference");
   }
+}
+
+/// One device of Golden.ContendedArbiterShapes: how many tenants share the
+/// port, how the arbiter breaks ties and moves quotas.
+struct ArbiterShape {
+  std::size_t tenants;
+  unsigned starvation_bound;
+  bool unequal_weights;
+  PartitionMode partition;
+  std::uint64_t rebalance_period;
+
+  std::string label() const {
+    return std::to_string(tenants) + " tenants, bound " + std::to_string(starvation_bound) +
+           (unequal_weights ? ", unequal weights, " : ", equal weights, ") +
+           (partition == PartitionMode::kStatic
+                ? std::string("static")
+                : "weighted period " + std::to_string(rebalance_period));
+  }
+};
+
+/// Cells in table order: tenants, starvation bound, weights, partition
+/// (static, then weighted with rebalance period 1 and 8).
+std::vector<ArbiterShape> arbiter_shapes() {
+  std::vector<ArbiterShape> shapes;
+  for (const std::size_t tenants : {2u, 3u, 5u, 8u})
+    for (const unsigned bound : {1u, 2u, 4u, 64u})
+      for (const bool unequal : {false, true}) {
+        shapes.push_back({tenants, bound, unequal, PartitionMode::kStatic, 8});
+        for (const std::uint64_t period : {1u, 8u})
+          shapes.push_back({tenants, bound, unequal, PartitionMode::kBenefitWeighted, period});
+      }
+  return shapes;
+}
+
+/// Co-simulates one device of `shape`: tenant i replays a 96x64 H.264
+/// session of 2 + i % 3 frames (every third tenant 1 + i % 3 128x96 JPEG
+/// images instead) under scheduler i % 4, with prefetch on for odd i. Digests the
+/// arbiter's grants, evictions and port wait and every tenant's SimResult.
+std::uint64_t run_shape(fleet::TraceRepository& repo, const ArbiterShape& shape,
+                        CosimMode mode, ThreadPool& pool) {
+  constexpr unsigned kAcsPerTenant = 4;
+  const std::size_t n = shape.tenants;
+  const std::vector<std::string> schedulers = scheduler_names();
+  ArbiterConfig config;
+  config.total_containers = static_cast<unsigned>(n) * kAcsPerTenant;
+  config.partition = shape.partition;
+  config.starvation_bound = shape.starvation_bound;
+  config.rebalance_period = shape.rebalance_period;
+  FabricArbiter arbiter(config);
+  std::vector<std::unique_ptr<AtomScheduler>> tenant_schedulers(n);
+  std::vector<std::unique_ptr<RunTimeManager>> rtms(n);
+  std::vector<TenantRun> runs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    TenantConfig tenant;
+    tenant.quota = kAcsPerTenant;
+    tenant.floor = 1;
+    tenant.weight = shape.unequal_weights ? 1 + 2 * static_cast<unsigned>(i) : 1;
+    runs[i].tenant = arbiter.add_tenant(tenant);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    SessionSpec spec = small_session(i % 3 == 2 ? Content::kJpeg : Content::kH264);
+    spec.frames = (spec.content == Content::kH264 ? 2 : 1) + static_cast<int>(i % 3);
+    const TraceEntry& entry = repo.get(spec);
+    tenant_schedulers[i] = make_scheduler(schedulers[i % schedulers.size()]);
+    RtmConfig rc;
+    rc.scheduler = tenant_schedulers[i].get();
+    rc.enable_prefetch = i % 2 == 1;
+    rc.arbiter = &arbiter;
+    rc.tenant = runs[i].tenant;
+    rtms[i] = std::make_unique<RunTimeManager>(&entry.set, entry.trace.hot_spots.size(), rc);
+    for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
+      for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
+        if (entry.seeds[hs][si] != 0) rtms[i]->seed_forecast(hs, si, entry.seeds[hs][si]);
+    runs[i].trace = &entry.trace;
+    runs[i].rtm = rtms[i].get();
+  }
+  CosimOptions options;
+  options.mode = mode;
+  // The fast-forward also runs its parallel quiescent sweep where it may.
+  if (mode == CosimMode::kFastForward) options.pool = &pool;
+  const std::vector<SimResult> results = run_tenants(arbiter, std::span<TenantRun>(runs), options);
+  arbiter.check_invariants();
+  std::uint64_t h = fingerprint_mix(0, arbiter.grants());
+  h = fingerprint_mix(h, arbiter.evictions());
+  h = fingerprint_mix(h, arbiter.port_wait_cycles());
+  for (const SimResult& r : results) h = fingerprint_mix(h, digest(r));
+  return h;
+}
+
+// clang-format off
+/// One digest per arbiter_shapes() cell; both co-simulation modes must match it.
+constexpr std::uint64_t kArbiterShapeDigests[] = {
+    // 2 tenants, bound 1: {equal, unequal} x {static, weighted 1, weighted 8}
+    0xdd7c4584bdadc845ull, 0x6f74ee6c41355b83ull, 0xdd7c4584bdadc845ull,
+    0xdd7c4584bdadc845ull, 0xf9e6c97a3c8f66b1ull, 0xdd7c4584bdadc845ull,
+    // 2 tenants, bound 2: {equal, unequal} x {static, weighted 1, weighted 8}
+    0xdd7c4584bdadc845ull, 0xe233a4038399f97dull, 0xdd7c4584bdadc845ull,
+    0xdd7c4584bdadc845ull, 0xcf4a7838ffc90998ull, 0xdd7c4584bdadc845ull,
+    // 2 tenants, bound 4: {equal, unequal} x {static, weighted 1, weighted 8}
+    0xdd7c4584bdadc845ull, 0xe233a4038399f97dull, 0xdd7c4584bdadc845ull,
+    0xdd7c4584bdadc845ull, 0xcf4a7838ffc90998ull, 0xdd7c4584bdadc845ull,
+    // 2 tenants, bound 64: {equal, unequal} x {static, weighted 1, weighted 8}
+    0xdd7c4584bdadc845ull, 0xe233a4038399f97dull, 0xdd7c4584bdadc845ull,
+    0xdd7c4584bdadc845ull, 0xcf4a7838ffc90998ull, 0xdd7c4584bdadc845ull,
+    // 3 tenants, bound 1: {equal, unequal} x {static, weighted 1, weighted 8}
+    0x3a22385f6eb74652ull, 0x8cf6cab9bc572c58ull, 0x203404b8487268f5ull,
+    0x51ed0e4c3b88a351ull, 0x06caa4f7629e953bull, 0xf458ce8553104c19ull,
+    // 3 tenants, bound 2: {equal, unequal} x {static, weighted 1, weighted 8}
+    0x3d333769746e0d26ull, 0x8cf6cab9bc572c58ull, 0xa300e1322d7c9cc3ull,
+    0x2c19f2397a1859d6ull, 0xbf70c52d4b2128c2ull, 0xb5e5406b8a782f1cull,
+    // 3 tenants, bound 4: {equal, unequal} x {static, weighted 1, weighted 8}
+    0x3a22385f6eb74652ull, 0x8cf6cab9bc572c58ull, 0x203404b8487268f5ull,
+    0x929100dde79196b8ull, 0xbf70c52d4b2128c2ull, 0x807476633955205full,
+    // 3 tenants, bound 64: {equal, unequal} x {static, weighted 1, weighted 8}
+    0x3a22385f6eb74652ull, 0x8cf6cab9bc572c58ull, 0x203404b8487268f5ull,
+    0x929100dde79196b8ull, 0xbf70c52d4b2128c2ull, 0x807476633955205full,
+    // 5 tenants, bound 1: {equal, unequal} x {static, weighted 1, weighted 8}
+    0xb84838ee6275202eull, 0x02b6563d4bb3e4eaull, 0x0208e9f713f90680ull,
+    0xfbecd565d2228284ull, 0x2f205b38d6fe9fb3ull, 0x46b483e5a2d95cefull,
+    // 5 tenants, bound 2: {equal, unequal} x {static, weighted 1, weighted 8}
+    0xbbbd0490d9f28309ull, 0x1e7ace0c5519a346ull, 0x3544a5d8ec6238b8ull,
+    0x142fc9ade39d892full, 0x5a696b9936a87628ull, 0xe697c36f00199784ull,
+    // 5 tenants, bound 4: {equal, unequal} x {static, weighted 1, weighted 8}
+    0xb84838ee6275202eull, 0x02b6563d4bb3e4eaull, 0x5249a57ac0827489ull,
+    0x24d2dbca22bf0fcaull, 0x2f205b38d6fe9fb3ull, 0x158bc239fbca8002ull,
+    // 5 tenants, bound 64: {equal, unequal} x {static, weighted 1, weighted 8}
+    0xb84838ee6275202eull, 0x02b6563d4bb3e4eaull, 0x0208e9f713f90680ull,
+    0x873c183bb1006d3dull, 0x2f205b38d6fe9fb3ull, 0x4ecf49567e6a4162ull,
+    // 8 tenants, bound 1: {equal, unequal} x {static, weighted 1, weighted 8}
+    0x703b95789b535a39ull, 0x8ddd5d2049e87607ull, 0x2078af63c3c47b39ull,
+    0x17aa95e9a8080644ull, 0xcd5c47af118f58b4ull, 0x35cf19227b3f2cf2ull,
+    // 8 tenants, bound 2: {equal, unequal} x {static, weighted 1, weighted 8}
+    0x641d022203686e0eull, 0xcfa8bb376c05058full, 0x06001c41d1c8df6aull,
+    0x8838e7740340eedeull, 0xccd247e96211a4b4ull, 0xb73f0fc4c034ad58ull,
+    // 8 tenants, bound 4: {equal, unequal} x {static, weighted 1, weighted 8}
+    0x703b95789b535a39ull, 0x8ddd5d2049e87607ull, 0x6b8852e32185b705ull,
+    0xec98316fc000129bull, 0xcd5c47af118f58b4ull, 0x8495293dc2456e8full,
+    // 8 tenants, bound 64: {equal, unequal} x {static, weighted 1, weighted 8}
+    0x703b95789b535a39ull, 0x8ddd5d2049e87607ull, 0x2078af63c3c47b39ull,
+    0x17aa95e9a8080644ull, 0xcd5c47af118f58b4ull, 0x35cf19227b3f2cf2ull,
+};
+// clang-format on
+
+TEST(Golden, ContendedArbiterShapes) {
+  const std::vector<ArbiterShape> shapes = arbiter_shapes();
+  ASSERT_EQ(shapes.size(), std::size(kArbiterShapeDigests));
+  fleet::TraceRepository repo;
+  ThreadPool pool(2);
+  for (std::size_t i = 0; i < shapes.size(); ++i)
+    for (const CosimMode mode : {CosimMode::kFastForward, CosimMode::kReference})
+      EXPECT_EQ(run_shape(repo, shapes[i], mode, pool), kArbiterShapeDigests[i])
+          << "cell " << i << ": " << shapes[i].label()
+          << (mode == CosimMode::kFastForward ? ", fast-forward" : ", reference");
 }
 
 /// Digest of an encode: every instance's hot spot and runs, then the bits
