@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -111,18 +110,6 @@ std::optional<PerfRecord> collect_child_record(const std::filesystem::path& json
     if (auto record = parse_perf_record(entry.path())) return record;
   }
   return std::nullopt;
-}
-
-/// Counters are integers in disguise; print them without an exponent so the
-/// suite record stays grep-friendly. Gauges keep full double precision.
-void append_metric_number(std::ostream& out, double value) {
-  if (value == std::floor(value) && std::abs(value) < 9.007199254740992e15) {
-    out << static_cast<long long>(value);
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out << buf;
 }
 
 }  // namespace
@@ -315,7 +302,7 @@ void write_suite(const std::vector<ReportResult>& results, int frames,
       for (const auto& [key, value] : r.metrics) {
         out << (first ? "" : ", ");
         quoted(key) << ": ";
-        append_metric_number(out, value);
+        jsonmini::write_number(out, value, key);
         first = false;
       }
       out << "}";

@@ -4,17 +4,21 @@
 // This started life inside trace_event.cpp as the Chrome-trace validator's
 // private parser; the metrics snapshot validator, rispp_stats and the bench
 // driver need the same thing, so it lives here now. It is a *reader* for trusted-ish tool
-// input, not a general JSON library: numbers become double, \u escapes are
-// kept verbatim (no UTF-8 decoding), object keys preserve file order, and a
-// duplicated key is an error (any first- or last-wins read of it would
-// silently drop a value). write_escaped is the matching string writer.
+// input, not a general JSON library: numbers must follow the JSON grammar
+// and become double, a \u escape below U+0080 decodes to its byte while
+// others are kept verbatim (no UTF-8 decoding), object keys preserve file
+// order, and a duplicated key is an error (any first- or last-wins read of
+// it would silently drop a value). write_escaped and write_number are the
+// matching writers.
 #pragma once
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -78,13 +82,51 @@ struct JsonParser {
       out.kind = JsonValue::Kind::kNull;
       return true;
     }
-    char* end = nullptr;
-    const double number = std::strtod(text.c_str() + pos, &end);
-    if (end == text.c_str() + pos) return fail("invalid value");
-    pos = static_cast<std::size_t>(end - text.c_str());
+    if (c != '-' && !is_digit(c)) return fail("invalid value");
+    // The JSON grammar first: strtod alone would also take hex, inf, nan, a
+    // leading '+' or a leading zero.
+    const std::size_t start = pos;
+    std::size_t end = pos;
+    if (text[end] == '-') ++end;
+    if (end < text.size() && text[end] == '0') {
+      ++end;
+    } else if (!scan_digits(end)) {
+      return fail("invalid number");
+    }
+    if (end < text.size() && text[end] == '.' && !scan_digits(++end))
+      return fail("invalid number");
+    if (end < text.size() && (text[end] == 'e' || text[end] == 'E')) {
+      ++end;
+      if (end < text.size() && (text[end] == '+' || text[end] == '-')) ++end;
+      if (!scan_digits(end)) return fail("invalid number");
+    }
+    if (end < text.size() && (std::isalnum(static_cast<unsigned char>(text[end])) ||
+                              text[end] == '.' || text[end] == '+' || text[end] == '-'))
+      return fail("invalid number");
+    char* parsed = nullptr;
+    const double number = std::strtod(text.c_str() + start, &parsed);
+    if (parsed != text.c_str() + end) return fail("invalid number");
+    if (!std::isfinite(number)) return fail("number out of range");
+    pos = end;
     out.kind = JsonValue::Kind::kNumber;
     out.number = number;
     return true;
+  }
+
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  /// Advances `end` over one or more digits; false when there are none.
+  bool scan_digits(std::size_t& end) const {
+    const std::size_t first = end;
+    while (end < text.size() && is_digit(text[end])) ++end;
+    return end > first;
+  }
+
+  static int hex_value(char c) {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
   }
 
   bool parse_string(std::string& out) {
@@ -112,9 +154,21 @@ struct JsonParser {
           case 't': out += '\t'; break;
           case 'u': {
             if (pos + 4 >= text.size()) return fail("truncated \\u escape");
-            // Validation only: keep the raw escape, no UTF-8 decoding.
-            out += "\\u";
-            out.append(text, pos + 1, 4);
+            unsigned code = 0;
+            for (std::size_t k = 1; k <= 4; ++k) {
+              const int digit = hex_value(text[pos + k]);
+              if (digit < 0) return fail("invalid \\u escape");
+              code = code * 16 + static_cast<unsigned>(digit);
+            }
+            // Below U+0080 the code point is its own byte: this is what
+            // write_escaped emits for control characters. Beyond that, keep
+            // the raw escape (no UTF-8 encoding).
+            if (code < 0x80) {
+              out += static_cast<char>(code);
+            } else {
+              out += "\\u";
+              out.append(text, pos + 1, 4);
+            }
             pos += 4;
             break;
           }
@@ -204,6 +258,25 @@ inline bool parse_document(const std::string& text, JsonValue& out, std::string&
     return false;
   }
   return true;
+}
+
+/// Writes `v` as a JSON number: an integer below 2^53 in magnitude without
+/// fraction or exponent, anything else at %.17g (which strtod reads back
+/// exactly). JSON has no token for NaN or an infinity, so a non-finite `v`
+/// throws std::invalid_argument naming `what` (the value's key) rather than
+/// write a file that no reader accepts.
+inline void write_number(std::ostream& out, double v, std::string_view what) {
+  if (!std::isfinite(v))
+    throw std::invalid_argument("\"" + std::string(what) + "\" is not a finite number (" +
+                                (std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf") +
+                                "); JSON cannot represent it");
+  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
+    out << static_cast<long long>(v);
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  out << buf;
 }
 
 /// Writes `s` as the body of a JSON string (the caller writes the quotes):

@@ -38,16 +38,6 @@ MetricsRegistry& registry() {
   return *r;
 }
 
-void append_number(std::ostringstream& out, double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    out << static_cast<long long>(v);
-  } else {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out << buf;
-  }
-}
-
 void write_metrics_at_exit() {
   MetricsRegistry& r = registry();
   std::string path;
@@ -338,7 +328,7 @@ void append_snapshot_json(
   out << indent << "\"gauges\": {";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n") << inner << "\"" << gauges[i].first << "\": ";
-    append_number(out, gauges[i].second);
+    jsonmini::write_number(out, gauges[i].second, gauges[i].first);
   }
   out << (gauges.empty() ? "}" : "\n" + indent + "}") << ",\n";
   out << indent << "\"histograms\": {";
@@ -579,7 +569,7 @@ void write_ring_locked(FlightRecorder& r) {
   bool first = true;
   for (const FlightWindow& w : r.ring) {
     out << (first ? "\n" : ",\n") << "    {\n      \"t_ms\": ";
-    append_number(out, w.t_ms);
+    jsonmini::write_number(out, w.t_ms, "t_ms");
     out << ",\n";
     // Summaries only (no buckets): the ring is a timeline, not an archive.
     append_snapshot_json(out, "      ", w.counters, w.gauges, w.histograms,

@@ -179,8 +179,9 @@ void write_event(std::ostream& out, bool& first, const Event& e) {
   } else if (e.phase == 'i') {
     out << ",\"s\":\"t\"";
   } else if (e.phase == 'C') {
-    std::snprintf(buf, sizeof buf, "%.17g", e.value);
-    out << ",\"args\":{\"value\":" << buf << "}";
+    out << ",\"args\":{\"value\":";
+    jsonmini::write_number(out, e.value, e.name);
+    out << "}";
   }
   out << "}";
 }

@@ -290,6 +290,27 @@ TEST(RunReports, SuiteRecordKeepsQuotesAndBackslashesInNames) {
   fs::remove_all(dir);
 }
 
+TEST(RunReports, SuiteRecordKeepsControlCharactersInNames) {
+  // The suite writer escapes a TAB as \u0009; load_baseline must read the
+  // byte back, not the six characters of the escape.
+  const fs::path dir = fs::path(::testing::TempDir()) / "rispp_driver_control_chars";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  ReportResult report;
+  report.name = "t\tab";
+  report.exit_code = 0;
+  report.wall_seconds = 0.25;
+  DriverOptions options;
+  options.out_dir = dir;
+  const fs::path path = dir / "BENCH_SUITE.json";
+  write_suite({report}, 8, options, path);
+  EXPECT_NE(slurp(path).find("t\\u0009ab"), std::string::npos) << slurp(path);
+  const auto baseline = load_baseline(path);
+  ASSERT_EQ(baseline.size(), 1u) << slurp(path);
+  EXPECT_TRUE(baseline.count("t\tab")) << slurp(path);
+  fs::remove_all(dir);
+}
+
 // --- metrics snapshots: per-child collection and the suite round trip ------
 
 TEST(ParseMetricsRecord, ReadsCountersAndGauges) {

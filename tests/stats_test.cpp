@@ -4,8 +4,14 @@
 // diff — all over in-memory strings, no CLI or filesystem.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "base/json_mini.h"
 #include "base/metrics.h"
 #include "base/stats.h"
 
@@ -231,6 +237,112 @@ TEST(Stats, RoundTripsALiveRegistrySnapshot) {
   EXPECT_NE(table->find("tenant=1"), std::string::npos);
   EXPECT_NE(table->find("100.00%"), std::string::npos);
   EXPECT_NE(table->find("0.00%"), std::string::npos);
+}
+
+TEST(Stats, RejectsNonJsonNumbers) {
+  // strtod alone reads every one of these as a number; JSON has none of them.
+  for (const char* value : {"0x10", "inf", "+5", "nan", "01", "1e400"}) {
+    const std::string text = std::string(R"({"counters": {"b": )") + value +
+                             R"(}, "gauges": {}, "histograms": {}})";
+    stats::MetricsDocument doc;
+    std::string error;
+    EXPECT_FALSE(stats::parse_metrics_document(text, doc, error)) << text;
+    std::istringstream in(text);
+    EXPECT_TRUE(validate_metrics_json(in).has_value()) << text;
+  }
+}
+
+TEST(Stats, SnapshotRefusesANonFiniteGauge) {
+  MetricGauge& gauge = metric_gauge("stats.test.not_finite");
+  gauge.set(std::numeric_limits<double>::quiet_NaN());
+  try {
+    (void)metrics_snapshot_json();
+    ADD_FAILURE() << "a NaN gauge was written";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("\"stats.test.not_finite\""), std::string::npos)
+        << e.what();
+  }
+  gauge.set(0.0);
+  stats::MetricsDocument doc;
+  std::string error;
+  EXPECT_TRUE(stats::parse_metrics_document(metrics_snapshot_json(), doc, error)) << error;
+}
+
+TEST(JsonMini, EscapedControlCharactersRoundTrip) {
+  // write_escaped writes a control character as \u00XX; the reader must turn
+  // it back into the byte, or a name one tool writes reads back as six
+  // characters in the next.
+  std::string all;
+  for (int c = 0x01; c < 0x20; ++c) all += static_cast<char>(c);
+  all += "\"\\";
+  std::vector<std::string> originals;
+  for (const char c : all) originals.emplace_back(1, c);
+  originals.push_back("t" + all + "ab");
+  for (const std::string& original : originals) {
+    std::ostringstream out;
+    out << '"';
+    jsonmini::write_escaped(out, original);
+    out << '"';
+    jsonmini::JsonValue value;
+    std::string error;
+    ASSERT_TRUE(jsonmini::parse_document(out.str(), value, error)) << out.str() << ": " << error;
+    ASSERT_EQ(value.kind, jsonmini::JsonValue::Kind::kString);
+    EXPECT_EQ(value.string, original) << out.str();
+  }
+}
+
+TEST(JsonMini, UnicodeEscapesNeedFourHexDigits) {
+  jsonmini::JsonValue value;
+  std::string error;
+  EXPECT_FALSE(jsonmini::parse_document(R"("\u00zz")", value, error));
+  EXPECT_NE(error.find("invalid \\u escape"), std::string::npos) << error;
+  EXPECT_FALSE(jsonmini::parse_document(R"("\u12")", value, error));
+  // Below U+0080 an escape decodes to its byte; beyond, it stays verbatim.
+  ASSERT_TRUE(jsonmini::parse_document(R"("A\u0041\u00e9")", value, error)) << error;
+  EXPECT_EQ(value.string, "AA\\u00e9");
+}
+
+TEST(JsonMini, NumbersFollowTheJsonGrammar) {
+  const std::pair<const char*, double> accepted[] = {
+      {"0", 0.0},     {"-0", 0.0},     {"12", 12.0},   {"-1.5e3", -1500.0},
+      {"2E+2", 200.0}, {"0.25", 0.25}, {"1e-2", 0.01}, {"[1,-2]", 0.0}};
+  for (const auto& [text, expected] : accepted) {
+    jsonmini::JsonValue value;
+    std::string error;
+    ASSERT_TRUE(jsonmini::parse_document(text, value, error)) << text << ": " << error;
+    if (value.kind == jsonmini::JsonValue::Kind::kArray) continue;
+    EXPECT_EQ(value.kind, jsonmini::JsonValue::Kind::kNumber) << text;
+    EXPECT_EQ(value.number, expected) << text;
+  }
+  for (const char* text : {"0x10", "inf", "-inf", "nan", "Infinity", "+5", "01", "1.", ".5",
+                           "1e", "1e+", "-", "1e400"}) {
+    jsonmini::JsonValue value;
+    std::string error;
+    EXPECT_FALSE(jsonmini::parse_document(text, value, error)) << text;
+    const std::string member = std::string(R"({"a": )") + text + "}";
+    EXPECT_FALSE(jsonmini::parse_document(member, value, error)) << member;
+  }
+}
+
+TEST(JsonMini, WriteNumberRoundTripsAndRefusesNonFinite) {
+  for (const double v : {0.0, 3.0, -42.0, 0.5, 1.0 / 3.0, 1e20, -2.5e-300}) {
+    std::ostringstream out;
+    jsonmini::write_number(out, v, "v");
+    jsonmini::JsonValue value;
+    std::string error;
+    ASSERT_TRUE(jsonmini::parse_document(out.str(), value, error)) << out.str() << ": " << error;
+    EXPECT_EQ(value.number, v) << out.str();
+  }
+  std::ostringstream integer;
+  jsonmini::write_number(integer, 123456789012.0, "v");
+  EXPECT_EQ(integer.str(), "123456789012");
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    std::ostringstream out;
+    EXPECT_THROW(jsonmini::write_number(out, v, "fleet.gauge"), std::invalid_argument);
+    EXPECT_TRUE(out.str().empty()) << out.str();
+  }
 }
 
 }  // namespace
