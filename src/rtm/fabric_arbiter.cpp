@@ -197,18 +197,27 @@ Cycles FabricArbiter::deny(Tenant& ten, Cycles now, Cycles duration) {
   // A solo tenant only asks once its own load retired: the port is free.
   RISPP_CHECK(!solo_);
   denials_counter().add();
+  bool changed = false;
   // Denied: the claim stands until the queue drains or the tenant wins.
   if (!ten.claim) {
     ten.claim = true;
     ten.waiting_since = now;
+    changed = true;
   }
   // Count at most one denial per grant epoch, so `denied_epochs` means
   // "consecutive grants that went to somebody else".
   if (ten.last_denied_epoch != grants_) {
     ten.last_denied_epoch = grants_;
     ++ten.denied_epochs;
+    changed = true;
   }
-  return busy_until_ > now ? busy_until_ : now + duration;
+  if (busy_until_ > now) return busy_until_;
+  // A free port went to an outranking claimant. Until another tenant calls
+  // the arbiter, that answer can change only through this tenant's own
+  // state: a denial that counted a new epoch may have made it starved, so
+  // it re-asks one load later. A denial that changed nothing is answered
+  // the same way until someone else acts: no retry is due.
+  return changed ? now + duration : kNoEvent;
 }
 
 std::optional<Cycles> FabricArbiter::precheck(TenantId t, AtomTypeId type, Cycles now) {

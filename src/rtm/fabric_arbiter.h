@@ -125,8 +125,13 @@ class FabricArbiter {
   /// Asks for the port at `now` to load `type` into the tenant's container
   /// `container`. Returns nullopt on a grant (the load is in flight);
   /// otherwise the denial registers a claim and returns a retry hint
-  /// strictly after `now` (the tenant re-asks at its next reconfiguration
-  /// event, bounded by the hint on the fast-forward paths).
+  /// strictly after `now`: the earliest cycle at which the tenant's answer
+  /// can change while no other tenant calls the arbiter. That is the port's
+  /// release while it is busy; at a free port, one load duration ahead when
+  /// this denial changed the tenant's arbiter state (it registered the claim
+  /// or counted a new grant epoch, which may have made the tenant starved),
+  /// and kNoEvent when it changed nothing. The tenant re-asks at its next
+  /// reconfiguration event, bounded by the hint on the fast-forward paths.
   std::optional<Cycles> try_start(TenantId t, AtomTypeId type, ContainerId container,
                                   Cycles now);
 
@@ -245,7 +250,8 @@ class FabricArbiter {
   /// Winner of the free port among `asker` and all standing claimants.
   TenantId pick_winner(TenantId asker) const;
   /// try_start's denial bookkeeping (claim registration + per-grant-epoch
-  /// starvation accounting); returns the retry hint.
+  /// starvation accounting); returns the retry hint try_start documents:
+  /// busy_until_, now + duration, or kNoEvent.
   Cycles deny(Tenant& ten, Cycles now, Cycles duration);
   /// Re-apportions quotas to the benefit-weighted entitlements.
   void rebalance(Cycles now);

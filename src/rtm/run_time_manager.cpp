@@ -167,8 +167,9 @@ void RunTimeManager::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t i
 std::optional<Cycles> RunTimeManager::fabric_stall_bound(Cycles now) const {
   if (inflight_->has_value()) return (*inflight_)->finishes_at;
   // After advance_reconfig a standing denial's hint is strictly in the
-  // future (the arbiter hints at least one load duration ahead), so the
-  // fast-forward windows always make progress.
+  // future (the port's release, one load duration ahead, or kNoEvent when
+  // the denial changed nothing), so the fast-forward windows always make
+  // progress; a kNoEvent hint lets the window run to the instance's end.
   if (denied_until_ > now) return denied_until_;
   return std::nullopt;
 }

@@ -165,8 +165,10 @@ class RunTimeManager final : public PortWindowBackend<RunTimeManager> {
   bool start_load(AtomTypeId type, const Molecule& hard_demand, Cycles now);
   /// The next simulated time at which this tenant's SI latencies can change:
   /// its own in-flight load's completion, or the arbiter's retry hint while
-  /// it waits for the port. nullopt = no pending fabric event (latencies are
-  /// stable until the next decision point). Ends open_window's windows.
+  /// it waits for the port (FabricArbiter::kNoEvent when its last ask
+  /// changed nothing: it asks again at its next hot-spot entry or load
+  /// completion). nullopt = no pending fabric event (latencies are stable
+  /// until the next decision point). Ends open_window's windows.
   std::optional<Cycles> fabric_stall_bound(Cycles now) const;
   /// Consumes arbiter-side mutations (quota rebalances evicting our atoms)
   /// by invalidating the latency cache when the fabric generation moved.
@@ -196,7 +198,7 @@ class RunTimeManager final : public PortWindowBackend<RunTimeManager> {
   ContainerFile* cf_ = nullptr;  // this tenant's AC view (the arbiter's file)
   // This tenant's in-flight load (arbiter storage never moves).
   const std::optional<FabricArbiter::InflightLoad>* inflight_ = nullptr;
-  Cycles denied_until_ = 0;      // arbiter retry hint from the last denial
+  Cycles denied_until_ = 0;      // arbiter retry hint from the last denial (may be kNoEvent)
   std::uint64_t fabric_gen_seen_ = 0;  // last consumed arbiter mutation gen
 
   std::vector<SiRef> selection_;

@@ -243,6 +243,103 @@ TEST(Multitenant, RetiredClaimantsLeaveTheRoundRobin) {
   arbiter.check_invariants();
 }
 
+/// Three equal-weight tenants A, B, C (ids in that order) bound through RTMs
+/// like TwoTenantFixture, for the retry-hint contract of a denial.
+struct ThreeTenantFixture {
+  std::unique_ptr<SpecialInstructionSet> set;
+  std::unique_ptr<AtomScheduler> scheduler;
+  FabricArbiter arbiter;
+  TenantId a;
+  TenantId b;
+  TenantId c;
+  std::vector<std::unique_ptr<RunTimeManager>> rtms;
+
+  static ArbiterConfig device(unsigned starvation_bound) {
+    ArbiterConfig config;
+    config.total_containers = 9;
+    config.starvation_bound = starvation_bound;
+    return config;
+  }
+
+  explicit ThreeTenantFixture(unsigned starvation_bound)
+      : set(std::make_unique<SpecialInstructionSet>(h264sis::build_h264_si_set())),
+        scheduler(make_scheduler("HEF")),
+        arbiter(device(starvation_bound)) {
+    TenantConfig tenant;
+    tenant.quota = 3;
+    a = arbiter.add_tenant(tenant);
+    b = arbiter.add_tenant(tenant);
+    c = arbiter.add_tenant(tenant);
+    for (const TenantId t : {a, b, c}) {
+      RtmConfig rc;
+      rc.scheduler = scheduler.get();
+      rc.arbiter = &arbiter;
+      rc.tenant = t;
+      rtms.push_back(std::make_unique<RunTimeManager>(set.get(), 1, rc));
+    }
+  }
+
+  /// One load duration (every tenant loads atom type 0).
+  Cycles load() const { return arbiter.load_cycles(a, 0); }
+
+  /// The shared prefix of the hint tests, L = load(): B is granted at 0 and
+  /// retires at L; A is granted at L; B is denied at L+1 (port busy, hint
+  /// 2L); A retires and is granted again at 2L (B ties A's pass and loses
+  /// on id); C is denied at 2L+1 (hint 3L); A retires at 3L. The port is
+  /// free from 3L on, B has lost one grant epoch and C, the lowest pass,
+  /// outranks it.
+  void run_prefix() {
+    const Cycles l = load();
+    ASSERT_FALSE(arbiter.try_start(b, 0, 0, 0).has_value());
+    arbiter.retire(b, l);
+    ASSERT_FALSE(arbiter.try_start(a, 0, 0, l).has_value());
+    EXPECT_EQ(arbiter.precheck(b, 0, l + 1), std::optional<Cycles>(2 * l));
+    arbiter.retire(a, 2 * l);
+    ASSERT_FALSE(arbiter.try_start(a, 0, 1, 2 * l).has_value());
+    EXPECT_EQ(arbiter.try_start(c, 0, 0, 2 * l + 1), std::optional<Cycles>(3 * l));
+    arbiter.retire(a, 3 * l);
+  }
+};
+
+TEST(Multitenant, FreePortDenialThatCanStarveRetriesAfterOneLoad) {
+  // B's first denial of the grant epoch at the free port makes it starved
+  // (bound 2): its very next ask wins, so the hint must not skip ahead.
+  ThreeTenantFixture fx(/*starvation_bound=*/2);
+  fx.run_prefix();
+  const Cycles l = fx.load();
+  EXPECT_EQ(fx.arbiter.precheck(fx.b, 0, 3 * l + 5), std::optional<Cycles>(4 * l + 5));
+  EXPECT_FALSE(fx.arbiter.precheck(fx.b, 0, 3 * l + 6).has_value());
+  EXPECT_FALSE(fx.arbiter.try_start(fx.b, 0, 1, 3 * l + 6).has_value());
+  fx.arbiter.check_invariants();
+}
+
+TEST(Multitenant, FreePortDenialThatChangesNothingHintsNoEvent) {
+  // Same sequence with bound 4: B's first free-port denial counts an epoch
+  // (hint one load ahead) but leaves B unstarved. Its repeat ask changes no
+  // arbiter state, so the answer stands until another tenant calls.
+  ThreeTenantFixture fx(/*starvation_bound=*/4);
+  fx.run_prefix();
+  const Cycles l = fx.load();
+  EXPECT_EQ(fx.arbiter.precheck(fx.b, 0, 3 * l + 5), std::optional<Cycles>(4 * l + 5));
+  const std::optional<Cycles> no_event(FabricArbiter::kNoEvent);
+  EXPECT_EQ(fx.arbiter.precheck(fx.b, 0, 3 * l + 6), no_event);
+  EXPECT_EQ(fx.arbiter.try_start(fx.b, 0, 1, 5 * l), no_event);
+  // C, which outranks B, takes the port when it asks.
+  EXPECT_FALSE(fx.arbiter.try_start(fx.c, 0, 0, 5 * l).has_value());
+  fx.arbiter.check_invariants();
+}
+
+TEST(Multitenant, BusyPortDenialHintsThePortRelease) {
+  // While the port is busy the hint is its release, whether or not the
+  // denial changed the tenant's state.
+  ThreeTenantFixture fx(/*starvation_bound=*/4);
+  const Cycles l = fx.load();
+  ASSERT_FALSE(fx.arbiter.try_start(fx.a, 0, 0, 0).has_value());
+  EXPECT_EQ(fx.arbiter.precheck(fx.b, 0, 1), std::optional<Cycles>(l));
+  EXPECT_EQ(fx.arbiter.precheck(fx.b, 0, 2), std::optional<Cycles>(l));
+  EXPECT_EQ(fx.arbiter.try_start(fx.b, 0, 0, l - 1), std::optional<Cycles>(l));
+}
+
 TEST(Multitenant, QuotaFloorsSurviveWeightedRebalance) {
   // A one-sided benefit signal under kBenefitWeighted: every rebalance pulls
   // containers toward the heavy tenant, but the light tenant — while live —
