@@ -285,7 +285,8 @@ TEST(JsonMini, EscapedControlCharactersRoundTrip) {
     out << '"';
     jsonmini::JsonValue value;
     std::string error;
-    ASSERT_TRUE(jsonmini::parse_document(out.str(), value, error)) << out.str() << ": " << error;
+    ASSERT_TRUE(jsonmini::parse_document(out.str(), value, error))
+        << out.str() << ": " << error;
     ASSERT_EQ(value.kind, jsonmini::JsonValue::Kind::kString);
     EXPECT_EQ(value.string, original) << out.str();
   }
@@ -330,7 +331,8 @@ TEST(JsonMini, WriteNumberRoundTripsAndRefusesNonFinite) {
     jsonmini::write_number(out, v, "v");
     jsonmini::JsonValue value;
     std::string error;
-    ASSERT_TRUE(jsonmini::parse_document(out.str(), value, error)) << out.str() << ": " << error;
+    ASSERT_TRUE(jsonmini::parse_document(out.str(), value, error))
+        << out.str() << ": " << error;
     EXPECT_EQ(value.number, v) << out.str();
   }
   std::ostringstream integer;
