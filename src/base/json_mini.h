@@ -93,16 +93,17 @@ struct JsonParser {
     } else if (!scan_digits(end)) {
       return fail("invalid number");
     }
-    if (end < text.size() && text[end] == '.' && !scan_digits(++end))
-      return fail("invalid number");
+    if (end < text.size() && text[end] == '.') {
+      ++end;
+      if (!scan_digits(end)) return fail("invalid number");
+    }
     if (end < text.size() && (text[end] == 'e' || text[end] == 'E')) {
       ++end;
       if (end < text.size() && (text[end] == '+' || text[end] == '-')) ++end;
       if (!scan_digits(end)) return fail("invalid number");
     }
-    if (end < text.size() && (std::isalnum(static_cast<unsigned char>(text[end])) ||
-                              text[end] == '.' || text[end] == '+' || text[end] == '-'))
-      return fail("invalid number");
+    // strtod reading past the grammar's end means a hex number or a
+    // leading zero ("0x10", "01").
     char* parsed = nullptr;
     const double number = std::strtod(text.c_str() + start, &parsed);
     if (parsed != text.c_str() + end) return fail("invalid number");

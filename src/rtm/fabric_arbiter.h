@@ -30,10 +30,10 @@
 // run_tenants on a 1-tenant device.
 //
 // Observability: rtm.arbiter.{grants,denials,evictions,port_wait_cycles}
-// counters and one simulated-time lane per tenant on the "fabric arbiter" track (the
-// multi-tenant version of Figure 4's port timeline). rtm.arbiter.grants
-// counts every device's loads. A solo device's loads are Figure 4 itself:
-// they go to the "reconfig port" track and also count as
+// counters and one simulated-time lane per tenant on the "fabric arbiter"
+// track (the multi-tenant version of Figure 4's port timeline).
+// rtm.arbiter.grants counts every device's loads. A solo device's loads are
+// Figure 4 itself: they go to the "reconfig port" track and also count as
 // port.loads_started.
 #pragma once
 
