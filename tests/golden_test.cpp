@@ -447,9 +447,10 @@ std::vector<ArbiterShape> arbiter_shapes() {
 }
 
 /// Co-simulates one device of `shape`: tenant i replays a 96x64 H.264
-/// session of 2 + i % 3 frames (every third tenant 1 + i % 3 128x96 JPEG
-/// images instead) under scheduler i % 4, with prefetch on for odd i. Digests the
-/// arbiter's grants, evictions and port wait and every tenant's SimResult.
+/// session of 2 + i % 3 frames, or three 128x96 JPEG images when
+/// i % 3 == 2, under scheduler i % 4, with prefetch on for odd i. Digests
+/// the arbiter's grants, evictions and port wait and every tenant's
+/// SimResult.
 std::uint64_t run_shape(fleet::TraceRepository& repo, const ArbiterShape& shape,
                         CosimMode mode, ThreadPool& pool) {
   constexpr unsigned kAcsPerTenant = 4;
