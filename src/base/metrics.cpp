@@ -320,20 +320,27 @@ void append_snapshot_json(
     const std::vector<std::pair<std::string, HistogramSnapshot>>& histograms,
     bool with_buckets) {
   const std::string inner = indent + "  ";
+  // Opens entry i of a section: separator, indent and the escaped name.
+  const auto key = [&](std::size_t i, const std::string& name) {
+    out << (i == 0 ? "\n" : ",\n") << inner << '"';
+    jsonmini::write_escaped(out, name);
+    out << "\": ";
+  };
   out << indent << "\"counters\": {";
-  for (std::size_t i = 0; i < counters.size(); ++i)
-    out << (i == 0 ? "\n" : ",\n") << inner << "\"" << counters[i].first
-        << "\": " << counters[i].second;
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    key(i, counters[i].first);
+    out << counters[i].second;
+  }
   out << (counters.empty() ? "}" : "\n" + indent + "}") << ",\n";
   out << indent << "\"gauges\": {";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << inner << "\"" << gauges[i].first << "\": ";
+    key(i, gauges[i].first);
     jsonmini::write_number(out, gauges[i].second, gauges[i].first);
   }
   out << (gauges.empty() ? "}" : "\n" + indent + "}") << ",\n";
   out << indent << "\"histograms\": {";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << inner << "\"" << histograms[i].first << "\": ";
+    key(i, histograms[i].first);
     append_histogram_json(out, histograms[i].second, with_buckets);
   }
   out << (histograms.empty() ? "}" : "\n" + indent + "}");

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -266,6 +267,33 @@ TEST(Stats, SnapshotRefusesANonFiniteGauge) {
   stats::MetricsDocument doc;
   std::string error;
   EXPECT_TRUE(stats::parse_metrics_document(metrics_snapshot_json(), doc, error)) << error;
+}
+
+TEST(Stats, SnapshotEscapesMetricNames) {
+  // Names reach the snapshot (and the flight-recorder ring, which shares its
+  // writer) as JSON keys: a quote or a control character must be escaped,
+  // or the repository's own reader refuses the file.
+  const std::string counter = "stats.test.q\"uote\\d";
+  const std::string gauge = "stats.test.g\"auge\ttab";
+  const std::string histogram = "stats.test.hist\x01\nctl";
+  metric_counter(counter).add(7);
+  metric_gauge(gauge).set(2.5);
+  metric_histogram(histogram).record(42);
+  const std::string json = metrics_snapshot_json();
+
+  stats::MetricsDocument doc;
+  std::string error;
+  ASSERT_TRUE(stats::parse_metrics_document(json, doc, error)) << error;
+  ASSERT_EQ(doc.counters.count(counter), 1u);
+  EXPECT_EQ(doc.counters.at(counter), 7.0);
+  ASSERT_EQ(doc.gauges.count(gauge), 1u);
+  EXPECT_EQ(doc.gauges.at(gauge), 2.5);
+  ASSERT_EQ(doc.histograms.count(histogram), 1u);
+  EXPECT_EQ(doc.histograms.at(histogram).snapshot.count, 1u);
+
+  std::istringstream in(json);
+  const std::optional<std::string> invalid = validate_metrics_json(in);
+  EXPECT_FALSE(invalid.has_value()) << *invalid;
 }
 
 TEST(JsonMini, EscapedControlCharactersRoundTrip) {
