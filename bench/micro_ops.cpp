@@ -18,6 +18,7 @@
 #include "dse/pareto.h"
 #include "dpg/list_scheduler.h"
 #include "fleet/session_batch.h"
+#include "fleet/spec.h"
 #include "h264/workload.h"
 #include "h264/interpolate.h"
 #include "h264/kernels.h"
@@ -612,45 +613,40 @@ void BM_TenantMinHeapPick(benchmark::State& state) {
 }
 BENCHMARK(BM_TenantMinHeapPick);
 
-// End-to-end co-simulation of one device (3 tenants sharing a fabric),
-// fast-forward vs instance-stepped reference — the tentpole speedup this PR
-// exists for. The mix is tuned so the device actually reaches the quiescent
-// steady state the overrun exploits (see Cosim.HorizonOverrunEngagesWith-
-// StaticSeeds): static-seed forecasts so decide() keys repeat, a quota
-// covering JPEG's whole working set so steady-state decisions schedule zero
-// loads, and sessions long enough that the serial-port warm-up is a prefix.
-// Static setup outside the timed loop; each iteration rebuilds the arbiter +
-// RTMs (cheap) and re-runs the co-sim.
+// End-to-end co-simulation of one device, fast-forward vs instance-stepped
+// reference: the first device of the perfbench fleet_contended workload at
+// seed 0 — 8 tenants of 8 ACs each, floor 2, weighted partition, monitored
+// forecasts, 2-8-frame H.264/JPEG sessions under HEF and SJF. Static setup
+// outside the timed loop; each iteration rebuilds the arbiter + RTMs (cheap)
+// and re-runs the co-sim.
 void BM_CosimFastForward(benchmark::State& state) {
-  std::vector<fleet::SessionSpec> specs(3);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    specs[i].content = fleet::Content::kJpeg;
-    specs[i].frames = 96 + static_cast<int>(i) * 8;
-    specs[i].width = 128;
-    specs[i].height = 96;
-    specs[i].scheduler = i % 2 == 0 ? "HEF" : "SJF";
-    specs[i].container_count = 20;
-    specs[i].forecast_mode = ForecastMode::kStaticSeeds;
-  }
+  constexpr std::size_t kTenants = 8;
+  constexpr unsigned kAcsPerTenant = 8;
+  fleet::FleetSpec fleet_spec;
+  fleet_spec.sessions = 2048;
+  fleet_spec.schedulers = {"HEF", "SJF"};
+  std::vector<fleet::SessionSpec> specs = fleet::expand_fleet_spec(fleet_spec);
+  specs.resize(kTenants);
   fleet::TraceRepository repo;
   std::vector<const fleet::TraceEntry*> entries;
   for (const auto& spec : specs) entries.push_back(&repo.get(spec));
   const CosimMode mode =
       state.range(0) == 0 ? CosimMode::kReference : CosimMode::kFastForward;
-  std::unique_ptr<ThreadPool> pool;
-  if (state.range(0) == 2) pool = std::make_unique<ThreadPool>(4);
   for (auto _ : state) {
     ArbiterConfig arb_config;
-    arb_config.total_containers = static_cast<unsigned>(specs.size()) * 20;
+    arb_config.total_containers = static_cast<unsigned>(kTenants) * kAcsPerTenant;
+    arb_config.partition = PartitionMode::kBenefitWeighted;
     FabricArbiter arbiter(arb_config);
-    std::vector<std::unique_ptr<AtomScheduler>> schedulers(specs.size());
-    std::vector<std::unique_ptr<RunTimeManager>> rtms(specs.size());
-    std::vector<TenantRun> runs(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
+    std::vector<std::unique_ptr<AtomScheduler>> schedulers(kTenants);
+    std::vector<std::unique_ptr<RunTimeManager>> rtms(kTenants);
+    std::vector<TenantRun> runs(kTenants);
+    for (std::size_t i = 0; i < kTenants; ++i) {
       TenantConfig tenant;
-      tenant.quota = 20;
+      tenant.quota = kAcsPerTenant;
       tenant.floor = 2;
       runs[i].tenant = arbiter.add_tenant(tenant);
+    }
+    for (std::size_t i = 0; i < kTenants; ++i) {
       schedulers[i] = make_scheduler(specs[i].scheduler);
       RtmConfig config;
       config.scheduler = schedulers[i].get();
@@ -666,19 +662,14 @@ void BM_CosimFastForward(benchmark::State& state) {
       runs[i].trace = &entries[i]->trace;
       runs[i].rtm = rtms[i].get();
     }
-    CosimOptions options;
-    options.mode = mode;
-    options.pool = pool.get();
-    const auto results = run_tenants(arbiter, std::span<TenantRun>(runs), options);
+    const auto results = run_tenants(arbiter, std::span<TenantRun>(runs), mode);
     benchmark::DoNotOptimize(results.front().total_cycles);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(specs.size()));
-  state.SetLabel(state.range(0) == 0   ? "reference"
-                 : state.range(0) == 1 ? "fast-forward"
-                                       : "fast-forward+pool4");
+                          static_cast<std::int64_t>(kTenants));
+  state.SetLabel(state.range(0) == 0 ? "reference" : "fast-forward");
 }
-BENCHMARK(BM_CosimFastForward)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CosimFastForward)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // A typical mid-search DSE candidate: the degraded seed of the hand-built
 // platform plus a few work-preserving mutations.

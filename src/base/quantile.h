@@ -1,10 +1,9 @@
 // Shared percentile path for the fleet reports (DESIGN §7).
 //
 // Both fleet drivers used to carry a private sort-and-index lambda; this
-// header is that lambda, hoisted, plus the toggle that lets the same call
-// site read a log-bucketed histogram sketch instead. The index rule is
-// deliberately the historical one — floor(q * N), clamped — so replacing the
-// ad-hoc blocks keeps every reported p50/p99 bit-exact.
+// header is that lambda, hoisted. The index rule is deliberately the
+// historical one — floor(q * N), clamped — so replacing the ad-hoc blocks
+// keeps every reported p50/p99 bit-exact.
 #pragma once
 
 #include <algorithm>
@@ -16,11 +15,6 @@
 #include "base/metrics.h"
 
 namespace rispp {
-
-/// How report_percentiles answers: kExact sorts the samples and applies the
-/// historical index rule (bit-exact with the pre-quantile.h report blocks);
-/// kSketch reads the log-bucketed histogram (≤ 1/32 relative error, no sort).
-enum class QuantileMode { kExact, kSketch };
 
 /// The q-th percentile of an ascending-sorted, non-empty range under the
 /// fleet reports' historical rule: element floor(q * N), clamped to the last.
@@ -39,25 +33,19 @@ struct PercentilePair {
 
 /// One shared path for "record the distribution, report two points": every
 /// value lands in `hist` (scaled by `to_units` and rounded to the histogram's
-/// integer domain), then p50/p99 come back either exactly (sorts `values` in
-/// place) or from the sketch (scaled back down). Reports use kExact so their
-/// output never moves; tooling reading snapshots gets the same numbers the
-/// kSketch path would print, within the bucket error bound.
+/// integer domain), then p50/p99 come back exactly (sorts `values` in place),
+/// so report output never moves. Tooling reading a snapshot answers from the
+/// histogram instead, within its bucket error bound.
 template <typename T>
 PercentilePair<T> record_and_percentiles(std::vector<T>& values, MetricHistogram& hist,
-                                         double to_units, QuantileMode mode) {
+                                         double to_units) {
   RISPP_CHECK(!values.empty());
   for (const T& v : values) {
     const double scaled = static_cast<double>(v) * to_units;
     hist.record(scaled <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(scaled)));
   }
-  if (mode == QuantileMode::kExact) {
-    std::sort(values.begin(), values.end());
-    return {percentile_sorted(values, 0.50), percentile_sorted(values, 0.99)};
-  }
-  const HistogramSnapshot snap = hist.snapshot();
-  return {static_cast<T>(static_cast<double>(snap.p(0.50)) / to_units),
-          static_cast<T>(static_cast<double>(snap.p(0.99)) / to_units)};
+  std::sort(values.begin(), values.end());
+  return {percentile_sorted(values, 0.50), percentile_sorted(values, 0.99)};
 }
 
 }  // namespace rispp

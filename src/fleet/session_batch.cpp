@@ -224,10 +224,10 @@ FleetReport run_fleet(SessionBatch& batch) {
   for (std::size_t s = 0; s < report.sessions; ++s) latencies[s] = batch.latency_ms(s);
   // Shared report path (base/quantile.h): the whole distribution lands in the
   // histogram (as µs) while the reported two points stay bit-exact with the
-  // old sort-based block via the exact-mode toggle.
+  // old sort-based block.
   const PercentilePair<double> latency_pcts =
       record_and_percentiles(latencies, metric_histogram("fleet.session_latency_us"),
-                             /*to_units=*/1000.0, QuantileMode::kExact);
+                             /*to_units=*/1000.0);
   report.latency_p50_ms = latency_pcts.p50;
   report.latency_p99_ms = latency_pcts.p99;
 

@@ -96,11 +96,8 @@ ContendedReport run_contended_fleet(const std::vector<SessionSpec>& specs,
     }
     arbiter.check_invariants();
 
-    CosimOptions cosim;
-    cosim.mode = options.cosim;
-    cosim.pool = options.parallel_tenants ? &pool : nullptr;
     std::vector<SimResult> device_results =
-        run_tenants(arbiter, std::span<TenantRun>(runs), cosim);
+        run_tenants(arbiter, std::span<TenantRun>(runs), options.cosim);
     arbiter.check_invariants();
     for (std::size_t i = 0; i < k; ++i)
       session_results[first + i] = std::move(device_results[i]);
@@ -139,11 +136,11 @@ ContendedReport run_contended_fleet(const std::vector<SessionSpec>& specs,
     metric_histogram("fleet.contended.session_cycles",
                      {"tenant", static_cast<std::uint64_t>(s % per_device)})
         .record(cycles[s]);
-  // Shared report path (base/quantile.h); kExact keeps p50/p99 bit-exact
-  // with the old sort-based block.
+  // Shared report path (base/quantile.h): p50/p99 stay bit-exact with the
+  // old sort-based block.
   const PercentilePair<Cycles> cycle_pcts =
       record_and_percentiles(cycles, metric_histogram("fleet.contended.session_cycles"),
-                             /*to_units=*/1.0, QuantileMode::kExact);
+                             /*to_units=*/1.0);
   report.sim_cycles_p50 = cycle_pcts.p50;
   report.sim_cycles_p99 = cycle_pcts.p99;
   report.aggregate_speedup =

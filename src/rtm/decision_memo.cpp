@@ -123,16 +123,6 @@ void DecisionMemo::insert(const Key& key, std::uint64_t session, const Decision&
   shard.buckets[hash].push_back(shard.lru.begin());
 }
 
-bool DecisionMemo::peek(const Key& key, Decision& out) const {
-  const std::uint64_t hash = key_hash(key);
-  const Shard& shard = shard_for(hash);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.find(hash, key);
-  if (it == shard.lru.end()) return false;
-  out = it->decision;
-  return true;
-}
-
 std::uint64_t DecisionMemo::total(std::uint64_t Shard::*counter) const {
   std::uint64_t sum = 0;
   for (const Shard& s : shards_) {

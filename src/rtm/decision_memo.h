@@ -86,9 +86,6 @@ class DecisionMemo {
   /// key, so the first copy stays and replays identically.
   void insert(const Key& key, std::uint64_t session, const Decision& decision);
 
-  /// lookup() without side effects: neither recency nor any counter moves.
-  bool peek(const Key& key, Decision& out) const;
-
   // -- Introspection ----------------------------------------------------
   std::uint64_t hits() const { return total(&Shard::hits); }
   std::uint64_t misses() const { return total(&Shard::misses); }
@@ -130,7 +127,6 @@ class DecisionMemo {
 
   static std::uint64_t key_hash(const Key& key);
   Shard& shard_for(std::uint64_t hash) { return shards_[hash & shard_mask_]; }
-  const Shard& shard_for(std::uint64_t hash) const { return shards_[hash & shard_mask_]; }
   std::uint64_t total(std::uint64_t Shard::*counter) const;
 
   std::size_t shard_capacity_;

@@ -33,11 +33,6 @@ MetricCounter& port_wait_counter() {
   return c;
 }
 
-MetricCounter& horizon_counter() {
-  static MetricCounter& c = metric_counter("rtm.cosim.horizon_recomputes");
-  return c;
-}
-
 MetricCounter& port_loads_counter() {
   static MetricCounter& c = metric_counter("port.loads_started");
   return c;
@@ -260,12 +255,8 @@ void FabricArbiter::retire_tenant(TenantId t) {
 void FabricArbiter::on_decision_point(TenantId t, std::uint64_t forecast_mass, Cycles now) {
   Tenant& ten = tenant(t);
   ten.benefit_ema = (ten.benefit_ema + static_cast<double>(forecast_mass)) / 2.0;
-  // Relaxed: concurrent callers exist only during the co-simulation's
-  // parallel quiescent-epoch sweep, which is gated on !rebalance_possible()
-  // — the count can't trigger a rebalance there, and each tenant's EMA is
-  // tenant-local.
-  const std::uint64_t dp = decision_points_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (rebalance_possible() && dp % config_.rebalance_period == 0) rebalance(now);
+  ++decision_points_;
+  if (rebalance_possible() && decision_points_ % config_.rebalance_period == 0) rebalance(now);
 }
 
 unsigned FabricArbiter::shrink_tenant(TenantId t, unsigned count, Cycles now) {
@@ -360,38 +351,6 @@ std::uint64_t FabricArbiter::fabric_generation(TenantId t) const {
 }
 
 Cycles FabricArbiter::last_fabric_event(TenantId t) const { return tenant(t).mutation_now; }
-
-Cycles FabricArbiter::next_event_cycle(TenantId t, Cycles now) const {
-  horizon_counter().add();
-  const Tenant& ten = tenant(t);
-  // Its own in-flight load completes at a known cycle: the tenant must stop
-  // there to retire it (and the port frees up for competitors).
-  if (ten.inflight.has_value()) return ten.inflight->finishes_at;
-  // A standing claim means the tenant is waiting on the port: the next
-  // grant opportunity is when the port frees (or immediately, if it is
-  // already free — the tenant should re-ask right away).
-  if (ten.claim) return busy_until_ > now ? busy_until_ : now;
-  // Under weighted partitioning any other tenant's next decision point may
-  // hit a rebalance_period boundary and shrink this tenant's quota — there
-  // is no lower bound on when, so the horizon collapses to `now`.
-  if (rebalance_possible()) return now;
-  // No in-flight load, no claim, quotas frozen: only the tenant's own
-  // future requests can involve the fabric. Nothing scheduled can reach it.
-  return kNoEvent;
-}
-
-Cycles FabricArbiter::quiescent_until(Cycles now) const {
-  horizon_counter().add();
-  if (rebalance_possible()) return now;
-  Cycles horizon = kNoEvent;
-  for (const Tenant& ten : tenants_) {
-    if (ten.retired) continue;
-    if (ten.claim) return now;
-    if (ten.inflight.has_value())
-      horizon = std::min(horizon, ten.inflight->finishes_at);
-  }
-  return horizon;
-}
 
 unsigned FabricArbiter::quota(TenantId t) const {
   const Tenant& ten = tenant(t);

@@ -37,7 +37,6 @@
 // port.loads_started.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -122,6 +121,10 @@ class FabricArbiter {
   /// *now* — a finished load stays visible until its owner retires it).
   const std::optional<InflightLoad>& inflight(TenantId t) const;
 
+  /// The retry hint of a denial after which only another tenant's arbiter
+  /// call can change the tenant's answer (see try_start).
+  static constexpr Cycles kNoEvent = std::numeric_limits<Cycles>::max();
+
   /// Asks for the port at `now` to load `type` into the tenant's container
   /// `container`. Returns nullopt on a grant (the load is in flight);
   /// otherwise the denial registers a claim and returns a retry hint
@@ -131,7 +134,7 @@ class FabricArbiter {
   /// this denial changed the tenant's arbiter state (it registered the claim
   /// or counted a new grant epoch, which may have made the tenant starved),
   /// and kNoEvent when it changed nothing. The tenant re-asks at its next
-  /// reconfiguration event, bounded by the hint on the fast-forward paths.
+  /// reconfiguration event, and its RTM ends a replay window at the hint.
   std::optional<Cycles> try_start(TenantId t, AtomTypeId type, ContainerId container,
                                   Cycles now);
 
@@ -165,39 +168,6 @@ class FabricArbiter {
   /// generation. last_fabric_event() is the simulated time of the mutation.
   std::uint64_t fabric_generation(TenantId t) const;
   Cycles last_fabric_event(TenantId t) const;
-
-  // -- Event horizon (DESIGN §9.1) ---------------------------------------
-  /// "No pending fabric event": next_event_cycle / quiescent_until return
-  /// this when nothing scheduled can ever affect the tenant/device.
-  static constexpr Cycles kNoEvent = std::numeric_limits<Cycles>::max();
-
-  /// Earliest future cycle at which any pending fabric event can affect
-  /// tenant `t`, assuming no tenant issues further port requests before
-  /// then: its own in-flight load's completion, the port becoming free for
-  /// its standing claim (with any starvation-bound promotion folded into the
-  /// grant it then competes for), or — under kBenefitWeighted with more than
-  /// one tenant — `now` itself, because any other tenant's next decision
-  /// point may hit a rebalance_period boundary and evict this tenant's
-  /// atoms. kNoEvent means the tenant is beyond every horizon: nothing the
-  /// fabric has scheduled can reach it. The value is valid until the
-  /// tenant's own next arbiter call or a fabric_generation(t) bump,
-  /// whichever comes first (the co-simulation recomputes per epoch).
-  Cycles next_event_cycle(TenantId t, Cycles now) const;
-
-  /// Device-wide horizon: the earliest pending fabric event across all
-  /// tenants (min in-flight completion; `now` while any claim stands or a
-  /// weighted rebalance could fire). kNoEvent = the device is quiescent —
-  /// with no tenant asking for the port, fabric state cannot change at all.
-  Cycles quiescent_until(Cycles now) const;
-
-  /// True while a quota rebalance can fire at a future decision point
-  /// (kBenefitWeighted with more than one registered tenant). While false,
-  /// fabric_generation(t) is frozen for every tenant and decision points
-  /// commute across tenants — the precondition for the co-simulation's
-  /// out-of-order fast-forward (DESIGN §9.1).
-  bool rebalance_possible() const {
-    return config_.partition == PartitionMode::kBenefitWeighted && tenants_.size() > 1;
-  }
 
   // -- Introspection ------------------------------------------------------
   std::size_t tenant_count() const { return tenants_.size(); }
@@ -253,6 +223,11 @@ class FabricArbiter {
   /// starvation accounting); returns the retry hint try_start documents:
   /// busy_until_, now + duration, or kNoEvent.
   Cycles deny(Tenant& ten, Cycles now, Cycles duration);
+  /// True while a quota rebalance can fire at a future decision point
+  /// (kBenefitWeighted with more than one registered tenant).
+  bool rebalance_possible() const {
+    return config_.partition == PartitionMode::kBenefitWeighted && tenants_.size() > 1;
+  }
   /// Re-apportions quotas to the benefit-weighted entitlements.
   void rebalance(Cycles now);
   /// Disables up to `count` of the tenant's least-valuable enabled
@@ -266,10 +241,7 @@ class FabricArbiter {
   std::uint64_t grants_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t port_wait_cycles_ = 0;
-  // Atomic so the co-simulation's parallel quiescent-epoch sweep (which only
-  // runs while rebalance_possible() is false, i.e. the count cannot trigger
-  // a rebalance) can count decision points from worker threads.
-  std::atomic<std::uint64_t> decision_points_{0};
+  std::uint64_t decision_points_ = 0;
 };
 
 }  // namespace rispp

@@ -306,34 +306,6 @@ void RunTimeManager::compute_prefetch() {
   RISPP_DEBUG("prefetching " << prefetch_loads_.size() << " atoms for hot spot " << next);
 }
 
-bool RunTimeManager::entry_is_port_silent(const WorkloadTrace& trace,
-                                          std::size_t instance) const {
-  // Only sound while quotas are frozen: a pending rebalance could shrink cf_
-  // between this probe and the entry it predicts, invalidating the budget
-  // baked into the key below.
-  if (config_.arbiter->rebalance_possible()) return false;
-  // Prefetch keeps asking the port after the schedule drains; the oracle
-  // forecast is rebuilt per instance from the trace, so the probe cannot
-  // rebuild the entry's key; with the memo off the entry never consults it.
-  // All three fall back to normal stepping.
-  if (config_.enable_prefetch || config_.forecast_mode == ForecastMode::kOracle ||
-      !config_.enable_decision_cache)
-    return false;
-  // Anything queued or in flight makes the entry port-active by definition.
-  if (!reconfig_idle()) return false;
-
-  const HotSpotId hs = trace.instances[instance].hot_spot;
-  // The forecast the entry will read. monitor_.forecast() is a plain getter
-  // (folding happens at end_hot_spot, which already ran for the previous
-  // instance), so this equals what on_hot_spot_entry sees.
-  const std::vector<std::uint64_t>& forecast = config_.forecast_mode == ForecastMode::kMonitored
-                                                   ? monitor_.forecast(hs)
-                                                   : seeds_[hs];
-  const DecisionMemo::Key key{memo_domain_, trace.hot_spots[hs].sis, forecast,
-                              cf_->ready_atoms(), cf_->active()};
-  return config_.decision_memo->peek(key, probe_) && probe_.loads.empty();
-}
-
 const DecisionMemo::Decision& RunTimeManager::decide(const std::vector<SiId>& sis,
                                                      const std::vector<std::uint64_t>& forecast,
                                                      unsigned budget) {

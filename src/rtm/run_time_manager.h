@@ -116,26 +116,6 @@ class RunTimeManager final : public PortWindowBackend<RunTimeManager> {
     return config_.arbiter->completed_loads(config_.tenant);
   }
 
-  // -- Co-simulation fast-forward (rtm/tenant_sim.cpp, DESIGN §9.1) ----
-  /// No load in flight and both load queues drained: entering a hot spot is
-  /// the only thing that could next touch the reconfiguration port.
-  bool reconfig_idle() const {
-    return !inflight_->has_value() && pending_loads_.empty() && prefetch_loads_.empty();
-  }
-  /// Conservative probe: would replaying `instance` be *port-silent* — no
-  /// port request, no load completion, no queued load left behind? True only
-  /// when the reconfig machinery is idle AND the entry's decision is already
-  /// memoized with an empty load sequence: a DecisionMemo::peek() of the
-  /// exact key decide() will build, which moves neither recency nor
-  /// counters. A memoized decision is the decision, so the probe stays sound
-  /// even if a shared memo evicts the entry before the real lookup. False
-  /// negatives are fine (the caller falls back to normal stepping); false
-  /// positives would break bit-exactness, so every precondition the key
-  /// assumes (forecast mode, prefetch, memo on) is checked here. Only true
-  /// while rebalance_possible() == false — a port-silent entry then commutes
-  /// with other tenants' steps (DESIGN §9.1).
-  bool entry_is_port_silent(const WorkloadTrace& trace, std::size_t instance) const;
-
   // -- Introspection (tests, Figure 8 analysis) ------------------------
   const Molecule& ready_atoms() const { return cf_->ready_atoms(); }
   const std::vector<SiRef>& current_selection() const { return selection_; }
@@ -227,7 +207,6 @@ class RunTimeManager final : public PortWindowBackend<RunTimeManager> {
   std::uint64_t decision_cache_replays_ = 0;
   PathStore paths_;                         // memo misses' recorded picks
   DecisionMemo::Decision decision_;         // decide()'s result slot
-  mutable DecisionMemo::Decision probe_;    // entry_is_port_silent() scratch
   std::vector<std::uint64_t> oracle_forecast_;  // per-entry scratch (kOracle)
   std::vector<SiId> prefetch_sis_;              // per-entry scratch (prefetch)
 

@@ -1,17 +1,15 @@
 #include "rtm/tenant_sim.h"
 
-#include <atomic>
 #include <limits>
 
 #include "base/check.h"
 #include "base/clock.h"
 #include "base/metrics.h"
-#include "base/parallel.h"
 
 namespace rispp {
 
 std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> tenants,
-                                   const CosimOptions& options) {
+                                   CosimMode mode) {
   const std::size_t n = tenants.size();
   RISPP_CHECK(n > 0);
   std::vector<SimResult> results(n);
@@ -20,7 +18,6 @@ std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> 
   std::vector<std::vector<LatencySegment>> segments(n);
   static MetricCounter& entries = metric_counter("sim.hot_spot_entries");
   static MetricCounter& epochs_metric = metric_counter("rtm.cosim.epochs");
-  static MetricCounter& ff_metric = metric_counter("rtm.cosim.fast_forward_instances");
 
   for (std::size_t i = 0; i < n; ++i) {
     RISPP_CHECK(tenants[i].trace != nullptr && tenants[i].rtm != nullptr);
@@ -55,7 +52,7 @@ std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> 
     arbiter.retire_tenant(tenants[i].tenant);
   };
 
-  if (options.mode == CosimMode::kReference) {
+  if (mode == CosimMode::kReference) {
     // The oracle: one instance per pick, picked by linear min-clock scan
     // (ties to the lowest index) so fabric events are consumed in global
     // simulated order.
@@ -83,15 +80,12 @@ std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> 
   }
 
   // Fast-forward (DESIGN §9.1). Every epoch pops the reference's next pick
-  // from the heap and replays it in three regimes, each bit-exact:
+  // from the heap and replays it in two regimes, both in the reference's
+  // order:
   //  1. min-clock batch — keep stepping while the tenant remains the
-  //     (clock, id)-minimum: literally the reference order;
+  //     (clock, id)-minimum;
   //  2. sole survivor — an empty heap means every future reference pick is
-  //     this tenant, so it runs to completion unconditionally;
-  //  3. horizon overrun — past the runner-up but with next_event_cycle() ==
-  //     kNoEvent, port-silent entries (probed one ahead) only touch
-  //     tenant-local state plus commuting shared counters, so replaying them
-  //     out of order cannot change any tenant's results.
+  //     this tenant, so it runs to completion unconditionally.
   MinClockHeap heap;
   heap.reset(n);
   for (std::size_t i = 0; i < n; ++i)
@@ -108,74 +102,19 @@ std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> 
     epoch_name = trace_intern("epoch");
   }
 
-  const bool parallel_ok = options.pool != nullptr && !arbiter.rebalance_possible();
-  std::vector<std::size_t> sweep_ids;  // scratch: live tenants of one sweep
-
   while (!heap.empty()) {
-    const MinClockHeap::Item min = heap.pop();
-    const std::size_t i = min.id;
-
-    // Parallel quiescent sweep: when even the min-clock tenant is beyond
-    // every horizon, all live tenants are mutually independent for as long
-    // as their entries probe port-silent — each replays its own prefix on
-    // the pool (tenant-local state only; the shared decision-point and
-    // metric counters are atomic and commute), then the heap is rebuilt.
-    // Thread-count-invariant: no tenant reads another's progress.
-    if (parallel_ok && !heap.empty() &&
-        arbiter.next_event_cycle(tenants[i].tenant, clocks[i]) == FabricArbiter::kNoEvent &&
-        tenants[i].rtm->entry_is_port_silent(*tenants[i].trace, next_instance[i])) {
-      sweep_ids.clear();
-      sweep_ids.push_back(i);
-      while (!heap.empty()) sweep_ids.push_back(heap.pop().id);
-      std::atomic<std::uint64_t> swept{0};
-      options.pool->parallel_for(sweep_ids.size(), [&](std::size_t k) {
-        const std::size_t j = sweep_ids[k];
-        std::uint64_t local = 0;
-        while (!done(j) &&
-               tenants[j].rtm->entry_is_port_silent(*tenants[j].trace, next_instance[j])) {
-          step(j);
-          ++local;
-        }
-        swept.fetch_add(local, std::memory_order_relaxed);
-      });
-      ff_metric.add(swept.load(std::memory_order_relaxed));
-      epochs_metric.add();
-      // Retirements happen serially in index order, like the reference.
-      heap.reset(n);
-      for (const std::size_t j : sweep_ids) {
-        if (done(j))
-          finalize(j);
-        else
-          heap.push({clocks[j], static_cast<std::uint32_t>(j)});
-      }
-      continue;  // the min tenant swept at least one instance: progress
-    }
-
+    const std::size_t i = heap.pop().id;
     epochs_metric.add();
     const Cycles epoch_start = clocks[i];
     const bool last = heap.empty();
     MinClockHeap::Item bound{};
     if (!last) bound = heap.top();
 
-    // Regimes 1 + 2: the popped tenant was the reference's pick; keep
-    // stepping while it would be re-picked (or unconditionally once alone).
     step(i);
     while (!done(i) &&
            (last ||
             MinClockHeap::before({clocks[i], static_cast<std::uint32_t>(i)}, bound))) {
       step(i);
-    }
-
-    // Regime 3: horizon overrun.
-    if (!done(i) && !last &&
-        arbiter.next_event_cycle(tenants[i].tenant, clocks[i]) == FabricArbiter::kNoEvent) {
-      std::uint64_t ff = 0;
-      while (!done(i) &&
-             tenants[i].rtm->entry_is_port_silent(*tenants[i].trace, next_instance[i])) {
-        step(i);
-        ++ff;
-      }
-      if (ff > 0) ff_metric.add(ff);
     }
 
     if (trace_enabled()) {

@@ -16,12 +16,7 @@
 //  - kFastForward (DESIGN §9.1): epoch-based. The min-clock pick comes from
 //    a binary heap keyed (clock, tenant id); the picked tenant replays
 //    instances until its clock passes the runner-up (identical order to the
-//    reference), then — while the arbiter's event horizon reports no pending
-//    fabric event and each upcoming entry probes port-silent — keeps
-//    fast-forwarding past the runner-up (out of order, but every skipped-over
-//    operation commutes). Optionally, tenants of one device step in parallel
-//    during quiescent epochs (CosimOptions::pool), with a deterministic
-//    thread-count-invariant merge.
+//    reference), and a sole surviving tenant runs to completion.
 #pragma once
 
 #include <algorithm>
@@ -35,8 +30,6 @@
 #include "sim/trace.h"
 
 namespace rispp {
-
-class ThreadPool;
 
 /// One tenant of the co-simulation. The RTM must have been constructed with
 /// config.arbiter = the arbiter passed to run_tenants and config.tenant =
@@ -53,15 +46,6 @@ struct TenantRun {
 enum class CosimMode : std::uint8_t {
   kFastForward,  // epoch-based fast-forward (the default; bit-exact)
   kReference,    // instance-at-a-time min-clock stepping (the oracle)
-};
-
-struct CosimOptions {
-  CosimMode mode = CosimMode::kFastForward;
-  /// When set (kFastForward only), tenants of this device replay their
-  /// port-silent prefixes in parallel during quiescent epochs. Results are
-  /// thread-count-invariant: each tenant's prefix depends only on its own
-  /// state. Ignored while the arbiter reports rebalance_possible().
-  ThreadPool* pool = nullptr;
 };
 
 /// The fast-forward scheduler's pick queue: a binary min-heap keyed
@@ -112,8 +96,8 @@ class MinClockHeap {
 /// finish retire from the arbiter so the remaining tenants' port claims
 /// stay live. Both CosimModes return bit-identical results
 /// (tests/cosim_test.cpp byte-compares SimResult + SimStats across
-/// schedulers, partition modes, tenant counts and thread counts).
+/// schedulers, partition modes and tenant counts).
 std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> tenants,
-                                   const CosimOptions& options = {});
+                                   CosimMode mode = CosimMode::kFastForward);
 
 }  // namespace rispp

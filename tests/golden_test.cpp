@@ -452,7 +452,7 @@ std::vector<ArbiterShape> arbiter_shapes() {
 /// the arbiter's grants, evictions and port wait and every tenant's
 /// SimResult.
 std::uint64_t run_shape(fleet::TraceRepository& repo, const ArbiterShape& shape,
-                        CosimMode mode, ThreadPool& pool) {
+                        CosimMode mode) {
   constexpr unsigned kAcsPerTenant = 4;
   const std::size_t n = shape.tenants;
   const std::vector<std::string> schedulers = scheduler_names();
@@ -489,11 +489,7 @@ std::uint64_t run_shape(fleet::TraceRepository& repo, const ArbiterShape& shape,
     runs[i].trace = &entry.trace;
     runs[i].rtm = rtms[i].get();
   }
-  CosimOptions options;
-  options.mode = mode;
-  // The fast-forward also runs its parallel quiescent sweep where it may.
-  if (mode == CosimMode::kFastForward) options.pool = &pool;
-  const std::vector<SimResult> results = run_tenants(arbiter, std::span<TenantRun>(runs), options);
+  const std::vector<SimResult> results = run_tenants(arbiter, std::span<TenantRun>(runs), mode);
   arbiter.check_invariants();
   std::uint64_t h = fingerprint_mix(0, arbiter.grants());
   h = fingerprint_mix(h, arbiter.evictions());
@@ -560,10 +556,9 @@ TEST(Golden, ContendedArbiterShapes) {
   const std::vector<ArbiterShape> shapes = arbiter_shapes();
   ASSERT_EQ(shapes.size(), std::size(kArbiterShapeDigests));
   fleet::TraceRepository repo;
-  ThreadPool pool(2);
   for (std::size_t i = 0; i < shapes.size(); ++i)
     for (const CosimMode mode : {CosimMode::kFastForward, CosimMode::kReference})
-      EXPECT_EQ(run_shape(repo, shapes[i], mode, pool), kArbiterShapeDigests[i])
+      EXPECT_EQ(run_shape(repo, shapes[i], mode), kArbiterShapeDigests[i])
           << "cell " << i << ": " << shapes[i].label()
           << (mode == CosimMode::kFastForward ? ", fast-forward" : ", reference");
 }

@@ -588,9 +588,7 @@ TEST(Multitenant, EmptyTraceTenantsFinalizeAndRetireCleanly) {
       runs[i].rtm = rtms[i].get();
       runs[i].trace = i == 1 ? &empty_trace : &entry.trace;
     }
-    CosimOptions options;
-    options.mode = mode;
-    const auto results = run_tenants(arbiter, std::span<TenantRun>(runs), options);
+    const auto results = run_tenants(arbiter, std::span<TenantRun>(runs), mode);
     ASSERT_EQ(results.size(), 3u);
     EXPECT_EQ(results[1].total_cycles, 0u);
     EXPECT_EQ(results[1].si_executions, 0u);

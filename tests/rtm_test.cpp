@@ -303,36 +303,6 @@ TEST(DecisionMemo, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(rtm.decision_cache_misses(), memo.misses());
 }
 
-TEST(DecisionMemo, PeekMovesNeitherRecencyNorCounters) {
-  DecisionMemo memo(/*capacity=*/2, /*shards=*/1);
-  const auto domain = memo.register_domain(1, "HEF", 100, 0);
-  const Molecule ready(3);
-  const std::vector<std::uint64_t> forecast{500};
-  const std::vector<SiId> a{0}, b{1}, c{2};
-  DecisionMemo::Decision decision;
-  decision.loads = {2, 1};
-  DecisionMemo::Decision out;
-  memo.insert({domain, a, forecast, ready, 8}, /*session=*/1, decision);  // memo [A]
-  memo.insert({domain, b, forecast, ready, 8}, /*session=*/1, decision);  // memo [B, A]
-  ASSERT_TRUE(memo.lookup({domain, b, forecast, ready, 8}, /*session=*/2, out));
-  EXPECT_FALSE(memo.lookup({domain, c, forecast, ready, 8}, /*session=*/2, out));
-
-  // A peek from anyone finds A, copies it out and leaves every counter put.
-  out = {};
-  EXPECT_TRUE(memo.peek({domain, a, forecast, ready, 8}, out));
-  EXPECT_EQ(out.loads, decision.loads);
-  EXPECT_FALSE(memo.peek({domain, c, forecast, ready, 8}, out));
-  EXPECT_EQ(memo.hits(), 1u);
-  EXPECT_EQ(memo.misses(), 1u);
-  EXPECT_EQ(memo.cross_session_hits(), 1u);
-
-  // Nor did the peek make A recent: the next insert still evicts A.
-  memo.insert({domain, c, forecast, ready, 8}, /*session=*/1, decision);
-  EXPECT_EQ(memo.evictions(), 1u);
-  EXPECT_FALSE(memo.peek({domain, a, forecast, ready, 8}, out));
-  EXPECT_TRUE(memo.peek({domain, b, forecast, ready, 8}, out));
-}
-
 /// The 2-frame 96x64 H.264 encode: short, with every hot spot entered.
 fleet::SessionSpec small_h264_session() {
   fleet::SessionSpec spec;

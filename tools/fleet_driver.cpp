@@ -4,6 +4,8 @@
 //               [--schedulers HEF,SJF,...] [--acs LO..HI]
 //               [--arrival all|uniform:<per_min>] [--block N] [--seed N]
 //               [--stats] [--solo]
+//               [--tenants N] [--acs-per-tenant N] [--floor N]
+//               [--partition static|weighted] [--cosim fast|reference]
 //
 // Expands the session-mix spec deterministically (fleet/spec.h), replays
 // every session through the batched fleet::SessionBatch core, and reports
@@ -18,14 +20,15 @@
 // (--acs-per-tenant, --floor, --partition static|weighted), and the report
 // shifts to simulated contention — aggregate speedup over software-only and
 // per-tenant simulated-cycle percentiles (fleet/tenant_fleet.h). --cosim
-// picks the per-device co-simulation: the event-horizon fast-forward
+// picks the per-device co-simulation: the epoch-based fast-forward
 // (default, DESIGN §9.1) or the instance-stepped reference oracle —
-// bit-identical results either way; --parallel-tenants additionally steps
-// one device's tenants in parallel during quiescent epochs.
+// bit-identical results either way.
 //
-// --solo replays the same fleet one session at a time through the
-// single-session sim::run_trace path and cross-checks bit-identical results
-// — the equivalence contract, runnable from the command line.
+// --solo cross-checks every session's result against an oracle and exits 1
+// when one differs — the equivalence contract, runnable from the command
+// line. The classic fleet replays each session alone through the
+// single-session sim::run_trace path; the contended fleet runs again under
+// the reference co-simulation.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,8 +56,27 @@ int usage() {
                "                   [--block N] [--seed N] [--stats] [--solo]\n"
                "                   [--tenants N] [--acs-per-tenant N] [--floor N]\n"
                "                   [--partition static|weighted]\n"
-               "                   [--cosim fast|reference] [--parallel-tenants]\n");
+               "                   [--cosim fast|reference]\n");
   return 2;
+}
+
+/// True when `got` matches `want` in every field the cross-checks compare;
+/// otherwise prints both to stderr, naming session `s` and the oracle.
+bool same_result(std::size_t s, const char* oracle, const SimResult& got,
+                 const SimResult& want) {
+  if (got.total_cycles == want.total_cycles && got.si_executions == want.si_executions &&
+      got.atom_loads == want.atom_loads && got.hot_spot_cycles == want.hot_spot_cycles)
+    return true;
+  std::fprintf(stderr,
+               "session %zu diverged from %s: cycles %llu vs %llu, "
+               "executions %llu vs %llu, loads %llu vs %llu\n",
+               s, oracle, static_cast<unsigned long long>(got.total_cycles),
+               static_cast<unsigned long long>(want.total_cycles),
+               static_cast<unsigned long long>(got.si_executions),
+               static_cast<unsigned long long>(want.si_executions),
+               static_cast<unsigned long long>(got.atom_loads),
+               static_cast<unsigned long long>(want.atom_loads));
+  return false;
 }
 
 /// Replays session `s` alone through the single-session path and compares
@@ -71,23 +93,7 @@ bool check_solo(const fleet::SessionBatch& batch, std::size_t s) {
   for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
     for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
       if (entry.seeds[hs][si] != 0) rtm.seed_forecast(hs, si, entry.seeds[hs][si]);
-  const SimResult solo = run_trace(entry.trace, rtm);
-  const SimResult fleet_result = batch.result(s);
-  if (solo.total_cycles == fleet_result.total_cycles &&
-      solo.si_executions == fleet_result.si_executions &&
-      solo.atom_loads == fleet_result.atom_loads &&
-      solo.hot_spot_cycles == fleet_result.hot_spot_cycles)
-    return true;
-  std::fprintf(stderr,
-               "session %zu diverged from solo replay: cycles %llu vs %llu, "
-               "executions %llu vs %llu, loads %llu vs %llu\n",
-               s, static_cast<unsigned long long>(fleet_result.total_cycles),
-               static_cast<unsigned long long>(solo.total_cycles),
-               static_cast<unsigned long long>(fleet_result.si_executions),
-               static_cast<unsigned long long>(solo.si_executions),
-               static_cast<unsigned long long>(fleet_result.atom_loads),
-               static_cast<unsigned long long>(solo.atom_loads));
-  return false;
+  return same_result(s, "solo replay", batch.result(s), run_trace(entry.trace, rtm));
 }
 
 }  // namespace
@@ -98,7 +104,6 @@ int main(int argc, char** argv) {
   fleet::FleetOptions options;
   bool solo_check = false;
   CosimMode cosim_mode = CosimMode::kFastForward;
-  bool parallel_tenants = false;
 
   std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -108,8 +113,6 @@ int main(int argc, char** argv) {
       options.collect_stats = true;
     } else if (arg == "--solo") {
       solo_check = true;
-    } else if (arg == "--parallel-tenants") {
-      parallel_tenants = true;
     } else if (value == nullptr) {
       return usage();
     } else if (arg == "--sessions") {
@@ -181,14 +184,14 @@ int main(int argc, char** argv) {
     contended.floor = spec.tenant_floor;
     contended.partition = spec.partition;
     contended.cosim = cosim_mode;
-    contended.parallel_tenants = parallel_tenants;
     std::printf("contended fleet: %zu sessions, %d tenants/device, %d ACs/tenant\n",
                 sessions.size(), spec.tenants, spec.acs_per_tenant);
     fleet::ContendedReport report;
+    std::vector<SimResult> results;
     {
       bench::BenchPerfLog perf("fleet");
       perf.set_cells(sessions.size());
-      report = fleet::run_contended_fleet(sessions, contended);
+      report = fleet::run_contended_fleet(sessions, contended, &results);
     }
     TextTable table({"metric", "value"});
     table.add("sessions", report.sessions);
@@ -203,6 +206,20 @@ int main(int argc, char** argv) {
     table.add("port wait cycles", report.port_wait_cycles);
     table.add("cycles checksum", report.cycles_checksum);
     std::fputs(table.render().c_str(), stdout);
+
+    if (solo_check) {
+      contended.cosim = CosimMode::kReference;
+      std::vector<SimResult> reference;
+      fleet::run_contended_fleet(sessions, contended, &reference);
+      for (std::size_t s = 0; s < results.size(); ++s) {
+        if (!same_result(s, "the reference co-simulation", results[s], reference[s])) {
+          std::fprintf(stderr, "FAIL: session %zu of %zu differs from the reference\n", s,
+                       results.size());
+          return 1;
+        }
+      }
+      std::printf("reference cross-check: all %zu sessions bit-identical\n", results.size());
+    }
     return 0;
   }
 
