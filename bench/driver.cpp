@@ -15,6 +15,7 @@
 #include <ostream>
 #include <sstream>
 #include <system_error>
+#include <utility>
 
 #include "base/check.h"
 #include "base/json_mini.h"
@@ -362,6 +363,28 @@ std::map<std::string, PerfRecord> load_baseline(const std::filesystem::path& pat
     baseline[*name] = std::move(record);
   }
   return baseline;
+}
+
+std::vector<std::string> baseline_setup_mismatches(const std::filesystem::path& path,
+                                                   int frames, const DriverOptions& options) {
+  std::vector<std::string> mismatches;
+  if (std::filesystem::is_directory(path)) return mismatches;
+  const std::string text = read_file(path);
+  if (text.empty()) return mismatches;
+  const std::string context = path.string();
+  const JsonValue doc = parse_object(text, context);
+  const std::pair<const char*, double> fields[] = {
+      {"frames", frames},
+      {"jobs", options.jobs},
+      {"threads_per_child", options.threads_per_child}};
+  for (const auto& [key, value] : fields) {
+    const auto recorded = number_field(doc, key, context);
+    if (!recorded || *recorded == value) continue;
+    std::ostringstream line;
+    line << key << ": this run " << value << ", baseline " << *recorded;
+    mismatches.push_back(line.str());
+  }
+  return mismatches;
 }
 
 RegressionReport compare_against_baseline(const std::vector<ReportResult>& results,

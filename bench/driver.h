@@ -122,6 +122,15 @@ void write_suite(const std::vector<ReportResult>& results, int frames,
 /// duplicate keys, a non-numeric metric) throws.
 std::map<std::string, PerfRecord> load_baseline(const std::filesystem::path& path);
 
+/// The fields of a BENCH_SUITE.json baseline's run record (its top-level
+/// frames, jobs and threads_per_child) that differ from this run's, one line
+/// each naming the field and both values. Timings compare only like with
+/// like, so the CLI refuses a baseline with any. A field the record lacks is
+/// not compared, and a directory of BENCH_*.json records has no run record
+/// (empty result). Corrupt content throws, as in load_baseline.
+std::vector<std::string> baseline_setup_mismatches(const std::filesystem::path& path,
+                                                   int frames, const DriverOptions& options);
+
 struct RegressionDelta {
   std::string name;
   double base_wall = 0.0, wall = 0.0;  // seconds

@@ -30,8 +30,8 @@ void SingleImplementationBackend<kPolicy>::seed_forecast(HotSpotId hs, SiId si,
 }
 
 template <LoadPolicy kPolicy>
-void SingleImplementationBackend<kPolicy>::on_hot_spot_entry(const WorkloadTrace& trace,
-                                                             std::size_t instance, Cycles now) {
+void SingleImplementationBackend<kPolicy>::enter_hot_spot(const WorkloadTrace& trace,
+                                                          std::size_t instance, Cycles now) {
   advance_reconfig(now);
 
   const HotSpotId hs = trace.instances[instance].hot_spot;

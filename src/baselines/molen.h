@@ -56,8 +56,6 @@ class SingleImplementationBackend final
   std::string_view name() const override {
     return kPolicy == LoadPolicy::kPrefetchAtEntry ? "Molen" : "OneChip";
   }
-  void on_hot_spot_entry(const WorkloadTrace& trace, std::size_t instance,
-                         Cycles now) override;
   std::uint64_t completed_loads() const override { return fabric_.completed_loads(0); }
 
  private:
@@ -74,6 +72,9 @@ class SingleImplementationBackend final
   /// requests its configuration, so the replay walk opens a window there
   /// (reopen_ marks the SIs not yet requested).
   static constexpr bool kFirstUseReopen = kPolicy == LoadPolicy::kFirstUse;
+  /// The entry hook (sim/port_window_backend.h): the selection, then the
+  /// policy's load queue.
+  void enter_hot_spot(const WorkloadTrace& trace, std::size_t instance, Cycles now);
   /// The replay walk's hook (sim/port_window_backend.h): advance the port,
   /// issue `si`'s demand request (OneChip), and end the window at the
   /// in-flight load's completion.

@@ -85,9 +85,11 @@ std::vector<std::vector<std::uint64_t>> trace_forecast_seeds(const WorkloadTrace
   for (const auto& inst : trace.instances) {
     ++instance_count[inst.hot_spot];
     auto& t = totals[inst.hot_spot];
-    for (const SiRun& run : inst.runs) {
-      if (run.si >= t.size()) t.resize(run.si + 1, 0);
-      t[run.si] += run.count;
+    const SiSummary& summary = inst.summary();
+    for (std::size_t slot = 0; slot < summary.size(); ++slot) {
+      const SiId si = summary.si(slot);
+      if (si >= t.size()) t.resize(si + 1, 0);
+      t[si] += summary.total(slot);
     }
   }
   for (HotSpotId hs = 0; hs < totals.size(); ++hs)
@@ -156,8 +158,7 @@ DseResult run_dse(const WorkloadTrace& trace, const config::PlatformSpec& handbu
   const auto seeds = trace_forecast_seeds(trace);
   const unsigned max_budget =
       *std::max_element(options.ac_budgets.begin(), options.ac_budgets.end());
-  // The trace side of every proposal's speedup bound, computed once
-  // (executions_of scans every run of the trace).
+  // The trace side of every proposal's speedup bound, computed once.
   const Cycles overhead_cycles = trace.overhead_cycles();
   std::vector<std::uint64_t> si_executions(seed_set.si_count());
   for (SiId si = 0; si < si_executions.size(); ++si) si_executions[si] = trace.executions_of(si);

@@ -36,6 +36,8 @@ class ExecutionMonitor {
     RISPP_CHECK(active_ && si < counting_.size());
     counting_[si] += n;
   }
+  /// Executions of `si` counted so far in the current instance.
+  std::uint64_t counted(SiId si) const { return counting_[si]; }
   /// Folds counts into forecasts.
   void end_hot_spot();
 

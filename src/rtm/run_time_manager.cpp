@@ -88,8 +88,8 @@ void RunTimeManager::seed_forecast(HotSpotId hs, SiId si, std::uint64_t expected
   seeds_[hs][si] = expected;
 }
 
-void RunTimeManager::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t instance,
-                                       Cycles now) {
+void RunTimeManager::enter_hot_spot(const WorkloadTrace& trace, std::size_t instance,
+                                    Cycles now) {
   advance_reconfig(now);
 
   const HotSpotId hs = trace.instances[instance].hot_spot;
@@ -110,12 +110,14 @@ void RunTimeManager::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t i
     case ForecastMode::kStaticSeeds:
       forecast = &seeds_[hs];
       break;
-    case ForecastMode::kOracle:
+    case ForecastMode::kOracle: {
+      const SiSummary& summary = trace.instances[instance].summary();
       oracle_forecast_.assign(set_->si_count(), 0);
-      for (const SiRun& run : trace.instances[instance].runs)
-        oracle_forecast_[run.si] += run.count;
+      for (std::size_t slot = 0; slot < summary.size(); ++slot)
+        oracle_forecast_[summary.si(slot)] = summary.total(slot);
       forecast = &oracle_forecast_;
       break;
+    }
   }
 
   // Report the forecast mass (the benefit signal) to the arbiter, which may
@@ -270,7 +272,7 @@ void RunTimeManager::compute_prefetch() {
   //  - kMonitored: the monitor's adapted forecast (the paper's system);
   //  - kStaticSeeds: the design-time profile, never adapted;
   //  - kOracle: the oracle only knows the *current* instance's exact counts
-  //    (it sums trace.instances[instance].runs); no future instance
+  //    (its summary's totals); no future instance
   //    of `next` has been reached yet, so oracle prefetch intentionally
   //    falls back to the monitored forecast rather than pretending to know
   //    counts it cannot have.

@@ -110,8 +110,6 @@ class RunTimeManager final : public PortWindowBackend<RunTimeManager> {
 
   // -- ExecutionBackend ------------------------------------------------
   std::string_view name() const override { return config_.scheduler->name(); }
-  void on_hot_spot_entry(const WorkloadTrace& trace, std::size_t instance,
-                         Cycles now) override;
   std::uint64_t completed_loads() const override {
     return config_.arbiter->completed_loads(config_.tenant);
   }
@@ -131,6 +129,9 @@ class RunTimeManager final : public PortWindowBackend<RunTimeManager> {
 
  private:
   friend class PortWindowBackend<RunTimeManager>;
+  /// The entry hook (sim/port_window_backend.h): forecast, decision (III),
+  /// load queue and the first loads.
+  void enter_hot_spot(const WorkloadTrace& trace, std::size_t instance, Cycles now);
   /// The replay walk's hook (sim/port_window_backend.h): advance the port to
   /// `now`, refresh the latency cache, and bound the window by
   /// fabric_stall_bound.

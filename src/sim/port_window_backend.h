@@ -8,16 +8,25 @@
 // arithmetic. PortWindowBackend implements the three ExecutionBackend replay
 // entry points over that fact: the scalar reference step, the per-run form
 // and the whole-instance span. A backend derives from it (CRTP, so the
-// per-run loop pays no virtual call) and supplies its port policy through one
-// hook:
+// per-run loop pays no virtual call) and supplies its policy through two
+// hooks:
 //
+//   void enter_hot_spot(const WorkloadTrace& trace, std::size_t instance,
+//                       Cycles now);
 //   Cycles open_window(Cycles now, SiId si);
 //
-// It advances the backend's port state to `now` (including whatever the
-// execution of `si` starting at `now` asks of the port), brings
+// enter_hot_spot is the backend's entry policy (it begins the monitor's
+// instance); the base's on_hot_spot_entry notes the instance before calling
+// it. open_window advances the backend's port state to `now` (including
+// whatever the execution of `si` starting at `now` asks of the port), brings
 // cached_molecule_ and cached_latency_ up to date and returns the window end:
 // the first time after `now` at which a port event could change a latency,
 // or kMaxCycles when none is pending.
+//
+// The span walk finishes the noted instance's last window — the one that
+// holds every remaining execution — from the instance's SiSummary in
+// O(k²) for its k distinct SIs, instead of run by run (DESIGN §6, *One
+// window walk*).
 //
 // A backend whose SIs ask the port for something at their first execution
 // (OneChip's demand loading) declares `static constexpr bool
@@ -28,9 +37,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "base/metrics.h"
 #include "base/types.h"
 #include "isa/si.h"
 #include "monitor/forecast.h"
@@ -49,9 +61,24 @@ inline std::uint64_t executions_before(Cycles window_end, Cycles now, std::uint6
   return (window_end - now + step - 1) / step;
 }
 
+/// `sim.replay.runs_stepped`: the runs the span walk steps one at a time,
+/// each counted once (also when it crosses window ends). The rest of the
+/// replayed runs were finished from the instance summary.
+inline MetricCounter& runs_stepped_metric() {
+  static MetricCounter& counter = metric_counter("sim.replay.runs_stepped");
+  return counter;
+}
+
 template <class Derived>
 class PortWindowBackend : public ExecutionBackend {
  public:
+  /// Notes the instance for the span walk, then runs the backend's entry
+  /// policy.
+  void on_hot_spot_entry(const WorkloadTrace& trace, std::size_t instance, Cycles now) final {
+    entered_ = &trace.instances[instance];
+    derived().enter_hot_spot(trace, instance, now);
+  }
+
   /// The reference path: one open_window per execution, then the cached
   /// molecule (or the trap) executes and the monitor observes it.
   Cycles si_execution_latency(SiId si, Cycles now) final {
@@ -66,17 +93,31 @@ class PortWindowBackend : public ExecutionBackend {
                                   std::vector<LatencySegment>& segments) final {
     if (count == 0) return 0;
     const SiRun run{si, 0};  // the count travels as the walk's `remaining`
+    std::uint64_t stepped = 0;
     const Cycles end = walk<true>(std::span<const SiRun>(&run, 1), count, now,
-                                  per_execution_overhead, &segments);
+                                  per_execution_overhead, &segments, nullptr, stepped);
     return end - now - count * per_execution_overhead;
   }
 
+  /// The summary path applies only to the whole noted instance (its own
+  /// runs, same data and size), and only once per entry.
   Cycles si_execution_span(std::span<const SiRun> runs, Cycles now,
                            Cycles per_execution_overhead) final {
-    return walk<false>(runs, 0, now, per_execution_overhead, nullptr);
+    const HotSpotInstance* entered = std::exchange(entered_, nullptr);
+    const SiSummary* summary = entered != nullptr && runs.data() == entered->runs.data() &&
+                                       runs.size() == entered->runs.size()
+                                   ? &entered->summary()
+                                   : nullptr;
+    std::uint64_t stepped = 0;
+    now = walk<false>(runs, 0, now, per_execution_overhead, nullptr, summary, stepped);
+    runs_stepped_metric().add(stepped);
+    return now;
   }
 
-  void on_hot_spot_exit(Cycles) override { monitor_.end_hot_spot(); }
+  void on_hot_spot_exit(Cycles) override {
+    entered_ = nullptr;
+    monitor_.end_hot_spot();
+  }
 
  protected:
   /// No SI of the backend asks the port for anything at its first execution
@@ -119,19 +160,61 @@ class PortWindowBackend : public ExecutionBackend {
       if (atoms[t] != 0 && type_last_used_[t] < at) type_last_used_[t] = at;
   }
 
+  /// The last-window rule. With the window [now, window_end) just opened
+  /// on the instance `summary` describes: when the instance's final
+  /// execution starts inside it, every remaining execution does
+  /// (executions start in increasing order), so the per-run walk would take
+  /// each remaining run whole at the latencies cached now. Adds each SI's
+  /// remaining executions to the monitor, stamps each SI that has some at
+  /// its last start and returns the cycle after the last execution's
+  /// overhead, in O(k²). nullopt when the window ends first, or when a
+  /// first-use SI with executions left has yet to open its own window.
+  std::optional<Cycles> finish_in_window(const SiSummary& summary, Cycles now,
+                                         Cycles window_end, Cycles per_execution_overhead) {
+    const auto left = [&](std::size_t slot) {
+      return summary.total(slot) - monitor_.counted(summary.si(slot));
+    };
+    const auto step = [&](std::size_t slot) {
+      return cached_latency_[summary.si(slot)] + per_execution_overhead;
+    };
+    Cycles span = 0;  // the remaining executions' steps
+    for (std::size_t slot = 0; slot < summary.size(); ++slot) {
+      if constexpr (Derived::kFirstUseReopen)
+        if (reopen_[summary.si(slot)] && left(slot) > 0) return std::nullopt;
+      span += left(slot) * step(slot);
+    }
+    if (span - step(summary.final_slot()) >= window_end - now) return std::nullopt;
+    for (std::size_t slot = 0; slot < summary.size(); ++slot) {
+      const std::uint64_t n = left(slot);
+      if (n == 0) continue;
+      // Every execution after this SI's last one lies in the remainder.
+      Cycles tail = step(slot);
+      for (std::size_t b = 0; b < summary.size(); ++b) tail += summary.after(slot, b) * step(b);
+      stamp_lru(summary.si(slot), now + span - tail);
+      monitor_.record_executions(summary.si(slot), n);
+    }
+    return now + span;
+  }
+
   /// Replays `runs` from `now` and returns the cycle after the last
   /// execution's overhead. `remaining` (> 0) overrides runs[0].count. Per run
   /// inside a window: one monitor bulk-add and one clock advance; only a run
   /// crossing the window end divides. LRU stamps are materialized when the
   /// window closes, while the molecules it executed with are still cached and
-  /// before open_window may pick a victim. kRecord appends each stretch of
-  /// equal latency to `segments`. Bit-exact with scalar replay.
+  /// before open_window may pick a victim. With a `summary` (the span walk
+  /// over a whole instance) each window first tries finish_in_window.
+  /// kRecord appends each stretch of equal latency to `segments`; `stepped`
+  /// counts the runs whose stepping begins here. Bit-exact with scalar replay.
   template <bool kRecord>
   Cycles walk(std::span<const SiRun> runs, std::uint64_t remaining, Cycles now,
-              Cycles per_execution_overhead, std::vector<LatencySegment>* segments) {
+              Cycles per_execution_overhead, std::vector<LatencySegment>* segments,
+              const SiSummary* summary, std::uint64_t& stepped) {
     std::size_t i = 0;
     while (i < runs.size()) {
       const Cycles window_end = derived().open_window(now, runs[i].si);
+      if (summary != nullptr)
+        if (const auto end = finish_in_window(*summary, now, window_end, per_execution_overhead))
+          return *end;
       ++window_gen_;
       touched_.clear();
       while (i < runs.size() && now < window_end) {
@@ -142,6 +225,7 @@ class PortWindowBackend : public ExecutionBackend {
         const Cycles latency = cached_latency_[si];
         const Cycles step = latency + per_execution_overhead;
         const std::uint64_t fit = executions_before(window_end, now, count, step);
+        stepped += remaining == 0;
         monitor_.record_executions(si, fit);
         last_start_[si] = now + (fit - 1) * step;
         if (touch_gen_[si] != window_gen_) {
@@ -162,6 +246,9 @@ class PortWindowBackend : public ExecutionBackend {
     return now;
   }
 
+  // Noted at entry; cleared by the span walk that takes it or at exit, so it
+  // never outlives the replay of its instance.
+  const HotSpotInstance* entered_ = nullptr;
   // Window scratch, per SiId; the touch marks are validated against
   // window_gen_ so windows open without O(si_count) clears.
   std::uint64_t window_gen_ = 0;

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -79,21 +80,63 @@ struct Reader {
 
 }  // namespace
 
+std::uint64_t SiSummary::executions_of(SiId si) const {
+  const auto it = std::find(sis_.begin(), sis_.end(), si);
+  return it == sis_.end() ? 0 : totals_[it - sis_.begin()];
+}
+
+void SiSummary::add(SiId si, std::uint32_t count, bool new_run) {
+  if (new_run) {
+    const std::size_t k = sis_.size();
+    // The open run closes: its SI's row takes the totals so far. The same
+    // pass finds the new run's slot (k when its SI is new); one loop over
+    // the few slots costs less than a copy call plus a search.
+    std::uint64_t* row = upto_.data() + open_ * k;
+    std::size_t slot = k;
+    for (std::size_t j = 0; j < k; ++j) {
+      row[j] = totals_[j];
+      if (sis_[j] == si) slot = j;
+    }
+    open_ = slot;
+    if (open_ == k) {
+      // A new slot: re-stride the rows from k to k + 1 columns in place,
+      // back to front, so the new row and column start at zero.
+      sis_.push_back(si);
+      totals_.push_back(0);
+      upto_.resize((k + 1) * (k + 1), 0);
+      for (std::size_t a = k; a-- > 0;) {
+        for (std::size_t b = k; b-- > 0;) upto_[a * (k + 1) + b] = upto_[a * k + b];
+        upto_[a * (k + 1) + k] = 0;
+      }
+    }
+  }
+  totals_[open_] += count;
+}
+
 HotSpotInstance::HotSpotInstance(HotSpotId hs, const std::vector<SiId>& executions,
                                  Cycles entry)
     : hot_spot(hs), entry_overhead(entry) {
-  for (const SiId si : executions) append(si);
+  constexpr std::size_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
+  for (std::size_t i = 0; i < executions.size();) {
+    std::size_t end = i + 1;
+    while (end < executions.size() && end - i < kMaxCount && executions[end] == executions[i])
+      ++end;
+    append(executions[i], static_cast<std::uint32_t>(end - i));
+    i = end;
+  }
 }
 
 void HotSpotInstance::append(SiId si, std::uint32_t count) {
   if (count == 0) return;
-  if (!runs.empty() && runs.back().si == si) {
+  const bool merge = !runs.empty() && runs.back().si == si;
+  if (merge) {
     RISPP_CHECK_MSG(runs.back().count <= std::numeric_limits<std::uint32_t>::max() - count,
                     "run of SI " << si << " overflows its 32-bit count");
     runs.back().count += count;
   } else {
     runs.push_back(SiRun{si, count});
   }
+  summary_.add(si, count, !merge);
   execution_count += count;
 }
 
@@ -113,9 +156,7 @@ Cycles WorkloadTrace::overhead_cycles() const {
 
 std::uint64_t WorkloadTrace::executions_of(SiId si) const {
   std::uint64_t n = 0;
-  for (const auto& inst : instances)
-    for (const SiRun& run : inst.runs)
-      if (run.si == si) n += run.count;
+  for (const auto& inst : instances) n += inst.summary().executions_of(si);
   return n;
 }
 
@@ -123,9 +164,11 @@ bool WorkloadTrace::si_ids_below(std::size_t si_count) const {
   for (const auto& hs : hot_spots)
     for (const SiId si : hs.sis)
       if (si >= si_count) return false;
-  for (const auto& inst : instances)
-    for (const SiRun& run : inst.runs)
-      if (run.si >= si_count) return false;
+  for (const auto& inst : instances) {
+    const SiSummary& summary = inst.summary();
+    for (std::size_t slot = 0; slot < summary.size(); ++slot)
+      if (summary.si(slot) >= si_count) return false;
+  }
   return true;
 }
 
@@ -188,15 +231,15 @@ WorkloadTrace WorkloadTrace::load(std::istream& is) {
     RISPP_CHECK_MSG(inst.hot_spot < trace.hot_spots.size(),
                     "hot-spot index " << inst.hot_spot << " out of range");
     inst.entry_overhead = in.get<Cycles>();
-    inst.runs.resize(in.length<std::uint64_t>(kRunBytes));
-    for (std::size_t r = 0; r < inst.runs.size(); ++r) {
-      SiRun& run = inst.runs[r];
-      run.si = in.get<SiId>();
-      run.count = in.get<std::uint32_t>();
-      RISPP_CHECK_MSG(run.count > 0, "trace run with a zero count");
-      RISPP_CHECK_MSG(r == 0 || inst.runs[r - 1].si != run.si,
-                      "adjacent trace runs share SI " << run.si);
-      inst.execution_count += run.count;
+    const std::size_t run_count = in.length<std::uint64_t>(kRunBytes);
+    inst.runs.reserve(run_count);
+    for (std::size_t r = 0; r < run_count; ++r) {
+      const auto si = in.get<SiId>();
+      const auto count = in.get<std::uint32_t>();
+      // append() would drop a zero count and merge a repeated SI.
+      RISPP_CHECK_MSG(count > 0, "trace run with a zero count");
+      RISPP_CHECK_MSG(r == 0 || inst.runs.back().si != si, "adjacent trace runs share SI " << si);
+      inst.append(si, count);
     }
   }
   RISPP_CHECK_MSG(in.bytes.empty(), "trailing bytes after the last trace instance");

@@ -35,15 +35,56 @@ struct SiRun {
   bool operator==(const SiRun&) const = default;
 };
 
+/// Per-SI tallies of one hot-spot instance, derived from its runs by
+/// HotSpotInstance::append: the k distinct SIs (slots, in order of first
+/// execution), each slot's execution total, and per slot the per-SI counts
+/// up to the end of that SI's last run, so after(a, b) is one subtraction.
+/// The replay walk finishes an instance's last port-quiet window from it
+/// (sim/port_window_backend.h, DESIGN §6).
+class SiSummary {
+ public:
+  std::size_t size() const { return sis_.size(); }
+  SiId si(std::size_t slot) const { return sis_[slot]; }
+  /// Executions of si(slot) in the instance.
+  std::uint64_t total(std::size_t slot) const { return totals_[slot]; }
+  /// The slot of the final run's SI.
+  std::size_t final_slot() const { return open_; }
+  /// Executions of si(b) after the last execution of si(a); zero for the
+  /// final run's SI, which executes last.
+  std::uint64_t after(std::size_t a, std::size_t b) const {
+    return a == open_ ? 0 : totals_[b] - upto_[a * sis_.size() + b];
+  }
+  /// Executions of `si` in the instance (zero when it has none).
+  std::uint64_t executions_of(SiId si) const;
+
+ private:
+  friend struct HotSpotInstance;
+  /// Counts `count` executions of `si`, as a new run or merged into the
+  /// open one (which then is `si`'s). A merge is O(1); a new run is O(k).
+  void add(SiId si, std::uint32_t count, bool new_run);
+
+  std::vector<SiId> sis_;
+  std::vector<std::uint64_t> totals_;
+  /// k × k, row a: the totals when si(a)'s last run closed. The open run's
+  /// row is stale until that run closes; after() never reads it.
+  std::vector<std::uint64_t> upto_;
+  std::size_t open_ = 0;
+};
+
 struct HotSpotInstance {
   HotSpotInstance() = default;
-  /// Encodes `executions` (SI executions in program order) through append().
+  /// Encodes `executions` (SI executions in program order) through append(),
+  /// one call per stretch of equal SIs.
   HotSpotInstance(HotSpotId hs, const std::vector<SiId>& executions, Cycles entry);
 
   /// The only run encoder: appends `count` executions of `si`, merged into
-  /// the last run when it has the same SI so runs stay maximal. A zero
-  /// count is a no-op.
+  /// the last run when it has the same SI so runs stay maximal, and keeps
+  /// summary() up to date. A zero count is a no-op.
   void append(SiId si, std::uint32_t count = 1);
+
+  /// The per-SI tallies of `runs`, as append() built them. Editing `runs`
+  /// directly (only the trace-format tests do) leaves it stale.
+  const SiSummary& summary() const { return summary_; }
 
   HotSpotId hot_spot = 0;
   /// Base-processor cycles spent entering the hot spot (control code, cache
@@ -55,7 +96,14 @@ struct HotSpotInstance {
   /// Sum of the run counts (the instance's SI executions).
   std::uint64_t execution_count = 0;
 
-  bool operator==(const HotSpotInstance&) const = default;
+  /// The summary is derived from the runs, so it is not compared.
+  bool operator==(const HotSpotInstance& other) const {
+    return hot_spot == other.hot_spot && entry_overhead == other.entry_overhead &&
+           runs == other.runs && execution_count == other.execution_count;
+  }
+
+ private:
+  SiSummary summary_;
 };
 
 struct HotSpotInfo {
@@ -73,7 +121,8 @@ struct WorkloadTrace {
   std::vector<HotSpotInstance> instances;
 
   std::size_t total_si_executions() const;
-  /// Executions of one SI across the whole trace (scans every run).
+  /// Executions of one SI across the whole trace (reads each instance's
+  /// summary).
   std::uint64_t executions_of(SiId si) const;
 
   /// Base-processor cycles the replay spends outside SI latencies: every

@@ -547,6 +547,39 @@ TEST(LoadBaseline, ReadsADirectoryOfPerfRecords) {
   fs::remove_all(dir);
 }
 
+TEST(LoadBaseline, SetupMismatchesNameTheFieldAndBothValues) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "rispp_baseline_setup";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // The committed baseline's setup: 8 frames, one job, one thread each.
+  DriverOptions recorded;
+  recorded.jobs = 1;
+  recorded.threads_per_child = 1;
+  const fs::path path = dir / "BENCH_SUITE.json";
+  write_suite({}, 8, recorded, path);
+  EXPECT_TRUE(baseline_setup_mismatches(path, 8, recorded).empty());
+
+  // CI's old gate run: every core as a job, against that baseline.
+  DriverOptions run;
+  run.jobs = 4;
+  run.threads_per_child = 1;
+  EXPECT_EQ(baseline_setup_mismatches(path, 8, run),
+            std::vector<std::string>{"jobs: this run 4, baseline 1"});
+  run.threads_per_child = 2;
+  EXPECT_EQ(baseline_setup_mismatches(path, 140, run),
+            (std::vector<std::string>{"frames: this run 140, baseline 8",
+                                      "jobs: this run 4, baseline 1",
+                                      "threads_per_child: this run 2, baseline 1"}));
+
+  // Only fields the record carries are compared; a directory has no record.
+  std::ofstream(dir / "partial.json") << "{\"frames\": 8, \"reports\": []}\n";
+  EXPECT_TRUE(baseline_setup_mismatches(dir / "partial.json", 8, run).empty());
+  EXPECT_TRUE(baseline_setup_mismatches(dir, 140, run).empty());
+  std::ofstream(dir / "typed.json") << "{\"frames\": \"8\", \"reports\": []}\n";
+  EXPECT_THROW(baseline_setup_mismatches(dir / "typed.json", 8, run), std::logic_error);
+  fs::remove_all(dir);
+}
+
 // --- the perf-regression gate ----------------------------------------------
 
 ReportResult make_result(const std::string& name, double wall, double rate = 0.0) {

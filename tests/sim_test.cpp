@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "base/metrics.h"
 #include "base/prng.h"
 #include "baselines/software_only.h"
 #include "isa/h264_si_library.h"
@@ -227,6 +228,73 @@ TEST(Trace, SiIdsBelowChecksHotSpotsAndRuns) {
   EXPECT_FALSE(trace.si_ids_below(2));
 }
 
+/// Recounts `inst`'s summary from its runs alone: slots in first-execution
+/// order, per-SI totals, and after(a, b) as b's executions behind a's last
+/// run.
+void expect_summary_matches_runs(const HotSpotInstance& inst) {
+  const SiSummary& summary = inst.summary();
+  const std::vector<SiRun>& runs = inst.runs;
+  std::vector<SiId> sis;
+  for (const SiRun& run : runs)
+    if (std::find(sis.begin(), sis.end(), run.si) == sis.end()) sis.push_back(run.si);
+  ASSERT_EQ(summary.size(), sis.size());
+  for (std::size_t a = 0; a < sis.size(); ++a) {
+    ASSERT_EQ(summary.si(a), sis[a]) << "slot " << a;
+    std::uint64_t total = 0;
+    std::size_t last = 0;
+    for (std::size_t r = 0; r < runs.size(); ++r)
+      if (runs[r].si == sis[a]) {
+        total += runs[r].count;
+        last = r;
+      }
+    EXPECT_EQ(summary.total(a), total) << "slot " << a;
+    EXPECT_EQ(summary.executions_of(sis[a]), total) << "slot " << a;
+    for (std::size_t b = 0; b < sis.size(); ++b) {
+      std::uint64_t behind = 0;
+      for (std::size_t r = last + 1; r < runs.size(); ++r)
+        if (runs[r].si == sis[b]) behind += runs[r].count;
+      EXPECT_EQ(summary.after(a, b), behind) << "slots " << a << ", " << b;
+    }
+  }
+  if (!runs.empty()) {
+    EXPECT_EQ(summary.si(summary.final_slot()), runs.back().si);
+  }
+}
+
+TEST(Trace, SummaryMatchesBruteForceRecount) {
+  Xoshiro256 rng(7);
+  WorkloadTrace trace;
+  trace.hot_spots = {HotSpotInfo{"A", {}, 1}};
+  for (int i = 0; i < 40; ++i) {
+    SCOPED_TRACE("instance " + std::to_string(i));
+    // The flat-sequence constructor: stretches of equal SIs become runs.
+    std::vector<SiId> executions;
+    for (std::int64_t n = rng.range(0, 400); n > 0; --n)
+      executions.push_back(static_cast<SiId>(rng.range(0, 1) == 0 && !executions.empty()
+                                                 ? executions.back()
+                                                 : rng.range(0, 5)));
+    HotSpotInstance inst{0, executions, 10};
+    ASSERT_EQ(inst.execution_count, executions.size());
+    expect_summary_matches_runs(inst);
+    // Merges into the open run and new runs, checked after every append.
+    for (std::int64_t n = rng.range(1, 30); n > 0; --n) {
+      const SiId si = !inst.runs.empty() && rng.range(0, 2) == 0
+                          ? inst.runs.back().si
+                          : static_cast<SiId>(rng.range(0, 7));
+      inst.append(si, static_cast<std::uint32_t>(rng.range(0, 50)));
+      expect_summary_matches_runs(inst);
+    }
+    trace.instances.push_back(std::move(inst));
+  }
+  EXPECT_EQ(trace.instances[0].summary().executions_of(99), 0u);
+  // load() encodes through append() too.
+  std::stringstream ss;
+  trace.save(ss);
+  const WorkloadTrace loaded = WorkloadTrace::load(ss);
+  ASSERT_EQ(loaded, trace);
+  for (const HotSpotInstance& inst : loaded.instances) expect_summary_matches_runs(inst);
+}
+
 TEST(Executor, SoftwareOnlyMatchesClosedForm) {
   const auto set = h264sis::build_h264_si_set();
   WorkloadTrace trace;
@@ -272,10 +340,6 @@ class ScriptedBackend final : public PortWindowBackend<ScriptedBackend> {
   }
 
   std::string_view name() const override { return "Scripted"; }
-  void on_hot_spot_entry(const WorkloadTrace& trace, std::size_t instance, Cycles) override {
-    monitor_.begin_hot_spot(trace.instances[instance].hot_spot);
-    for (const SiId si : first_use_) reopen_[si] = 1;
-  }
 
   std::vector<std::pair<SiId, Cycles>> requests;  // (si, when) per first use
   const std::vector<Cycles>& lru_stamps() const { return type_last_used_; }
@@ -284,6 +348,11 @@ class ScriptedBackend final : public PortWindowBackend<ScriptedBackend> {
  private:
   friend class PortWindowBackend<ScriptedBackend>;
   static constexpr bool kFirstUseReopen = true;
+
+  void enter_hot_spot(const WorkloadTrace& trace, std::size_t instance, Cycles) {
+    monitor_.begin_hot_spot(trace.instances[instance].hot_spot);
+    for (const SiId si : first_use_) reopen_[si] = 1;
+  }
 
   Cycles open_window(Cycles now, SiId si) {
     for (auto it = events_.begin(); it != events_.end() && it->first <= now;
@@ -317,13 +386,17 @@ struct WalkObservation {
   std::vector<std::pair<SiId, Cycles>> requests;
   std::vector<Cycles> lru;
   std::vector<std::vector<std::uint64_t>> forecasts;  // per hot spot
+  std::uint64_t runs_stepped = 0;  // sim.replay.runs_stepped (span walk only)
 };
 
 WalkObservation observe_walk(const SpecialInstructionSet& set, const WorkloadTrace& trace,
                              const WalkScript& script, SimStats* stats, ReplayMode mode) {
   ScriptedBackend backend(&set, trace.hot_spots.size(), script.events, script.first_use);
   WalkObservation o;
+  const MetricCounter& stepped = metric_counter("sim.replay.runs_stepped");
+  const std::uint64_t stepped_before = stepped.value();
   o.result = run_trace(trace, backend, stats, mode);
+  o.runs_stepped = stepped.value() - stepped_before;
   o.requests = backend.requests;
   o.lru = backend.lru_stamps();
   for (HotSpotId hs = 0; hs < trace.hot_spots.size(); ++hs)
@@ -333,9 +406,11 @@ WalkObservation observe_walk(const SpecialInstructionSet& set, const WorkloadTra
 
 /// Replays `trace` through the scalar path, the per-run walk (stats, latency
 /// segments) and the span walk (no stats), expects every observable to agree
-/// and returns the per-run walk's stats.
+/// and returns the per-run walk's stats. `span_runs_stepped`, when given,
+/// receives the runs the span walk stepped one at a time.
 SimStats expect_walks_agree(const SpecialInstructionSet& set, const WorkloadTrace& trace,
-                            const WalkScript& script) {
+                            const WalkScript& script,
+                            std::uint64_t* span_runs_stepped = nullptr) {
   SimStats scalar_stats(set.si_count()), run_stats(set.si_count());
   const WalkObservation scalar =
       observe_walk(set, trace, script, &scalar_stats, ReplayMode::kScalar);
@@ -350,6 +425,9 @@ SimStats expect_walks_agree(const SpecialInstructionSet& set, const WorkloadTrac
     EXPECT_EQ(o->lru, scalar.lru);
     EXPECT_EQ(o->forecasts, scalar.forecasts);
   }
+  EXPECT_EQ(scalar.runs_stepped, 0u);
+  EXPECT_EQ(runs.runs_stepped, 0u);
+  if (span_runs_stepped != nullptr) *span_runs_stepped = span.runs_stepped;
   EXPECT_EQ(run_stats.bucket_count(), scalar_stats.bucket_count());
   for (SiId si = 0; si < set.si_count(); ++si) {
     EXPECT_EQ(run_stats.executions(si), scalar_stats.executions(si)) << "si " << si;
@@ -370,6 +448,9 @@ SimStats expect_walks_agree(const SpecialInstructionSet& set, const WorkloadTrac
 TEST(PortWindow, ScalarRunsAndSpanAgreeOnSeededTraces) {
   const auto set = h264sis::build_h264_si_set();
   const auto n = static_cast<std::int64_t>(set.si_count());
+  // The span walk finishes last windows from the instance summaries, so it
+  // steps fewer runs than it replays (each stepped run counts once).
+  std::uint64_t replayed = 0, stepped = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Xoshiro256 rng(seed);
@@ -401,8 +482,12 @@ TEST(PortWindow, ScalarRunsAndSpanAgreeOnSeededTraces) {
     }
     script.first_use = {static_cast<SiId>(rng.range(0, n - 1)),
                         static_cast<SiId>(rng.range(0, n - 1))};
-    expect_walks_agree(set, trace, script);
+    std::uint64_t seed_stepped = 0;
+    expect_walks_agree(set, trace, script, &seed_stepped);
+    stepped += seed_stepped;
+    for (const HotSpotInstance& inst : trace.instances) replayed += inst.runs.size();
   }
+  EXPECT_LT(stepped, replayed);
 }
 
 TEST(PortWindow, RunCrossesThreeWindows) {
@@ -466,6 +551,137 @@ TEST(PortWindow, FirstUseReopensTheWindow) {
   ASSERT_GE(timeline.size(), 2u);
   EXPECT_EQ(timeline[1].latency, set.si(0).software_latency / 2);
   EXPECT_GE(timeline[1].at, first_sad + ScriptedBackend::kRequestDelay);
+}
+
+// --- the last-window rule: the span walk finishes an instance from its
+// summary once the window holds every remaining execution ----------------
+
+/// Hardware latencies from cycle 1 on (before any instance), so executions
+/// LRU-stamp: SAD (atom type 0) 32, (I)HT 2x2 (type 2) 4, LF_BS4 (types 11
+/// and 12) 33. Their atom types are disjoint, so each stamp is one SI's.
+WalkScript hardware_script() {
+  return WalkScript{{{1, {0, 32}}, {1, {3, 4}}, {1, {8, 33}}}, {}};
+}
+
+TEST(PortWindow, LastWindowShortcutWhenFinalExecutionStartsBeforeItsEnd) {
+  const auto set = h264sis::build_h264_si_set();
+  WorkloadTrace trace;
+  trace.hot_spots = {HotSpotInfo{"X", {0, 3}, 5}};
+  HotSpotInstance inst;
+  inst.entry_overhead = 100;
+  inst.append(0, 4);
+  inst.append(3, 2);
+  trace.instances = {inst, inst};
+  // SAD steps 37 cycles, HT 9: the final execution starts at
+  // 100 + 4 * 37 + 9 = 257, one cycle before the window ends.
+  const Cycles final_start = 257;
+  WalkScript script = hardware_script();
+  script.events.emplace(final_start + 1, std::pair<SiId, Cycles>{3, 2});
+  const WalkObservation span = observe_walk(set, trace, script, nullptr, ReplayMode::kBatched);
+  std::uint64_t stepped = 0;
+  expect_walks_agree(set, trace, script, &stepped);
+  // The first instance is one summary step; the second opens after the
+  // event, with no port event left.
+  EXPECT_EQ(stepped, 0u);
+  EXPECT_EQ(span.result.hot_spot_cycles[0], 2 * 100 + 4 * 37 + 2 * 9 + 4 * 37 + 2 * 7u);
+  EXPECT_EQ(span.lru[0], final_start + 9 + 100 + 3 * 37);  // SAD's last start
+}
+
+TEST(PortWindow, FinalExecutionAtTheWindowEndSeesTheNewLatency) {
+  const auto set = h264sis::build_h264_si_set();
+  WorkloadTrace trace;
+  trace.hot_spots = {HotSpotInfo{"X", {0, 3}, 5}};
+  HotSpotInstance inst;
+  inst.entry_overhead = 100;
+  inst.append(0, 4);
+  inst.append(3, 2);
+  trace.instances = {inst};
+  // The window ends exactly where the final execution starts: no shortcut,
+  // and that execution takes the new latency.
+  const Cycles final_start = 257;
+  WalkScript script = hardware_script();
+  script.events.emplace(final_start, std::pair<SiId, Cycles>{3, 2});
+  std::uint64_t stepped = 0;
+  const SimStats stats = expect_walks_agree(set, trace, script, &stepped);
+  EXPECT_EQ(stepped, 2u);  // both runs in the first window; the second one finishes
+  const auto& timeline = stats.latency_timeline(3);
+  ASSERT_EQ(timeline.size(), 2u);
+  EXPECT_EQ(timeline[1].at, final_start);
+  EXPECT_EQ(timeline[1].latency, 2u);
+}
+
+TEST(PortWindow, LastWindowOpensInsideAPartlyConsumedRun) {
+  const auto set = h264sis::build_h264_si_set();
+  WorkloadTrace trace;
+  trace.hot_spots = {HotSpotInfo{"X", {0, 3}, 5}};
+  HotSpotInstance inst;
+  inst.entry_overhead = 100;
+  inst.append(0, 1000);
+  inst.append(3, 5);
+  inst.append(0, 10);
+  trace.instances = {inst};
+  // SAD drops to 16 while its first run is 301 executions in, so the last
+  // window opens with 699 of that run left, and HT's stamp comes from the
+  // ten SADs after it.
+  WalkScript script = hardware_script();
+  script.events.emplace(100 + 300 * 37 + 10, std::pair<SiId, Cycles>{0, 16});
+  const WalkObservation span = observe_walk(set, trace, script, nullptr, ReplayMode::kBatched);
+  std::uint64_t stepped = 0;
+  expect_walks_agree(set, trace, script, &stepped);
+  EXPECT_EQ(stepped, 1u);
+  const Cycles resumed = 100 + 301 * 37;
+  EXPECT_EQ(span.result.total_cycles, resumed + 699 * 21 + 5 * 9 + 10 * 21);
+  EXPECT_EQ(span.lru[2], resumed + 699 * 21 + 4 * 9);  // HT's last start
+}
+
+TEST(PortWindow, StampOfAnSiThatOnlyStartsTheInstanceComesFromAfter) {
+  const auto set = h264sis::build_h264_si_set();
+  WorkloadTrace trace;
+  trace.hot_spots = {HotSpotInfo{"X", {0, 3, 8}, 5}};
+  HotSpotInstance inst;
+  inst.entry_overhead = 100;
+  inst.append(8, 3);
+  inst.append(0, 50);
+  inst.append(3, 7);
+  inst.append(0, 20);
+  inst.append(3, 2);
+  trace.instances = {inst};
+  const WalkScript script = hardware_script();
+  const WalkObservation span = observe_walk(set, trace, script, nullptr, ReplayMode::kBatched);
+  std::uint64_t stepped = 0;
+  expect_walks_agree(set, trace, script, &stepped);
+  EXPECT_EQ(stepped, 0u);  // no port event: the whole instance is one summary step
+  // LF_BS4 (step 38) last starts at its third execution, and 70 SADs and
+  // 9 HTs follow it; SAD last starts before the final two HTs.
+  EXPECT_EQ(span.lru[11], 100 + 2 * 38u);
+  EXPECT_EQ(span.lru[12], 100 + 2 * 38u);
+  EXPECT_EQ(span.lru[0], 100 + 3 * 38 + 50 * 37 + 7 * 9 + 19 * 37u);
+}
+
+TEST(PortWindow, FlaggedFirstUseSiBlocksTheShortcut) {
+  const auto set = h264sis::build_h264_si_set();
+  WorkloadTrace trace;
+  trace.hot_spots = {HotSpotInfo{"X", {0, 3}, 5}};
+  HotSpotInstance inst;
+  inst.entry_overhead = 100;
+  inst.append(0, 20);
+  inst.append(3, 5);
+  inst.append(0, 3);
+  trace.instances = {inst, inst};
+  // No port event is pending, but HT still has to request the port at its
+  // first execution (840 = 100 + 20 * 37), and the request's answer ends
+  // the window it opens.
+  WalkScript script = hardware_script();
+  script.first_use = {3};
+  const WalkObservation span = observe_walk(set, trace, script, nullptr, ReplayMode::kBatched);
+  std::uint64_t stepped = 0;
+  expect_walks_agree(set, trace, script, &stepped);
+  ASSERT_EQ(span.requests.size(), 2u);
+  EXPECT_EQ(span.requests[0], (std::pair<SiId, Cycles>{3, 840}));
+  // Each instance steps the SADs before the request and HT's run; in the
+  // second, HT is faster and the last SAD run starts before the request's
+  // answer too, so it is stepped (partly) as well.
+  EXPECT_EQ(stepped, 2 + 3u);
 }
 
 }  // namespace

@@ -3,14 +3,18 @@
 //   rispp_bench                         # discover build/bench/*, all cores
 //   rispp_bench --jobs 4 --frames 8     # quick pass, 4 reports at a time
 //   rispp_bench --filter 'fig*'         # only the figure reports
-//   rispp_bench --baseline ci/bench_baseline.json   # perf-regression gate
+//   rispp_bench --frames 8 --jobs 1 --baseline ci/bench_baseline.json
+//                                       # perf-regression gate (CI also
+//                                       # sets RISPP_THREADS=1)
 //
 // Each report's stdout+stderr goes to <out>/logs/<name>.log (byte-identical
 // to a sequential run — children never share a stream); per-report
 // BENCH_<name>.json records are folded into <out>/BENCH_SUITE.json. With
 // --baseline the driver exits non-zero when any report got >20 % slower
 // (wall-clock or cells/sec) than the baseline suite, or when one of its
-// exact work counters (bench::kExactCounters) differs from the baseline's.
+// exact work counters (bench::kExactCounters) differs from the baseline's;
+// it exits 2 without running when the baseline suite was recorded at other
+// frames, jobs or threads per child.
 #include <unistd.h>
 
 #include <cstdio>
@@ -40,7 +44,9 @@ void usage(const char* argv0) {
                "  --out <dir>         logs + BENCH_SUITE.json (default: bench-out)\n"
                "  --baseline <path>   BENCH_SUITE.json or dir of BENCH_*.json;\n"
                "                      exit non-zero on >threshold slowdown or\n"
-               "                      a changed exact work counter\n"
+               "                      a changed exact work counter; exit 2 when\n"
+               "                      the suite's frames, jobs or threads per\n"
+               "                      child differ from this run's\n"
                "  --threshold <pct>   regression budget in percent (default: 20)\n"
                "  --refresh-baseline <path>\n"
                "                      after a fully green run, rewrite <path>\n"
@@ -152,6 +158,18 @@ int run(int argc, char** argv) {
   const int frames = bench::bench_frames();
   std::printf("rispp_bench: %zu reports, %u at a time, %u thread(s) each, %d frames\n",
               binaries.size(), options.jobs, options.threads_per_child, frames);
+  if (!baseline_path.empty()) {
+    // Timings of another setup are no reference: refuse before running.
+    const auto mismatches = bench::baseline_setup_mismatches(baseline_path, frames, options);
+    for (const auto& line : mismatches)
+      std::fprintf(stderr, "rispp_bench: %s: %s\n", baseline_path.string().c_str(),
+                   line.c_str());
+    if (!mismatches.empty()) {
+      std::fprintf(stderr, "rispp_bench: refusing to compare against a baseline of another "
+                           "setup (set --frames, --jobs and RISPP_THREADS to match it)\n");
+      return 2;
+    }
+  }
   if (warm) {
     // One shared cache fill instead of every child racing to encode — both
     // the classic bench workload and the fleet benches' mixed contents.

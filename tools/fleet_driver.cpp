@@ -1,9 +1,9 @@
 // rispp_fleet — the fleet-scale simulation service driver.
 //
 //   rispp_fleet [--sessions N] [--mix h264=4,jpeg=1] [--frames LO..HI]
-//               [--schedulers HEF,SJF,...] [--acs LO..HI]
-//               [--arrival all|uniform:<per_min>] [--block N] [--seed N]
-//               [--stats] [--solo]
+//               [--schedulers HEF,SJF,...] [--seed N] [--solo]
+//               [--acs LO..HI] [--arrival all|uniform:<per_min>]
+//               [--block N] [--stats]
 //               [--tenants N] [--acs-per-tenant N] [--floor N]
 //               [--partition static|weighted] [--cosim fast|reference]
 //
@@ -22,7 +22,9 @@
 // per-tenant simulated-cycle percentiles (fleet/tenant_fleet.h). --cosim
 // picks the per-device co-simulation: the epoch-based fast-forward
 // (default, DESIGN §9.1) or the instance-stepped reference oracle —
-// bit-identical results either way.
+// bit-identical results either way. The classic fleet's --acs, --arrival,
+// --block and --stats do not apply there: contended mode exits 2 naming
+// the first one given.
 //
 // --solo cross-checks every session's result against an oracle and exits 1
 // when one differs — the equivalence contract, runnable from the command
@@ -52,9 +54,10 @@ int usage() {
   std::fprintf(stderr,
                "usage: rispp_fleet [--sessions N] [--mix h264=4,jpeg=1]\n"
                "                   [--frames LO..HI] [--schedulers HEF,SJF,...]\n"
-               "                   [--acs LO..HI] [--arrival all|uniform:<per_min>]\n"
-               "                   [--block N] [--seed N] [--stats] [--solo]\n"
-               "                   [--tenants N] [--acs-per-tenant N] [--floor N]\n"
+               "                   [--seed N] [--solo]\n"
+               "  classic fleet:   [--acs LO..HI] [--arrival all|uniform:<per_min>]\n"
+               "                   [--block N] [--stats]\n"
+               "  contended fleet: --tenants N (N > 1) [--acs-per-tenant N] [--floor N]\n"
                "                   [--partition static|weighted]\n"
                "                   [--cosim fast|reference]\n");
   return 2;
@@ -104,11 +107,16 @@ int main(int argc, char** argv) {
   fleet::FleetOptions options;
   bool solo_check = false;
   CosimMode cosim_mode = CosimMode::kFastForward;
+  // The first flag given that only the classic fleet reads.
+  std::string classic_only;
 
   std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     const char* value = i + 1 < args.size() ? args[i + 1].c_str() : nullptr;
+    if (classic_only.empty() &&
+        (arg == "--acs" || arg == "--arrival" || arg == "--block" || arg == "--stats"))
+      classic_only = arg;
     if (arg == "--stats") {
       options.collect_stats = true;
     } else if (arg == "--solo") {
@@ -171,6 +179,14 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
+  }
+
+  if (spec.tenants > 1 && !classic_only.empty()) {
+    std::fprintf(stderr,
+                 "rispp_fleet: %s does not apply in contended mode (--tenants %d); "
+                 "it only configures the classic fleet\n",
+                 classic_only.c_str(), spec.tenants);
+    return 2;
   }
 
   const std::vector<fleet::SessionSpec> sessions = fleet::expand_fleet_spec(spec);
