@@ -503,11 +503,12 @@ BENCHMARK(BM_ParallelFor)
     ->Arg(static_cast<int>(parallel_thread_count()))
     ->Unit(benchmark::kMillisecond);
 
-// SoA instance-major fleet stepping (fleet::SessionBatch) vs the per-object
-// loop (one full run_trace per session, back to back) over the same 32
-// identical short sessions. Items = sessions; the SoA rate should win on
-// cache residency (the shared trace instance is streamed once per block,
-// not once per session) plus the cross-session decision cache.
+// Instance-major fleet stepping (fleet::SessionBatch steps a block's
+// TraceReplays one shared instance at a time) vs the per-object loop (one
+// full run_trace per session, back to back) over the same 32 identical
+// short sessions. Items = sessions; the batch should win on cache residency
+// (the shared trace instance is streamed once per block, not once per
+// session) plus the cross-session decision cache.
 void fleet_stepping_sessions(std::vector<fleet::SessionSpec>& specs) {
   fleet::SessionSpec spec;
   spec.content = fleet::Content::kH264;
@@ -655,10 +656,7 @@ void BM_CosimFastForward(benchmark::State& state) {
       config.tenant = runs[i].tenant;
       rtms[i] = std::make_unique<RunTimeManager>(
           &entries[i]->set, entries[i]->trace.hot_spots.size(), config);
-      for (HotSpotId hs = 0; hs < entries[i]->seeds.size(); ++hs)
-        for (SiId si = 0; si < entries[i]->seeds[hs].size(); ++si)
-          if (entries[i]->seeds[hs][si] != 0)
-            rtms[i]->seed_forecast(hs, si, entries[i]->seeds[hs][si]);
+      seed_forecasts(*rtms[i], entries[i]->seeds);
       runs[i].trace = &entries[i]->trace;
       runs[i].rtm = rtms[i].get();
     }

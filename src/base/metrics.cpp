@@ -18,6 +18,7 @@
 #include "base/check.h"
 #include "base/env.h"
 #include "base/json_mini.h"
+#include "base/stats.h"
 #include "base/trace_event.h"
 
 namespace rispp {
@@ -416,40 +417,6 @@ std::optional<std::string> validate_scalar_section(const JsonValue& root,
   return std::nullopt;
 }
 
-std::optional<std::string> validate_histogram_entry(const std::string& name,
-                                                    const JsonValue& h) {
-  if (h.kind != JsonValue::Kind::kObject)
-    return "histogram \"" + name + "\" is not an object";
-  for (const char* field : {"count", "sum", "min", "max", "p50", "p90", "p99"}) {
-    if (!is_count(h.find(field)))
-      return "histogram \"" + name + "\" lacks a non-negative integer \"" +
-             field + "\"";
-  }
-  const double count = h.find("count")->number;
-  if (h.find("min")->number > h.find("max")->number)
-    return "histogram \"" + name + "\" has min > max";
-  if (h.find("p50")->number > h.find("p99")->number)
-    return "histogram \"" + name + "\" has p50 > p99";
-  const JsonValue* buckets = h.find("buckets");
-  if (buckets == nullptr) return std::nullopt;  // ring windows omit buckets
-  if (buckets->kind != JsonValue::Kind::kArray)
-    return "histogram \"" + name + "\" has a non-array \"buckets\"";
-  double total = 0.0;
-  double last_upper = -1.0;
-  for (const JsonValue& b : buckets->array) {
-    if (b.kind != JsonValue::Kind::kArray || b.array.size() != 2 ||
-        !is_count(&b.array[0]) || !is_count(&b.array[1]) || b.array[1].number < 1.0)
-      return "histogram \"" + name + "\" has a malformed bucket";
-    if (b.array[0].number <= last_upper)
-      return "histogram \"" + name + "\" has non-ascending bucket bounds";
-    last_upper = b.array[0].number;
-    total += b.array[1].number;
-  }
-  if (total != count)
-    return "histogram \"" + name + "\" bucket counts do not sum to \"count\"";
-  return std::nullopt;
-}
-
 std::optional<std::string> validate_snapshot_object(const JsonValue& root) {
   if (root.kind != JsonValue::Kind::kObject) return "snapshot is not an object";
   if (auto err = validate_scalar_section(root, "counters", /*counts_only=*/true))
@@ -460,8 +427,10 @@ std::optional<std::string> validate_snapshot_object(const JsonValue& root) {
   if (histograms == nullptr) return "missing \"histograms\" object";
   if (histograms->kind != JsonValue::Kind::kObject)
     return "\"histograms\" is not an object";
-  for (const auto& [name, h] : histograms->object)
-    if (auto err = validate_histogram_entry(name, h)) return err;
+  for (const auto& [name, h] : histograms->object) {
+    stats::HistogramEntry entry;
+    if (auto err = stats::read_histogram_entry(name, h, entry)) return err;
+  }
   return std::nullopt;
 }
 

@@ -22,16 +22,17 @@ bool is_object(const JsonValue* v) {
   return v != nullptr && v->kind == JsonValue::Kind::kObject;
 }
 
-std::optional<double> number_field(const JsonValue& obj, std::string_view key) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return std::nullopt;
-  return v->number;
-}
+/// 2^64: the double a written UINT64_MAX reads back as.
+constexpr double kTwoTo64 = 18446744073709551616.0;
 
-std::optional<std::uint64_t> count_field(const JsonValue& obj, std::string_view key) {
-  const auto n = number_field(obj, key);
-  if (!n || *n < 0.0 || *n != std::floor(*n)) return std::nullopt;
-  return static_cast<std::uint64_t>(*n);
+/// `v` as a count: a non-negative integer up to 2^64 (read as UINT64_MAX).
+/// Converting anything else to std::uint64_t is undefined behaviour.
+std::optional<std::uint64_t> as_count(const JsonValue* v) {
+  if (v == nullptr || v->kind != JsonValue::Kind::kNumber || !(v->number >= 0.0) ||
+      v->number != std::floor(v->number) || v->number > kTwoTo64)
+    return std::nullopt;
+  if (v->number == kTwoTo64) return std::numeric_limits<std::uint64_t>::max();
+  return static_cast<std::uint64_t>(v->number);
 }
 
 bool parse_scalar_section(const JsonValue& doc, const char* section,
@@ -62,46 +63,10 @@ bool parse_histogram_section(const JsonValue& doc,
     return false;
   }
   for (const auto& [name, value] : obj->object) {
-    if (value.kind != JsonValue::Kind::kObject) {
-      error = "histogram " + name + " is not an object";
-      return false;
-    }
     HistogramEntry entry;
-    const auto count = count_field(value, "count");
-    const auto sum = count_field(value, "sum");
-    const auto min = count_field(value, "min");
-    const auto max = count_field(value, "max");
-    const auto p50 = count_field(value, "p50");
-    const auto p90 = count_field(value, "p90");
-    const auto p99 = count_field(value, "p99");
-    if (!count || !sum || !min || !max || !p50 || !p90 || !p99) {
-      error = "histogram " + name + " lacks a summary field";
+    if (auto fault = read_histogram_entry(name, value, entry)) {
+      error = std::move(*fault);
       return false;
-    }
-    entry.snapshot.count = *count;
-    entry.snapshot.sum = *sum;
-    entry.snapshot.min = *min;
-    entry.snapshot.max = *max;
-    entry.p50 = *p50;
-    entry.p90 = *p90;
-    entry.p99 = *p99;
-    if (const JsonValue* buckets = value.find("buckets")) {
-      if (buckets->kind != JsonValue::Kind::kArray) {
-        error = "histogram " + name + " buckets is not an array";
-        return false;
-      }
-      for (const JsonValue& pair : buckets->array) {
-        if (pair.kind != JsonValue::Kind::kArray || pair.array.size() != 2 ||
-            pair.array[0].kind != JsonValue::Kind::kNumber ||
-            pair.array[1].kind != JsonValue::Kind::kNumber) {
-          error = "histogram " + name + " has a malformed bucket";
-          return false;
-        }
-        entry.snapshot.buckets.emplace_back(
-            static_cast<std::uint64_t>(pair.array[0].number),
-            static_cast<std::uint64_t>(pair.array[1].number));
-      }
-      entry.has_buckets = true;
     }
     out[name] = std::move(entry);
   }
@@ -186,6 +151,47 @@ std::vector<std::pair<std::string, const HistogramEntry*>> series_of(
 }
 
 }  // namespace
+
+std::optional<std::string> read_histogram_entry(const std::string& name,
+                                                const JsonValue& value, HistogramEntry& out) {
+  const std::string histogram = "histogram \"" + name + "\"";
+  if (value.kind != JsonValue::Kind::kObject) return histogram + " is not an object";
+  const std::pair<const char*, std::uint64_t*> fields[] = {
+      {"count", &out.snapshot.count}, {"sum", &out.snapshot.sum}, {"min", &out.snapshot.min},
+      {"max", &out.snapshot.max},     {"p50", &out.p50},          {"p90", &out.p90},
+      {"p99", &out.p99}};
+  for (const auto& [field, slot] : fields) {
+    const auto count = as_count(value.find(field));
+    if (!count)
+      return histogram + " lacks a summary field: \"" + field +
+             "\" must be a non-negative integer";
+    *slot = *count;
+  }
+  if (out.snapshot.min > out.snapshot.max) return histogram + " has min > max";
+  if (out.p50 > out.p99) return histogram + " has p50 > p99";
+  out.snapshot.buckets.clear();
+  const JsonValue* buckets = value.find("buckets");
+  out.has_buckets = buckets != nullptr;
+  if (buckets == nullptr) return std::nullopt;  // ring windows omit buckets
+  if (buckets->kind != JsonValue::Kind::kArray)
+    return histogram + " has a non-array \"buckets\"";
+  std::uint64_t total = 0;
+  for (const JsonValue& pair : buckets->array) {
+    const bool is_pair = pair.kind == JsonValue::Kind::kArray && pair.array.size() == 2;
+    const auto upper = is_pair ? as_count(&pair.array[0]) : std::nullopt;
+    const auto count = is_pair ? as_count(&pair.array[1]) : std::nullopt;
+    if (!upper || !count || *count == 0) return histogram + " has a malformed bucket";
+    if (!out.snapshot.buckets.empty() && *upper <= out.snapshot.buckets.back().first)
+      return histogram + " has non-ascending bucket bounds";
+    if (*count > out.snapshot.count - total)
+      return histogram + " bucket counts do not sum to \"count\"";
+    total += *count;
+    out.snapshot.buckets.emplace_back(*upper, *count);
+  }
+  if (total != out.snapshot.count)
+    return histogram + " bucket counts do not sum to \"count\"";
+  return std::nullopt;
+}
 
 SeriesName parse_series_name(const std::string& name) {
   SeriesName out;

@@ -22,6 +22,10 @@
 
 #include "base/metrics.h"
 
+namespace rispp::jsonmini {
+struct JsonValue;
+}
+
 namespace rispp::stats {
 
 /// One histogram as read back from a document. `snapshot.buckets` is empty
@@ -50,6 +54,17 @@ struct SeriesName {
   bool labeled = false;
 };
 SeriesName parse_series_name(const std::string& name);
+
+/// Reads histogram `name`'s entry of a snapshot or ring window into `out`
+/// under the rules both metrics readers share (parse_metrics_document and
+/// validate_metrics_json): count, sum, min, max, p50, p90 and p99 are
+/// non-negative integers, min <= max and p50 <= p99; buckets, when present,
+/// are [upper, count] pairs of non-negative integers with ascending bounds
+/// and counts >= 1 that sum to count. Returns the fault, naming the
+/// histogram, or nullopt.
+std::optional<std::string> read_histogram_entry(const std::string& name,
+                                                const jsonmini::JsonValue& value,
+                                                HistogramEntry& out);
 
 /// Parses `text` (any of the three shapes above) into `out`. On failure
 /// returns false and fills `error`; `out` is left unspecified.

@@ -3,37 +3,19 @@
 // processor in case of zero ACs: 7,403M cycles".
 #pragma once
 
-#include "sim/executor.h"
+#include "baselines/fixed_latency.h"
 #include "isa/si.h"
 
 namespace rispp {
 
-class SoftwareOnlyBackend final : public ExecutionBackend {
+class SoftwareOnlyBackend final : public FixedLatencyBackend {
  public:
-  explicit SoftwareOnlyBackend(const SpecialInstructionSet* set) : set_(set) {}
+  explicit SoftwareOnlyBackend(const SpecialInstructionSet* set) {
+    for (SiId si = 0; si < set->si_count(); ++si)
+      latency_.push_back(set->si(si).software_latency);
+  }
 
   std::string_view name() const override { return "Software"; }
-  void on_hot_spot_entry(const WorkloadTrace&, std::size_t, Cycles) override {}
-  void on_hot_spot_exit(Cycles) override {}
-  Cycles si_execution_latency(SiId si, Cycles) override {
-    return set_->si(si).software_latency;
-  }
-  Cycles si_execution_run_latency(SiId si, std::uint64_t count, Cycles, Cycles,
-                                  std::vector<LatencySegment>& segments) override {
-    // Latency never changes: a whole run is one segment.
-    const Cycles latency = set_->si(si).software_latency;
-    append_latency_segment(segments, count, latency);
-    return latency * count;
-  }
-  Cycles si_execution_span(std::span<const SiRun> runs, Cycles now,
-                           Cycles per_execution_overhead) override {
-    for (const SiRun& run : runs)
-      now += run.count * (set_->si(run.si).software_latency + per_execution_overhead);
-    return now;
-  }
-
- private:
-  const SpecialInstructionSet* set_;
 };
 
 }  // namespace rispp

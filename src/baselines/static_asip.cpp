@@ -3,7 +3,7 @@
 namespace rispp {
 
 StaticAsipBackend::StaticAsipBackend(const SpecialInstructionSet* set) {
-  best_latency_.resize(set->si_count());
+  latency_.resize(set->si_count());
   for (SiId si = 0; si < set->si_count(); ++si) {
     Cycles best = set->si(si).software_latency;
     unsigned best_atoms = 0;
@@ -13,7 +13,7 @@ StaticAsipBackend::StaticAsipBackend(const SpecialInstructionSet* set) {
         best_atoms = m.atoms.determinant();
       }
     }
-    best_latency_[si] = best;
+    latency_[si] = best;
     dedicated_atoms_ += best_atoms;
   }
 }

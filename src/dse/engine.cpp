@@ -43,9 +43,7 @@ EvalResult evaluate_set(const SpecialInstructionSet& set, const WorkloadTrace& t
     config.scheduler = scheduler.get();
     config.enable_decision_cache = decision_cache;
     RunTimeManager rtm(&set, trace.hot_spots.size(), config);
-    for (HotSpotId hs = 0; hs < seeds.size(); ++hs)
-      for (SiId si = 0; si < seeds[hs].size(); ++si)
-        if (seeds[hs][si] != 0) rtm.seed_forecast(hs, si, seeds[hs][si]);
+    seed_forecasts(rtm, seeds);
     const SimResult sim = run_trace(trace, rtm, nullptr, mode);
     result.total_cycles.push_back(sim.total_cycles);
     sum += static_cast<double>(reference) / static_cast<double>(sim.total_cycles);

@@ -35,8 +35,7 @@ SharedDecisionCache& global_memo() {
 SessionBatch::SessionBatch(std::vector<SessionSpec> specs, const FleetOptions& options)
     : specs_(std::move(specs)), options_(options) {
   if (options_.traces == nullptr) options_.traces = &TraceRepository::global();
-  if (options_.share_decision_cache && options_.shared_cache == nullptr)
-    options_.shared_cache = &global_memo();
+  if (options_.shared_cache == nullptr) options_.shared_cache = &global_memo();
   const std::size_t n = specs_.size();
 
   // Validate scheduler names up front: a bad spec must fail at construction,
@@ -45,31 +44,20 @@ SessionBatch::SessionBatch(std::vector<SessionSpec> specs, const FleetOptions& o
 
   // Resolve cohorts (content → shared trace) serially; the repository
   // generates each distinct content exactly once.
-  cohort_of_.resize(n);
+  std::vector<std::uint32_t> cohort_of(n);
   std::map<const TraceEntry*, std::uint32_t> cohort_ids;
   for (std::size_t s = 0; s < n; ++s) {
     const TraceEntry& entry = options_.traces->get(specs_[s]);
     const auto [it, inserted] =
         cohort_ids.emplace(&entry, static_cast<std::uint32_t>(cohorts_.size()));
     if (inserted) cohorts_.push_back(&entry);
-    cohort_of_[s] = it->second;
+    cohort_of[s] = it->second;
   }
 
-  // SoA layout. Per-session hot-spot rows are flattened with per-cohort
-  // strides so results live in one contiguous array.
-  total_cycles_.assign(n, 0);
-  si_executions_.assign(n, 0);
-  atom_loads_.assign(n, 0);
+  results_.resize(n);
   latency_ms_.assign(n, 0.0);
   dc_hits_.assign(n, 0);
   dc_misses_.assign(n, 0);
-  hot_spot_offset_.resize(n);
-  std::uint32_t offset = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    hot_spot_offset_[s] = offset;
-    offset += static_cast<std::uint32_t>(cohorts_[cohort_of_[s]]->trace.hot_spots.size());
-  }
-  hot_spot_cycles_.assign(offset, 0);
   if (options_.collect_stats) stats_.resize(n);
 
   // Blocks: per cohort, sessions in arrival order, chunks of block_size;
@@ -84,7 +72,7 @@ SessionBatch::SessionBatch(std::vector<SessionSpec> specs, const FleetOptions& o
   std::vector<Block*> open(cohorts_.size(), nullptr);
   std::vector<std::unique_ptr<Block>> built;
   for (const std::uint32_t s : order) {
-    const std::uint32_t cohort = cohort_of_[s];
+    const std::uint32_t cohort = cohort_of[s];
     if (open[cohort] == nullptr || open[cohort]->sessions.size() >= block_size) {
       built.push_back(std::make_unique<Block>());
       open[cohort] = built.back().get();
@@ -121,50 +109,38 @@ void SessionBatch::run_block(const Block& block) {
   const WorkloadTrace& trace = entry.trace;
   const std::size_t k = block.sessions.size();
 
-  // Per-session backends plus the SoA clock array for this block.
+  // Per-session backends and their replays.
   std::vector<std::unique_ptr<AtomScheduler>> schedulers(k);
   std::vector<std::unique_ptr<RunTimeManager>> backends(k);
-  std::vector<Cycles> now(k, 0);
+  std::vector<TraceReplay> replays;
+  replays.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    const SessionSpec& spec = specs_[block.sessions[i]];
+    const std::uint32_t s = block.sessions[i];
+    const SessionSpec& spec = specs_[s];
     schedulers[i] = make_scheduler(spec.scheduler);
     RtmConfig config;
     config.container_count = spec.container_count;
     config.scheduler = schedulers[i].get();
     config.forecast_mode = spec.forecast_mode;
-    config.decision_memo = options_.share_decision_cache ? options_.shared_cache : nullptr;
-    config.session_id = block.sessions[i];
+    config.decision_memo = options_.shared_cache;
+    config.session_id = s;
     backends[i] = std::make_unique<RunTimeManager>(&entry.set, trace.hot_spots.size(), config);
-    for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
-      for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
-        if (entry.seeds[hs][si] != 0) backends[i]->seed_forecast(hs, si, entry.seeds[hs][si]);
-    if (options_.collect_stats)
-      stats_[block.sessions[i]] = std::make_unique<SimStats>(entry.set.si_count());
+    seed_forecasts(*backends[i], entry.seeds);
+    if (options_.collect_stats) stats_[s] = std::make_unique<SimStats>(entry.set.si_count());
+    replays.emplace_back(trace, *backends[i], options_.collect_stats ? stats_[s].get() : nullptr);
   }
 
   // Instance-major stepping: the shared instance (and its run array) stays
   // cache-resident while every session of the block consumes it. Each
-  // session's state evolves through sim::replay_instance — the same body as
-  // run_trace's batched mode and the multi-tenant co-simulation — so
+  // session makes exactly the backend calls of a solo run_trace, so
   // per-session results are bit-identical to a solo replay.
-  std::vector<LatencySegment> segments;
-  for (std::size_t idx = 0; idx < trace.instances.size(); ++idx) {
-    const HotSpotInstance& inst = trace.instances[idx];
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::uint32_t s = block.sessions[i];
-      const Cycles entered = now[i];
-      SimStats* stats = options_.collect_stats ? stats_[s].get() : nullptr;
-      now[i] = replay_instance(trace, idx, *backends[i], stats, now[i], si_executions_[s],
-                               segments);
-      hot_spot_cycles_[hot_spot_offset_[s] + inst.hot_spot] += now[i] - entered;
-    }
-  }
+  for (std::size_t idx = 0; idx < trace.instances.size(); ++idx)
+    for (TraceReplay& replay : replays) replay.step();
 
   const auto done = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < k; ++i) {
     const std::uint32_t s = block.sessions[i];
-    total_cycles_[s] = now[i];
-    atom_loads_[s] = backends[i]->completed_loads();
+    results_[s] = replays[i].result();
     dc_hits_[s] = backends[i]->decision_cache_hits();
     dc_misses_[s] = backends[i]->decision_cache_misses();
     // Completion latency from the session's own arrival; the block is the
@@ -184,17 +160,6 @@ void SessionBatch::run() {
   sessions_metric.add(specs_.size());
 }
 
-SimResult SessionBatch::result(std::size_t s) const {
-  SimResult result;
-  result.total_cycles = total_cycles_[s];
-  result.si_executions = si_executions_[s];
-  result.atom_loads = atom_loads_[s];
-  const std::size_t hot_spots = cohorts_[cohort_of_[s]]->trace.hot_spots.size();
-  result.hot_spot_cycles.assign(hot_spot_cycles_.begin() + hot_spot_offset_[s],
-                                hot_spot_cycles_.begin() + hot_spot_offset_[s] + hot_spots);
-  return result;
-}
-
 const SimStats* SessionBatch::stats(std::size_t s) const {
   return s < stats_.size() ? stats_[s].get() : nullptr;
 }
@@ -204,12 +169,10 @@ FleetReport run_fleet(SessionBatch& batch) {
   report.sessions = batch.session_count();
   if (report.sessions == 0) return report;
 
-  const FleetOptions& options = batch.options();
-  const SharedDecisionCache* cache =
-      options.share_decision_cache ? options.shared_cache : nullptr;
-  const std::uint64_t hits0 = cache != nullptr ? cache->hits() : 0;
-  const std::uint64_t misses0 = cache != nullptr ? cache->misses() : 0;
-  const std::uint64_t cross0 = cache != nullptr ? cache->cross_session_hits() : 0;
+  const SharedDecisionCache& cache = *batch.options().shared_cache;
+  const std::uint64_t hits0 = cache.hits();
+  const std::uint64_t misses0 = cache.misses();
+  const std::uint64_t cross0 = cache.cross_session_hits();
 
   const auto t0 = std::chrono::steady_clock::now();
   batch.run();
@@ -231,16 +194,13 @@ FleetReport run_fleet(SessionBatch& batch) {
   report.latency_p50_ms = latency_pcts.p50;
   report.latency_p99_ms = latency_pcts.p99;
 
-  if (cache != nullptr) {
-    report.cache_hits = cache->hits() - hits0;
-    report.cache_misses = cache->misses() - misses0;
-    report.cross_session_hits = cache->cross_session_hits() - cross0;
-    const std::uint64_t lookups = report.cache_hits + report.cache_misses;
-    report.cross_session_hit_rate =
-        lookups > 0 ? static_cast<double>(report.cross_session_hits) /
-                          static_cast<double>(lookups)
-                    : 0.0;
-  }
+  report.cache_hits = cache.hits() - hits0;
+  report.cache_misses = cache.misses() - misses0;
+  report.cross_session_hits = cache.cross_session_hits() - cross0;
+  const std::uint64_t lookups = report.cache_hits + report.cache_misses;
+  report.cross_session_hit_rate =
+      lookups > 0 ? static_cast<double>(report.cross_session_hits) / static_cast<double>(lookups)
+                  : 0.0;
 
   std::uint64_t checksum = fingerprint_mix(0, report.sessions);
   for (std::size_t s = 0; s < report.sessions; ++s)

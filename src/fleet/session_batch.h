@@ -4,11 +4,9 @@
 // content, length, scheduler strategy, AC budget, forecast mode) in one
 // process, restructured for throughput:
 //
-//  - Structure of arrays: per-session hot state (simulated clocks, cursors,
-//    result counters, completion latencies) lives in parallel arrays indexed
-//    by session id, not in per-session objects — one cache line holds eight
-//    sessions' clocks, and the batch's result accessors read straight out of
-//    the arrays.
+//  - One stepper: each session is a TraceReplay (sim/executor.h) over its
+//    own RTM, the per-instance body run_trace and the multi-tenant
+//    co-simulation step too, and the batch keeps one SimResult per session.
 //  - Cohorts: sessions that replay the same content share one immutable
 //    WorkloadTrace via the process-wide fleet::TraceRepository. Cohort
 //    stepping is *instance-major*: for each hot-spot instance of the shared
@@ -53,10 +51,7 @@ struct FleetOptions {
   /// equivalence tests use this; throughput runs leave it off to take the
   /// whole-instance span fast path.
   bool collect_stats = false;
-  /// Memoize decisions through one memo shared by every session. Off gives
-  /// every session its own private memo (bit-exact either way).
-  bool share_decision_cache = true;
-  /// Memo to share; null with share_decision_cache uses a process-wide one.
+  /// Memo every session shares; null uses a process-wide one.
   SharedDecisionCache* shared_cache = nullptr;
   /// Trace repository; null uses the global one.
   TraceRepository* traces = nullptr;
@@ -67,7 +62,7 @@ struct FleetOptions {
 class SessionBatch {
  public:
   /// Resolves every spec's cohort (generating missing traces now, serially)
-  /// and lays out the SoA state. Throws on unknown scheduler names.
+  /// and plans the blocks. Throws on unknown scheduler names.
   SessionBatch(std::vector<SessionSpec> specs, const FleetOptions& options);
 
   /// Replays every session to completion, fanning blocks across the pool in
@@ -77,8 +72,8 @@ class SessionBatch {
   // -- Per-session results (valid after run()) ---------------------------
   std::size_t session_count() const { return specs_.size(); }
   const SessionSpec& spec(std::size_t s) const { return specs_[s]; }
-  /// Reassembled from the SoA arrays; bit-identical to the solo run.
-  SimResult result(std::size_t s) const;
+  /// Bit-identical to the solo run.
+  const SimResult& result(std::size_t s) const { return results_[s]; }
   /// Null unless options.collect_stats.
   const SimStats* stats(std::size_t s) const;
   /// Wall milliseconds from the session's arrival to its completion.
@@ -104,15 +99,10 @@ class SessionBatch {
   std::vector<SessionSpec> specs_;
   FleetOptions options_;
   std::vector<const TraceEntry*> cohorts_;
-  std::vector<std::uint32_t> cohort_of_;  // per session
-  std::vector<Block> blocks_;             // ordered by arrival
+  std::vector<Block> blocks_;  // ordered by arrival
 
-  // -- SoA result state (written by run_block, one slot per session) -----
-  std::vector<Cycles> total_cycles_;
-  std::vector<std::uint64_t> si_executions_;
-  std::vector<std::uint64_t> atom_loads_;
-  std::vector<std::uint32_t> hot_spot_offset_;  // into hot_spot_cycles_
-  std::vector<Cycles> hot_spot_cycles_;         // flattened per-session rows
+  // -- Per-session results (written by run_block, one slot per session) --
+  std::vector<SimResult> results_;
   std::vector<double> latency_ms_;
   std::vector<std::uint64_t> dc_hits_;
   std::vector<std::uint64_t> dc_misses_;
@@ -132,7 +122,7 @@ struct FleetReport {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cross_session_hits = 0;
-  /// cross_session_hits / (hits + misses); 0 when the cache was off.
+  /// cross_session_hits / (hits + misses); 0 without lookups.
   double cross_session_hit_rate = 0.0;
   /// Order-independent digest of every session's total_cycles — lets two
   /// fleet runs (or a fleet run and a solo sweep) be compared at a glance.

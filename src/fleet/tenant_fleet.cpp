@@ -88,9 +88,7 @@ ContendedReport run_contended_fleet(const std::vector<SessionSpec>& specs,
       config.tenant = runs[i].tenant;
       rtms[i] = std::make_unique<RunTimeManager>(&entry.set, entry.trace.hot_spots.size(),
                                                  config);
-      for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
-        for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
-          if (entry.seeds[hs][si] != 0) rtms[i]->seed_forecast(hs, si, entry.seeds[hs][si]);
+      seed_forecasts(*rtms[i], entry.seeds);
       runs[i].trace = &entry.trace;
       runs[i].rtm = rtms[i].get();
     }

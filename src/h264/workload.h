@@ -84,10 +84,7 @@ std::vector<std::vector<std::uint64_t>> default_forecast_seeds(const SpecialInst
 /// Applies default_forecast_seeds to any backend exposing seed_forecast.
 template <typename Backend>
 void seed_default_forecasts(const SpecialInstructionSet& set, Backend& backend) {
-  const auto seeds = default_forecast_seeds(set);
-  for (HotSpotId hs = 0; hs < seeds.size(); ++hs)
-    for (SiId si = 0; si < seeds[hs].size(); ++si)
-      if (seeds[hs][si] != 0) backend.seed_forecast(hs, si, seeds[hs][si]);
+  seed_forecasts(backend, default_forecast_seeds(set));
 }
 
 }  // namespace rispp::h264

@@ -56,10 +56,7 @@ std::vector<std::vector<std::uint64_t>> jpeg_forecast_seeds(const SpecialInstruc
 
 template <typename Backend>
 void seed_jpeg_forecasts(const SpecialInstructionSet& set, Backend& backend) {
-  const auto seeds = jpeg_forecast_seeds(set);
-  for (HotSpotId hs = 0; hs < seeds.size(); ++hs)
-    for (SiId si = 0; si < seeds[hs].size(); ++si)
-      if (seeds[hs][si] != 0) backend.seed_forecast(hs, si, seeds[hs][si]);
+  seed_forecasts(backend, jpeg_forecast_seeds(set));
 }
 
 }  // namespace rispp::jpeg

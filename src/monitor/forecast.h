@@ -58,4 +58,13 @@ class ExecutionMonitor {
   bool active_ = false;
 };
 
+/// Hands every non-zero design-time seed (`seeds[hs][si]`, expected
+/// executions per instance) to `backend.seed_forecast(hs, si, expected)`.
+template <typename Backend>
+void seed_forecasts(Backend& backend, const std::vector<std::vector<std::uint64_t>>& seeds) {
+  for (HotSpotId hs = 0; hs < seeds.size(); ++hs)
+    for (SiId si = 0; si < seeds[hs].size(); ++si)
+      if (seeds[hs][si] != 0) backend.seed_forecast(hs, si, seeds[hs][si]);
+}
+
 }  // namespace rispp

@@ -1,15 +1,16 @@
 // Multi-tenant co-simulation: N traces replayed against N tenant RTMs of one
 // FabricArbiter, interleaved at hot-spot-instance granularity (DESIGN §9).
 //
-// Each tenant keeps its own simulated clock (its application's cycle count);
-// the fabric events — port grants and quota moves — are serialized in global
-// simulated time by always stepping the tenant whose clock is furthest
-// behind. Instance granularity is exact enough because a tenant only *asks*
-// for the port at its own reconfiguration events, and those all carry its own
-// timestamps; the min-clock order just guarantees no tenant asks for the port
-// "in the past" of a grant another tenant already received more than one
-// instance ahead. With one tenant this degenerates to run_trace(kBatched) and
-// is bit-identical to it.
+// Each tenant is one TraceReplay (sim/executor.h) with its own simulated
+// clock (its application's cycle count); the fabric events — port grants
+// and quota moves — are serialized in global simulated time by always
+// stepping the tenant whose clock is furthest behind. Instance granularity
+// is exact enough because a tenant only *asks* for the port at its own
+// reconfiguration events, and those all carry its own timestamps; the
+// min-clock order just guarantees no tenant asks for the port "in the past"
+// of a grant another tenant already received more than one instance ahead.
+// With one tenant this degenerates to run_trace(kBatched) and is
+// bit-identical to it.
 //
 // Two co-simulation modes produce bit-exact identical results:
 //  - kReference: one instance per min-clock pick, O(n) scan — the oracle.

@@ -63,106 +63,70 @@ struct InstanceTraceRow {
   }
 };
 
-MetricCounter& hot_spot_entries_counter() {
-  static MetricCounter& entries = metric_counter("sim.hot_spot_entries");
-  return entries;
-}
-
-SimResult run_trace_scalar(const WorkloadTrace& trace, ExecutionBackend& backend,
-                           SimStats* stats) {
-  SimResult result;
-  result.hot_spot_cycles.assign(trace.hot_spots.size(), 0);
-  const InstanceTraceRow row(trace, backend);
-  MetricCounter& entries = hot_spot_entries_counter();
-  Cycles now = 0;
-  for (std::size_t idx = 0; idx < trace.instances.size(); ++idx) {
-    const HotSpotInstance& inst = trace.instances[idx];
-    const HotSpotInfo& info = trace.hot_spots[inst.hot_spot];
-    const Cycles entered = now;
-    entries.add();
-    row.begin(inst.hot_spot, entered);
-    now += inst.entry_overhead;
-    backend.on_hot_spot_entry(trace, idx, now);
-    for (const SiRun& run : inst.runs) {
-      for (std::uint32_t i = 0; i < run.count; ++i) {
-        const Cycles latency = backend.si_execution_latency(run.si, now);
-        if (stats) stats->record_execution(run.si, now, latency);
-        now += latency + info.per_execution_overhead;
-        ++result.si_executions;
-      }
-    }
-    backend.on_hot_spot_exit(now);
-    row.end(inst.hot_spot, now);
-    result.hot_spot_cycles[inst.hot_spot] += now - entered;
-  }
-  result.total_cycles = now;
-  result.atom_loads = backend.completed_loads();
-  return result;
-}
-
-SimResult run_trace_batched(const WorkloadTrace& trace, ExecutionBackend& backend,
-                            SimStats* stats) {
-  SimResult result;
-  result.hot_spot_cycles.assign(trace.hot_spots.size(), 0);
-  const InstanceTraceRow row(trace, backend);
-  MetricCounter& entries = hot_spot_entries_counter();
-  Cycles now = 0;
-  std::vector<LatencySegment> segments;
-  for (std::size_t idx = 0; idx < trace.instances.size(); ++idx) {
-    const HotSpotInstance& inst = trace.instances[idx];
-    const Cycles entered = now;
-    entries.add();
-    row.begin(inst.hot_spot, entered);
-    now = replay_instance(trace, idx, backend, stats, now, result.si_executions, segments);
-    row.end(inst.hot_spot, now);
-    result.hot_spot_cycles[inst.hot_spot] += now - entered;
-  }
-  result.total_cycles = now;
-  result.atom_loads = backend.completed_loads();
-  return result;
-}
-
 }  // namespace
 
-Cycles replay_instance(const WorkloadTrace& trace, std::size_t instance,
-                       ExecutionBackend& backend, SimStats* stats, Cycles now,
-                       std::uint64_t& si_executions, std::vector<LatencySegment>& segments) {
-  const HotSpotInstance& inst = trace.instances[instance];
-  const HotSpotInfo& info = trace.hot_spots[inst.hot_spot];
-  now += inst.entry_overhead;
-  backend.on_hot_spot_entry(trace, instance, now);
-  if (!stats) {
+TraceReplay::TraceReplay(const WorkloadTrace& trace, ExecutionBackend& backend,
+                         SimStats* stats, ReplayMode mode)
+    : trace_(&trace), backend_(&backend), stats_(stats), mode_(mode) {
+  result_.hot_spot_cycles.assign(trace.hot_spots.size(), 0);
+  result_.atom_loads = backend.completed_loads();
+}
+
+void TraceReplay::step() {
+  static MetricCounter& entries = metric_counter("sim.hot_spot_entries");
+  const std::size_t instance = next_++;
+  const HotSpotInstance& inst = trace_->instances[instance];
+  const Cycles overhead = trace_->hot_spots[inst.hot_spot].per_execution_overhead;
+  const Cycles entered = result_.total_cycles;
+  Cycles now = entered + inst.entry_overhead;
+  backend_->on_hot_spot_entry(*trace_, instance, now);
+  if (mode_ == ReplayMode::kScalar) {
+    // The reference: one backend call (and one stats record) per execution.
+    for (const SiRun& run : inst.runs) {
+      for (std::uint32_t i = 0; i < run.count; ++i) {
+        const Cycles latency = backend_->si_execution_latency(run.si, now);
+        if (stats_) stats_->record_execution(run.si, now, latency);
+        now += latency + overhead;
+      }
+    }
+  } else if (!stats_) {
     // No per-execution observation needed: let the backend fast-forward
     // the whole instance (port-quiet windows advance in pure arithmetic).
-    now = backend.si_execution_span(std::span<const SiRun>(inst.runs), now,
-                                    info.per_execution_overhead);
-    si_executions += inst.execution_count;
-    backend.on_hot_spot_exit(now);
-    return now;
-  }
-  for (const SiRun& run : inst.runs) {
-    segments.clear();
-    backend.si_execution_run_latency(run.si, run.count, now, info.per_execution_overhead,
-                                     segments);
-    std::uint64_t segmented = 0;
-    for (const LatencySegment& seg : segments) {
-      const Cycles step = seg.latency + info.per_execution_overhead;
-      stats->record_run(run.si, now, seg.count, step, seg.latency);
-      now += seg.count * step;
-      segmented += seg.count;
+    now = backend_->si_execution_span(std::span<const SiRun>(inst.runs), now, overhead);
+  } else {
+    for (const SiRun& run : inst.runs) {
+      segments_.clear();
+      backend_->si_execution_run_latency(run.si, run.count, now, overhead, segments_);
+      std::uint64_t segmented = 0;
+      for (const LatencySegment& seg : segments_) {
+        const Cycles step = seg.latency + overhead;
+        stats_->record_run(run.si, now, seg.count, step, seg.latency);
+        now += seg.count * step;
+        segmented += seg.count;
+      }
+      RISPP_CHECK_MSG(segmented == run.count,
+                      "backend latency segments do not cover the run");
     }
-    RISPP_CHECK_MSG(segmented == run.count,
-                    "backend latency segments do not cover the run");
-    si_executions += run.count;
   }
-  backend.on_hot_spot_exit(now);
-  return now;
+  backend_->on_hot_spot_exit(now);
+  entries.add();
+  result_.total_cycles = now;
+  result_.si_executions += inst.execution_count;
+  result_.atom_loads = backend_->completed_loads();
+  result_.hot_spot_cycles[inst.hot_spot] += now - entered;
 }
 
 SimResult run_trace(const WorkloadTrace& trace, ExecutionBackend& backend, SimStats* stats,
                     ReplayMode mode) {
-  return mode == ReplayMode::kScalar ? run_trace_scalar(trace, backend, stats)
-                                     : run_trace_batched(trace, backend, stats);
+  TraceReplay replay(trace, backend, stats, mode);
+  const InstanceTraceRow row(trace, backend);
+  while (!replay.done()) {
+    const HotSpotId hot_spot = trace.instances[replay.next_instance()].hot_spot;
+    row.begin(hot_spot, replay.clock());
+    replay.step();
+    row.end(hot_spot, replay.clock());
+  }
+  return replay.result();
 }
 
 }  // namespace rispp

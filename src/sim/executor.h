@@ -14,10 +14,12 @@
 //    load completes on the reconfiguration port, so between port-completion
 //    events a run of N executions advances in O(1) instead of O(N).
 //
-// replay_instance never mutates the trace and touches only its backend's
-// state — the contract the multi-tenant co-simulation (rtm/tenant_sim.cpp,
-// DESIGN §9) builds on: it steps each tenant through this body one whole
-// instance at a time, in min-clock order.
+// TraceReplay is one session's replay in progress and step() its only
+// per-instance body: run_trace loops over it, the fleet's SessionBatch steps
+// a block of them instance-major, and the multi-tenant co-simulation
+// (rtm/tenant_sim.cpp, DESIGN §9) steps whichever tenant's replay is furthest
+// behind. A step never mutates the trace and touches only its own backend's
+// state, which is what lets those drivers interleave sessions freely.
 #pragma once
 
 #include <cstdint>
@@ -98,18 +100,39 @@ enum class ReplayMode {
   kBatched,  // one backend call per run of identical SI executions
 };
 
-/// Replays one hot-spot instance in batched form — the shared per-instance
-/// body of run_trace(kBatched), the fleet session loop and the multi-tenant
-/// co-simulation, kept in one place so every driver is bit-exact with every
-/// other: entry overhead, on_hot_spot_entry, the per-run stats path (latency
-/// segments recorded into `stats`) or the stats-less whole-instance span
-/// path, then on_hot_spot_exit. `now` is the cycle the instance is entered;
-/// returns the cycle after the last execution. `si_executions` accumulates
-/// the executed SI count; `segments` is caller-owned scratch so replay loops
-/// stay allocation-free across instances.
-Cycles replay_instance(const WorkloadTrace& trace, std::size_t instance,
-                       ExecutionBackend& backend, SimStats* stats, Cycles now,
-                       std::uint64_t& si_executions, std::vector<LatencySegment>& segments);
+/// One session's replay of `trace` against `backend`, one hot-spot instance
+/// per step(). `stats` is optional; with it the batched mode records every
+/// run's latency segments, without it the backend fast-forwards each whole
+/// instance (si_execution_span).
+class TraceReplay {
+ public:
+  TraceReplay(const WorkloadTrace& trace, ExecutionBackend& backend, SimStats* stats = nullptr,
+              ReplayMode mode = ReplayMode::kBatched);
+
+  bool done() const { return next_ >= trace_->instances.size(); }
+  /// The session's simulated clock: the cycle after the last step.
+  Cycles clock() const { return result_.total_cycles; }
+  /// Index into trace.instances of the instance the next step replays.
+  std::size_t next_instance() const { return next_; }
+
+  /// Replays the next instance: entry overhead, on_hot_spot_entry, its SI
+  /// executions, on_hot_spot_exit. Counts one `sim.hot_spot_entries` and
+  /// attributes the instance's cycles to its hot spot. Requires !done().
+  void step();
+
+  /// The result so far: total_cycles is clock(), atom_loads the backend's
+  /// completed loads as of the last step (or construction).
+  const SimResult& result() const { return result_; }
+
+ private:
+  const WorkloadTrace* trace_;
+  ExecutionBackend* backend_;
+  SimStats* stats_;
+  ReplayMode mode_;
+  std::size_t next_ = 0;
+  SimResult result_;
+  std::vector<LatencySegment> segments_;  // per-run scratch of the stats path
+};
 
 /// Replays `trace` against `backend`. `stats` is optional. Both modes yield
 /// bit-exact identical SimResult and SimStats (tests/replay_equivalence_test

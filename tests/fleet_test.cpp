@@ -4,10 +4,9 @@
 // session mix (content, length, scheduler, AC budget), replayed through the
 // batched fleet::SessionBatch core, must produce every per-session result
 // and statistic *byte-identical* to the same session run alone through
-// sim::run_trace on a fresh backend — across schedulers, thread counts,
-// block sizes and shared-decision-cache on/off. SoA batching, cohort
-// stepping, work stealing and cross-session memoization may only change
-// wall-clock, never a simulated number.
+// sim::run_trace on a fresh backend — across schedulers, thread counts and
+// block sizes. Cohort stepping, work stealing and cross-session memoization
+// may only change wall-clock, never a simulated number.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +17,7 @@
 #include <vector>
 
 #include "base/env.h"
+#include "base/metrics.h"
 #include "base/parallel.h"
 #include "base/prng.h"
 #include "fleet/session_batch.h"
@@ -54,9 +54,7 @@ SimResult solo_run(const TraceEntry& entry, const SessionSpec& spec, SimStats* s
   config.scheduler = scheduler.get();
   config.forecast_mode = spec.forecast_mode;
   RunTimeManager rtm(&entry.set, entry.trace.hot_spots.size(), config);
-  for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
-    for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
-      if (entry.seeds[hs][si] != 0) rtm.seed_forecast(hs, si, entry.seeds[hs][si]);
+  seed_forecasts(rtm, entry.seeds);
   return run_trace(entry.trace, rtm, stats);
 }
 
@@ -80,12 +78,12 @@ void expect_stats_equal(const SimStats& solo, const SimStats& fleet, std::size_t
 }
 
 /// Randomized heterogeneous mix, compared session by session to solo runs.
+/// The batch counts one `sim.hot_spot_entries` per replayed instance, like
+/// any other driver.
 void check_fleet_against_solo(std::uint64_t seed, unsigned threads, unsigned block_size,
-                              bool share_cache, bool collect_stats) {
+                              bool collect_stats) {
   SCOPED_TRACE("seed " + std::to_string(seed) + " threads " + std::to_string(threads) +
-               " block " + std::to_string(block_size) +
-               (share_cache ? " shared-cache" : " private-cache") +
-               (collect_stats ? " stats" : " span"));
+               " block " + std::to_string(block_size) + (collect_stats ? " stats" : " span"));
   const std::vector<std::string> schedulers = scheduler_names();
   Xoshiro256 prng(seed);
   std::vector<SessionSpec> specs;
@@ -103,18 +101,23 @@ void check_fleet_against_solo(std::uint64_t seed, unsigned threads, unsigned blo
   options.traces = &repo;
   options.pool = &pool;
   options.block_size = block_size;
-  options.share_decision_cache = share_cache;
-  options.shared_cache = share_cache ? &cache : nullptr;
+  options.shared_cache = &cache;
   options.collect_stats = collect_stats;
 
   SessionBatch batch(specs, options);
+  MetricCounter& entries = metric_counter("sim.hot_spot_entries");
+  const std::uint64_t entries_before = entries.value();
   batch.run();
+  // Read before the solo replays below, which count too.
+  const std::uint64_t entries_counted = entries.value() - entries_before;
 
+  std::uint64_t instances = 0;
   for (std::size_t s = 0; s < specs.size(); ++s) {
     const TraceEntry& entry = repo.get(specs[s]);
+    instances += entry.trace.instances.size();
     SimStats solo_stats(entry.set.si_count());
     const SimResult solo = solo_run(entry, specs[s], collect_stats ? &solo_stats : nullptr);
-    const SimResult fleet_result = batch.result(s);
+    const SimResult& fleet_result = batch.result(s);
     EXPECT_EQ(solo.total_cycles, fleet_result.total_cycles) << "session " << s;
     EXPECT_EQ(solo.si_executions, fleet_result.si_executions) << "session " << s;
     EXPECT_EQ(solo.atom_loads, fleet_result.atom_loads) << "session " << s;
@@ -124,27 +127,24 @@ void check_fleet_against_solo(std::uint64_t seed, unsigned threads, unsigned blo
       expect_stats_equal(solo_stats, *batch.stats(s), entry.set.si_count(), s);
     }
   }
+  EXPECT_EQ(entries_counted, instances);
 }
 
 TEST(Fleet, FleetMatchesSoloRuns) {
   // The core contract over thread counts (including oversubscribed on this
   // host), block sizes, and the stats-free span path.
   check_fleet_against_solo(/*seed=*/1, /*threads=*/1, /*block_size=*/8,
-                           /*share_cache=*/true, /*collect_stats=*/false);
-  check_fleet_against_solo(2, 2, 4, true, false);
-  check_fleet_against_solo(3, 8, 1, true, false);
+                           /*collect_stats=*/false);
+  check_fleet_against_solo(2, 2, 4, false);
+  check_fleet_against_solo(3, 8, 1, false);
+  check_fleet_against_solo(6, 2, 8, false);
 }
 
 TEST(Fleet, FleetMatchesSoloRunsWithStats) {
   // Full SimStats (buckets, latency timelines) byte-identical too.
-  check_fleet_against_solo(4, 2, 8, true, true);
-  check_fleet_against_solo(5, 4, 3, true, true);
-}
-
-TEST(Fleet, FleetMatchesSoloRunsWithoutSharedCache) {
-  // Per-RTM caches only: the batching itself is equivalence-preserving.
-  check_fleet_against_solo(6, 2, 8, false, false);
-  check_fleet_against_solo(7, 2, 2, false, true);
+  check_fleet_against_solo(4, 2, 8, true);
+  check_fleet_against_solo(5, 4, 3, true);
+  check_fleet_against_solo(7, 2, 2, true);
 }
 
 TEST(Fleet, SharedCacheCountsCrossSessionHits) {

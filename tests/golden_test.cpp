@@ -92,9 +92,7 @@ SimResult run_solo(const TraceEntry& entry, const SoloCell& cell) {
   config.enable_decision_cache = cell.memo;
   config.enable_prefetch = cell.prefetch;
   RunTimeManager rtm(&entry.set, entry.trace.hot_spots.size(), config);
-  for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
-    for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
-      if (entry.seeds[hs][si] != 0) rtm.seed_forecast(hs, si, entry.seeds[hs][si]);
+  seed_forecasts(rtm, entry.seeds);
   return run_trace(entry.trace, rtm, nullptr, cell.mode);
 }
 
@@ -284,9 +282,7 @@ std::uint64_t run_baseline(const TraceEntry& entry, unsigned acs, BaselineReplay
   Config config;
   config.container_count = acs;
   Backend backend(&entry.set, entry.trace.hot_spots.size(), config);
-  for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
-    for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
-      if (entry.seeds[hs][si] != 0) backend.seed_forecast(hs, si, entry.seeds[hs][si]);
+  seed_forecasts(backend, entry.seeds);
   if (replay == BaselineReplay::kSpan)
     return digest(run_trace(entry.trace, backend, nullptr, ReplayMode::kBatched));
   SimStats stats(entry.set.si_count());
@@ -483,9 +479,7 @@ std::uint64_t run_shape(fleet::TraceRepository& repo, const ArbiterShape& shape,
     rc.arbiter = &arbiter;
     rc.tenant = runs[i].tenant;
     rtms[i] = std::make_unique<RunTimeManager>(&entry.set, entry.trace.hot_spots.size(), rc);
-    for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
-      for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
-        if (entry.seeds[hs][si] != 0) rtms[i]->seed_forecast(hs, si, entry.seeds[hs][si]);
+    seed_forecasts(*rtms[i], entry.seeds);
     runs[i].trace = &entry.trace;
     runs[i].rtm = rtms[i].get();
   }

@@ -46,9 +46,7 @@ SessionSpec small_session(Content content, int frames, const std::string& schedu
 }
 
 void seed_from_entry(const TraceEntry& entry, RunTimeManager& rtm) {
-  for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
-    for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
-      if (entry.seeds[hs][si] != 0) rtm.seed_forecast(hs, si, entry.seeds[hs][si]);
+  seed_forecasts(rtm, entry.seeds);
 }
 
 void expect_stats_equal(const SimStats& solo, const SimStats& tenant,

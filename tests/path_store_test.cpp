@@ -263,9 +263,7 @@ SimResult replay(const fleet::TraceEntry& entry, const AtomScheduler& scheduler,
   config.payback_horizon = payback_horizon;
   config.enable_decision_cache = memo;
   RunTimeManager rtm(&entry.set, entry.trace.hot_spots.size(), config);
-  for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
-    for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
-      if (entry.seeds[hs][si] != 0) rtm.seed_forecast(hs, si, entry.seeds[hs][si]);
+  seed_forecasts(rtm, entry.seeds);
   const SimResult result = run_trace(entry.trace, rtm);
   if (replays != nullptr) *replays = rtm.decision_cache_replays();
   return result;

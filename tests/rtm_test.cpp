@@ -330,9 +330,7 @@ SimResult replay_with_memo(const fleet::TraceEntry& entry, RtmConfig config,
     config.arbiter = &*device;
   }
   RunTimeManager rtm(&entry.set, entry.trace.hot_spots.size(), config);
-  for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
-    for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
-      if (entry.seeds[hs][si] != 0) rtm.seed_forecast(hs, si, entry.seeds[hs][si]);
+  seed_forecasts(rtm, entry.seeds);
   if (!device) return run_trace(entry.trace, rtm);
   TenantRun run{config.tenant, &entry.trace, &rtm, nullptr};
   return run_tenants(*device, std::span<TenantRun>(&run, 1)).front();
@@ -371,9 +369,7 @@ TEST(RunTimeManager, LatencyCacheMatchesFreshLookupAfterEveryExecution) {
       config.enable_prefetch = prefetch;
       const auto replay = [&](const std::function<Cycles(RunTimeManager&)>& run) {
         RunTimeManager rtm(&entry.set, entry.trace.hot_spots.size(), config);
-        for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
-          for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
-            if (entry.seeds[hs][si] != 0) rtm.seed_forecast(hs, si, entry.seeds[hs][si]);
+        seed_forecasts(rtm, entry.seeds);
         return run(rtm);
       };
       const Cycles stepped = replay([&](RunTimeManager& rtm) {

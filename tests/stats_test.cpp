@@ -253,6 +253,60 @@ TEST(Stats, RejectsNonJsonNumbers) {
   }
 }
 
+TEST(Stats, BothReadersApplyTheSameHistogramRules) {
+  // rispp_stats and trace_check --metrics read histogram entries through
+  // one rule set: same verdict, same message, and no cast of a negative,
+  // fractional or out-of-range number to an unsigned count.
+  const auto snapshot = [](const std::string& h) {
+    return R"({"counters": {}, "gauges": {}, "histograms": {"h": )" + h + "}}";
+  };
+  const std::string summary = R"("sum": 9, "min": 9, "max": 9, "p50": 9, "p90": 9, "p99": 9)";
+  const std::pair<std::string, const char*> refused[] = {
+      {R"({"count": 2, )" + summary + R"(, "buckets": [[100, -1], [50, 3.5]]})",
+       "malformed bucket"},
+      {R"({"count": 2, )" + summary + R"(, "buckets": [[100, 1.5], [200, 0.5]]})",
+       "malformed bucket"},
+      {R"({"count": 0, )" + summary + R"(, "buckets": [[100, 0]]})", "malformed bucket"},
+      {R"({"count": 2, )" + summary + R"(, "buckets": [[100, 1], [50, 1]]})",
+       "non-ascending bucket bounds"},
+      {R"({"count": 3, )" + summary + R"(, "buckets": [[100, 1], [200, 1]]})",
+       "do not sum"},
+      {R"({"count": 1, )" + summary + R"(, "buckets": [[100, 1], [200, 1]]})",
+       "do not sum"},
+      {R"({"count": 1, "sum": 9, "min": 10, "max": 9, "p50": 9, "p90": 9, "p99": 9})",
+       "min > max"},
+      {R"({"count": 1, "sum": 9, "min": 9, "max": 9, "p50": 10, "p90": 9, "p99": 9})",
+       "p50 > p99"},
+      {R"({"count": 1e20, )" + summary + "}", "summary field"},
+      {R"({"count": 1, "sum": -9, "min": 9, "max": 9, "p50": 9, "p90": 9, "p99": 9})",
+       "summary field"},
+  };
+  for (const auto& [entry, fault] : refused) {
+    const std::string text = snapshot(entry);
+    stats::MetricsDocument doc;
+    std::string error;
+    EXPECT_FALSE(stats::parse_metrics_document(text, doc, error)) << text;
+    std::istringstream in(text);
+    const std::optional<std::string> problem = validate_metrics_json(in);
+    ASSERT_TRUE(problem.has_value()) << text;
+    EXPECT_EQ(error, *problem) << text;
+    EXPECT_NE(error.find("histogram \"h\""), std::string::npos) << error;
+    EXPECT_NE(error.find(fault), std::string::npos) << error;
+  }
+
+  // The top bucket's bound is UINT64_MAX, which reads back as 2^64.
+  const std::string top = snapshot(
+      R"({"count": 1, )" + summary + R"(, "buckets": [[18446744073709551615, 1]]})");
+  stats::MetricsDocument doc;
+  std::string error;
+  ASSERT_TRUE(stats::parse_metrics_document(top, doc, error)) << error;
+  EXPECT_EQ(doc.histograms.at("h").snapshot.buckets.at(0).first,
+            std::numeric_limits<std::uint64_t>::max());
+  std::istringstream in(top);
+  const std::optional<std::string> problem = validate_metrics_json(in);
+  EXPECT_FALSE(problem.has_value()) << *problem;
+}
+
 TEST(Stats, SnapshotRefusesANonFiniteGauge) {
   MetricGauge& gauge = metric_gauge("stats.test.not_finite");
   gauge.set(std::numeric_limits<double>::quiet_NaN());

@@ -93,9 +93,7 @@ bool check_solo(const fleet::SessionBatch& batch, std::size_t s) {
   config.scheduler = scheduler.get();
   config.forecast_mode = spec.forecast_mode;
   RunTimeManager rtm(&entry.set, entry.trace.hot_spots.size(), config);
-  for (HotSpotId hs = 0; hs < entry.seeds.size(); ++hs)
-    for (SiId si = 0; si < entry.seeds[hs].size(); ++si)
-      if (entry.seeds[hs][si] != 0) rtm.seed_forecast(hs, si, entry.seeds[hs][si]);
+  seed_forecasts(rtm, entry.seeds);
   return same_result(s, "solo replay", batch.result(s), run_trace(entry.trace, rtm));
 }
 
