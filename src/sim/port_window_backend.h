@@ -23,10 +23,14 @@
 // the first time after `now` at which a port event could change a latency,
 // or kMaxCycles when none is pending.
 //
-// The span walk finishes the noted instance's last window — the one that
-// holds every remaining execution — from the instance's SiSummary in
-// O(k²) for its k distinct SIs, instead of run by run (DESIGN §6, *One
-// window walk*).
+// The span walk takes whole blocks of each window of the noted instance
+// from the checkpoints of its SiSummary (the block rule, take_blocks): the
+// runs up to the furthest checkpoint whose last execution starts inside
+// the window cost O(k) per checkpoint tried for the instance's k distinct
+// SIs, plus a walk back for their last starts; at most one block is then
+// stepped run by run to the port event. The instance end is the last
+// checkpoint, so a window that holds every remaining execution finishes
+// the instance (DESIGN §6, *One window walk*).
 //
 // A backend whose SIs ask the port for something at their first execution
 // (OneChip's demand loading) declares `static constexpr bool
@@ -37,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -63,7 +66,7 @@ inline std::uint64_t executions_before(Cycles window_end, Cycles now, std::uint6
 
 /// `sim.replay.runs_stepped`: the runs the span walk steps one at a time,
 /// each counted once (also when it crosses window ends). The rest of the
-/// replayed runs were finished from the instance summary.
+/// replayed runs were taken whole from the summary's checkpoints.
 inline MetricCounter& runs_stepped_metric() {
   static MetricCounter& counter = metric_counter("sim.replay.runs_stepped");
   return counter;
@@ -160,40 +163,74 @@ class PortWindowBackend : public ExecutionBackend {
       if (atoms[t] != 0 && type_last_used_[t] < at) type_last_used_[t] = at;
   }
 
-  /// The last-window rule. With the window [now, window_end) just opened
-  /// on the instance `summary` describes: when the instance's final
-  /// execution starts inside it, every remaining execution does
-  /// (executions start in increasing order), so the per-run walk would take
-  /// each remaining run whole at the latencies cached now. Adds each SI's
-  /// remaining executions to the monitor, stamps each SI that has some at
-  /// its last start and returns the cycle after the last execution's
-  /// overhead, in O(k²). nullopt when the window ends first, or when a
-  /// first-use SI with executions left has yet to open its own window.
-  std::optional<Cycles> finish_in_window(const SiSummary& summary, Cycles now,
-                                         Cycles window_end, Cycles per_execution_overhead) {
-    const auto left = [&](std::size_t slot) {
-      return summary.total(slot) - monitor_.counted(summary.si(slot));
-    };
-    const auto step = [&](std::size_t slot) {
-      return cached_latency_[summary.si(slot)] + per_execution_overhead;
-    };
-    Cycles span = 0;  // the remaining executions' steps
-    for (std::size_t slot = 0; slot < summary.size(); ++slot) {
-      if constexpr (Derived::kFirstUseReopen)
-        if (reopen_[summary.si(slot)] && left(slot) > 0) return std::nullopt;
-      span += left(slot) * step(slot);
+  /// Marks `si` executed in the current window, its last start so far at
+  /// `start`.
+  void touch(SiId si, Cycles start) {
+    last_start_[si] = start;
+    if (touch_gen_[si] != window_gen_) {
+      touch_gen_[si] = window_gen_;
+      touched_.push_back(si);
     }
-    if (span - step(summary.final_slot()) >= window_end - now) return std::nullopt;
-    for (std::size_t slot = 0; slot < summary.size(); ++slot) {
-      const std::uint64_t n = left(slot);
+  }
+
+  /// The block rule. With the window [now, window_end) just opened at run
+  /// i of the instance `summary` describes (`remaining` of it left, 0: all),
+  /// takes whole the runs before the furthest checkpoint whose last
+  /// execution starts before window_end: executions start in increasing
+  /// order, so the per-run walk would take each of those runs whole at the
+  /// latencies cached now. Adds their executions to the monitor per slot,
+  /// notes each SI's last start for the window's stamps by walking back
+  /// from the checkpoint until every SI they hold has been seen, and
+  /// advances i, remaining and now past them. Takes nothing when the first
+  /// checkpoint ahead fails, or when a first-use SI with executions left
+  /// has yet to open its own window.
+  void take_blocks(const SiSummary& summary, std::span<const SiRun> runs, std::size_t& i,
+                   std::uint64_t& remaining, Cycles& now, Cycles window_end,
+                   Cycles per_execution_overhead) {
+    const auto step = [&](SiId si) { return cached_latency_[si] + per_execution_overhead; };
+    if constexpr (Derived::kFirstUseReopen)
+      for (std::size_t slot = 0; slot < summary.size(); ++slot)
+        if (reopen_[summary.si(slot)] && summary.total(slot) > monitor_.counted(summary.si(slot)))
+          return;
+    const auto fits = [&](std::size_t c) {
+      const std::span<const std::uint64_t> counts = summary.checkpoint(c);
+      Cycles span = 0;
+      for (std::size_t slot = 0; slot < counts.size(); ++slot) {
+        const SiId si = summary.si(slot);
+        span += (counts[slot] - monitor_.counted(si)) * step(si);
+      }
+      return span - step(runs[summary.checkpoint_runs(c) - 1].si) < window_end - now;
+    };
+    // Fitting is monotone in c: bisect between the first checkpoint ahead
+    // (it fits) and the first known not to.
+    std::size_t c = i / SiSummary::kBlockRuns;
+    if (!fits(c)) return;
+    for (std::size_t fails = summary.checkpoints(); fails - c > 1;) {
+      const std::size_t mid = c + (fails - c) / 2;
+      (fits(mid) ? c : fails) = mid;
+    }
+    const std::span<const std::uint64_t> counts = summary.checkpoint(c);
+    std::size_t unseen = 0;
+    for (std::size_t slot = 0; slot < counts.size(); ++slot) {
+      const SiId si = summary.si(slot);
+      const std::uint64_t n = counts[slot] - monitor_.counted(si);
       if (n == 0) continue;
-      // Every execution after this SI's last one lies in the remainder.
-      Cycles tail = step(slot);
-      for (std::size_t b = 0; b < summary.size(); ++b) tail += summary.after(slot, b) * step(b);
-      stamp_lru(summary.si(slot), now + span - tail);
-      monitor_.record_executions(summary.si(slot), n);
+      ++unseen;
+      monitor_.record_executions(si, n);
+      now += n * step(si);
     }
-    return now + span;
+    const std::size_t end = summary.checkpoint_runs(c);
+    Cycles after = now;  // the cycle after run r
+    for (std::size_t r = end; unseen > 0;) {
+      const SiRun& run = runs[--r];
+      if (touch_gen_[run.si] != window_gen_) {
+        touch(run.si, after - step(run.si));
+        --unseen;
+      }
+      after -= run.count * step(run.si);  // past run i only once unseen is 0
+    }
+    i = end;
+    remaining = 0;
   }
 
   /// Replays `runs` from `now` and returns the cycle after the last
@@ -202,9 +239,10 @@ class PortWindowBackend : public ExecutionBackend {
   /// crossing the window end divides. LRU stamps are materialized when the
   /// window closes, while the molecules it executed with are still cached and
   /// before open_window may pick a victim. With a `summary` (the span walk
-  /// over a whole instance) each window first tries finish_in_window.
-  /// kRecord appends each stretch of equal latency to `segments`; `stepped`
-  /// counts the runs whose stepping begins here. Bit-exact with scalar replay.
+  /// over a whole instance) each window first takes what it can by
+  /// take_blocks, the instance end included. kRecord appends each stretch of
+  /// equal latency to `segments`; `stepped` counts the runs whose stepping
+  /// begins here. Bit-exact with scalar replay.
   template <bool kRecord>
   Cycles walk(std::span<const SiRun> runs, std::uint64_t remaining, Cycles now,
               Cycles per_execution_overhead, std::vector<LatencySegment>* segments,
@@ -212,11 +250,10 @@ class PortWindowBackend : public ExecutionBackend {
     std::size_t i = 0;
     while (i < runs.size()) {
       const Cycles window_end = derived().open_window(now, runs[i].si);
-      if (summary != nullptr)
-        if (const auto end = finish_in_window(*summary, now, window_end, per_execution_overhead))
-          return *end;
       ++window_gen_;
       touched_.clear();
+      if (summary != nullptr)
+        take_blocks(*summary, runs, i, remaining, now, window_end, per_execution_overhead);
       while (i < runs.size() && now < window_end) {
         const SiId si = runs[i].si;
         if constexpr (Derived::kFirstUseReopen)
@@ -227,11 +264,7 @@ class PortWindowBackend : public ExecutionBackend {
         const std::uint64_t fit = executions_before(window_end, now, count, step);
         stepped += remaining == 0;
         monitor_.record_executions(si, fit);
-        last_start_[si] = now + (fit - 1) * step;
-        if (touch_gen_[si] != window_gen_) {
-          touch_gen_[si] = window_gen_;
-          touched_.push_back(si);
-        }
+        touch(si, now + (fit - 1) * step);
         if constexpr (kRecord) append_latency_segment(*segments, fit, latency);
         now += fit * step;
         if (fit < count) {

@@ -87,27 +87,18 @@ std::uint64_t SiSummary::executions_of(SiId si) const {
 
 void SiSummary::add(SiId si, std::uint32_t count, bool new_run) {
   if (new_run) {
-    const std::size_t k = sis_.size();
-    // The open run closes: its SI's row takes the totals so far. The same
-    // pass finds the new run's slot (k when its SI is new); one loop over
-    // the few slots costs less than a copy call plus a search.
-    std::uint64_t* row = upto_.data() + open_ * k;
-    std::size_t slot = k;
-    for (std::size_t j = 0; j < k; ++j) {
-      row[j] = totals_[j];
-      if (sis_[j] == si) slot = j;
+    if (runs_ > 0 && runs_ % kBlockRuns == 0) {
+      // The runs before this one are closed: checkpoint their totals.
+      checkpoint_counts_.insert(checkpoint_counts_.end(), totals_.begin(), totals_.end());
+      RISPP_CHECK_MSG(checkpoint_counts_.size() <= std::numeric_limits<std::uint32_t>::max(),
+                      "instance too long for its summary");
+      checkpoint_ends_.push_back(static_cast<std::uint32_t>(checkpoint_counts_.size()));
     }
-    open_ = slot;
-    if (open_ == k) {
-      // A new slot: re-stride the rows from k to k + 1 columns in place,
-      // back to front, so the new row and column start at zero.
+    ++runs_;
+    open_ = static_cast<std::size_t>(std::find(sis_.begin(), sis_.end(), si) - sis_.begin());
+    if (open_ == sis_.size()) {
       sis_.push_back(si);
       totals_.push_back(0);
-      upto_.resize((k + 1) * (k + 1), 0);
-      for (std::size_t a = k; a-- > 0;) {
-        for (std::size_t b = k; b-- > 0;) upto_[a * (k + 1) + b] = upto_[a * k + b];
-        upto_[a * (k + 1) + k] = 0;
-      }
     }
   }
   totals_[open_] += count;

@@ -14,10 +14,12 @@
 // path expands them one execution at a time.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,25 +39,36 @@ struct SiRun {
 
 /// Per-SI tallies of one hot-spot instance, derived from its runs by
 /// HotSpotInstance::append: the k distinct SIs (slots, in order of first
-/// execution), each slot's execution total, and per slot the per-SI counts
-/// up to the end of that SI's last run, so after(a, b) is one subtraction.
-/// The replay walk finishes an instance's last port-quiet window from it
-/// (sim/port_window_backend.h, DESIGN §6).
+/// execution), each slot's execution total, and a checkpoint every
+/// kBlockRuns runs holding the per-slot executions of the runs before it.
+/// The instance end is the last checkpoint, its counts the totals. The
+/// replay walk takes whole blocks of a port-quiet window from the
+/// checkpoints (sim/port_window_backend.h, DESIGN §6).
 class SiSummary {
  public:
+  /// Runs between two checkpoints.
+  static constexpr std::size_t kBlockRuns = 32;
+
   std::size_t size() const { return sis_.size(); }
   SiId si(std::size_t slot) const { return sis_[slot]; }
   /// Executions of si(slot) in the instance.
   std::uint64_t total(std::size_t slot) const { return totals_[slot]; }
-  /// The slot of the final run's SI.
-  std::size_t final_slot() const { return open_; }
-  /// Executions of si(b) after the last execution of si(a); zero for the
-  /// final run's SI, which executes last.
-  std::uint64_t after(std::size_t a, std::size_t b) const {
-    return a == open_ ? 0 : totals_[b] - upto_[a * sis_.size() + b];
-  }
   /// Executions of `si` in the instance (zero when it has none).
   std::uint64_t executions_of(SiId si) const;
+
+  /// Checkpoint c closes the first checkpoint_runs(c) runs: (c + 1) ·
+  /// kBlockRuns of them, or all for the last checkpoint, the instance end.
+  std::size_t checkpoints() const { return checkpoint_ends_.size() + 1; }
+  std::size_t checkpoint_runs(std::size_t c) const {
+    return std::min((c + 1) * kBlockRuns, runs_);
+  }
+  /// Per-slot executions of the runs before checkpoint c, for the slots
+  /// those runs reach (a prefix of the slots; the others have none).
+  std::span<const std::uint64_t> checkpoint(std::size_t c) const {
+    if (c == checkpoint_ends_.size()) return totals_;
+    const std::size_t begin = c == 0 ? 0 : checkpoint_ends_[c - 1];
+    return {checkpoint_counts_.data() + begin, checkpoint_ends_[c] - begin};
+  }
 
  private:
   friend struct HotSpotInstance;
@@ -65,10 +78,12 @@ class SiSummary {
 
   std::vector<SiId> sis_;
   std::vector<std::uint64_t> totals_;
-  /// k × k, row a: the totals when si(a)'s last run closed. The open run's
-  /// row is stale until that run closes; after() never reads it.
-  std::vector<std::uint64_t> upto_;
-  std::size_t open_ = 0;
+  std::size_t open_ = 0;  // the open run's slot
+  std::size_t runs_ = 0;
+  /// The stored checkpoints' rows back to back; row c ends at
+  /// checkpoint_ends_[c].
+  std::vector<std::uint64_t> checkpoint_counts_;
+  std::vector<std::uint32_t> checkpoint_ends_;
 };
 
 struct HotSpotInstance {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -229,8 +230,8 @@ TEST(Trace, SiIdsBelowChecksHotSpotsAndRuns) {
 }
 
 /// Recounts `inst`'s summary from its runs alone: slots in first-execution
-/// order, per-SI totals, and after(a, b) as b's executions behind a's last
-/// run.
+/// order, per-SI totals, and every checkpoint as the per-slot executions of
+/// the runs before it.
 void expect_summary_matches_runs(const HotSpotInstance& inst) {
   const SiSummary& summary = inst.summary();
   const std::vector<SiRun>& runs = inst.runs;
@@ -241,23 +242,27 @@ void expect_summary_matches_runs(const HotSpotInstance& inst) {
   for (std::size_t a = 0; a < sis.size(); ++a) {
     ASSERT_EQ(summary.si(a), sis[a]) << "slot " << a;
     std::uint64_t total = 0;
-    std::size_t last = 0;
-    for (std::size_t r = 0; r < runs.size(); ++r)
-      if (runs[r].si == sis[a]) {
-        total += runs[r].count;
-        last = r;
-      }
+    for (const SiRun& run : runs)
+      if (run.si == sis[a]) total += run.count;
     EXPECT_EQ(summary.total(a), total) << "slot " << a;
     EXPECT_EQ(summary.executions_of(sis[a]), total) << "slot " << a;
-    for (std::size_t b = 0; b < sis.size(); ++b) {
-      std::uint64_t behind = 0;
-      for (std::size_t r = last + 1; r < runs.size(); ++r)
-        if (runs[r].si == sis[b]) behind += runs[r].count;
-      EXPECT_EQ(summary.after(a, b), behind) << "slots " << a << ", " << b;
-    }
   }
-  if (!runs.empty()) {
-    EXPECT_EQ(summary.si(summary.final_slot()), runs.back().si);
+  // One checkpoint per kBlockRuns runs, the last one at the instance end.
+  const std::size_t block = SiSummary::kBlockRuns;
+  ASSERT_EQ(summary.checkpoints(), runs.empty() ? 1 : (runs.size() + block - 1) / block);
+  for (std::size_t c = 0; c < summary.checkpoints(); ++c) {
+    const std::size_t end = std::min((c + 1) * block, runs.size());
+    ASSERT_EQ(summary.checkpoint_runs(c), end) << "checkpoint " << c;
+    std::vector<std::uint64_t> counts;
+    for (std::size_t r = 0; r < end; ++r) {
+      const auto slot = static_cast<std::size_t>(
+          std::find(sis.begin(), sis.end(), runs[r].si) - sis.begin());
+      if (slot == counts.size()) counts.push_back(0);
+      counts[slot] += runs[r].count;
+    }
+    const std::span<const std::uint64_t> stored = summary.checkpoint(c);
+    EXPECT_EQ(std::vector<std::uint64_t>(stored.begin(), stored.end()), counts)
+        << "checkpoint " << c;
   }
 }
 
@@ -490,6 +495,62 @@ TEST(PortWindow, ScalarRunsAndSpanAgreeOnSeededTraces) {
   EXPECT_LT(stepped, replayed);
 }
 
+TEST(PortWindow, BlockRuleAgreesOnLongSeededInstances) {
+  const auto set = h264sis::build_h264_si_set();
+  const auto n = static_cast<std::int64_t>(set.si_count());
+  // Instances of up to ~9 blocks over 2-4 SIs, port events inside them;
+  // each first-use list is tried empty and with one or two of the SIs.
+  std::uint64_t replayed = 0, stepped[2] = {0, 0};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Xoshiro256 rng(seed);
+    std::vector<SiId> pool;
+    for (std::int64_t k = rng.range(2, 4); static_cast<std::int64_t>(pool.size()) < k;) {
+      const auto si = static_cast<SiId>(rng.range(0, n - 1));
+      if (std::find(pool.begin(), pool.end(), si) == pool.end()) pool.push_back(si);
+    }
+    WorkloadTrace trace;
+    trace.hot_spots = {HotSpotInfo{"X", pool, static_cast<Cycles>(rng.range(0, 20))}};
+    Cycles horizon = 0;
+    for (int i = 0; i < 4; ++i) {
+      HotSpotInstance inst;
+      inst.entry_overhead = static_cast<Cycles>(rng.range(0, 500));
+      for (std::int64_t r = rng.range(1, 300); r > 0; --r) {
+        SiId si = pool[static_cast<std::size_t>(rng.range(0, static_cast<std::int64_t>(pool.size()) - 1))];
+        if (!inst.runs.empty() && inst.runs.back().si == si)
+          si = pool[(std::find(pool.begin(), pool.end(), si) - pool.begin() + 1) % pool.size()];
+        inst.append(si, static_cast<std::uint32_t>(rng.range(1, 40)));
+      }
+      horizon += inst.entry_overhead;
+      for (const SiRun& run : inst.runs)
+        horizon += run.count * (set.si(run.si).software_latency + trace.hot_spots[0].per_execution_overhead);
+      replayed += inst.runs.size();
+      trace.instances.push_back(std::move(inst));
+    }
+    WalkScript script;
+    for (int e = 0; e < 24; ++e) {
+      const SiId si = pool[static_cast<std::size_t>(rng.range(0, static_cast<std::int64_t>(pool.size()) - 1))];
+      const auto latency =
+          static_cast<Cycles>(rng.range(1, static_cast<std::int64_t>(set.si(si).software_latency)));
+      script.events.emplace(static_cast<Cycles>(rng.range(1, static_cast<std::int64_t>(horizon / 3))),
+                            std::pair{si, latency});
+    }
+    for (int flagged = 0; flagged < 2; ++flagged) {
+      SCOPED_TRACE(flagged == 0 ? "no first use" : "first use");
+      if (flagged == 1)
+        for (std::int64_t f = rng.range(1, 2); f > 0; --f)
+          script.first_use.push_back(
+              pool[static_cast<std::size_t>(rng.range(0, static_cast<std::int64_t>(pool.size()) - 1))]);
+      std::uint64_t seed_stepped = 0;
+      expect_walks_agree(set, trace, script, &seed_stepped);
+      stepped[flagged] += seed_stepped;
+    }
+  }
+  // Whole blocks are taken from checkpoints, so most runs are never stepped.
+  EXPECT_LT(stepped[0] * 2, replayed);
+  EXPECT_LT(stepped[1], replayed);
+}
+
 TEST(PortWindow, RunCrossesThreeWindows) {
   const auto set = h264sis::build_h264_si_set();
   WorkloadTrace trace;
@@ -553,8 +614,8 @@ TEST(PortWindow, FirstUseReopensTheWindow) {
   EXPECT_GE(timeline[1].at, first_sad + ScriptedBackend::kRequestDelay);
 }
 
-// --- the last-window rule: the span walk finishes an instance from its
-// summary once the window holds every remaining execution ----------------
+// --- the block rule: the span walk takes whole blocks of a window from the
+// summary's checkpoints, and finishes an instance at its last one ---------
 
 /// Hardware latencies from cycle 1 on (before any instance), so executions
 /// LRU-stamp: SAD (atom type 0) 32, (I)HT 2x2 (type 2) 4, LF_BS4 (types 11
@@ -634,7 +695,7 @@ TEST(PortWindow, LastWindowOpensInsideAPartlyConsumedRun) {
   EXPECT_EQ(span.lru[2], resumed + 699 * 21 + 4 * 9);  // HT's last start
 }
 
-TEST(PortWindow, StampOfAnSiThatOnlyStartsTheInstanceComesFromAfter) {
+TEST(PortWindow, StampOfAnSiThatOnlyStartsTheInstanceComesFromTheBackwardWalk) {
   const auto set = h264sis::build_h264_si_set();
   WorkloadTrace trace;
   trace.hot_spots = {HotSpotInfo{"X", {0, 3, 8}, 5}};
@@ -682,6 +743,143 @@ TEST(PortWindow, FlaggedFirstUseSiBlocksTheShortcut) {
   // second, HT is faster and the last SAD run starts before the request's
   // answer too, so it is stepped (partly) as well.
   EXPECT_EQ(stepped, 2 + 3u);
+}
+
+/// One hot spot over SAD, HT and LF_BS4 (per-execution overhead 5) and one
+/// instance of `runs` runs after an entry overhead of 100: SAD x2 at even
+/// runs and HT x3 at odd ones unless `replaced` gives a run another SI and
+/// count.
+WorkloadTrace block_trace(std::size_t runs,
+                          const std::map<std::size_t, SiRun>& replaced = {}) {
+  WorkloadTrace trace;
+  trace.hot_spots = {HotSpotInfo{"X", {0, 3, 8}, 5}};
+  HotSpotInstance inst;
+  inst.entry_overhead = 100;
+  for (std::size_t r = 0; r < runs; ++r) {
+    const auto it = replaced.find(r);
+    const SiRun run = it != replaced.end() ? it->second : r % 2 == 0 ? SiRun{0, 2} : SiRun{3, 3};
+    inst.append(run.si, run.count);
+  }
+  trace.instances = {inst};
+  return trace;
+}
+
+/// Where execution `e` of run `r` starts when every SI keeps its
+/// hardware_script step from the entry on: SAD 37, HT 9, LF_BS4 38.
+Cycles start_of(const HotSpotInstance& inst, std::size_t r, std::uint64_t e) {
+  const auto step = [](SiId si) -> Cycles { return si == 0 ? 37 : si == 3 ? 9 : 38; };
+  Cycles at = inst.entry_overhead;
+  for (std::size_t q = 0; q < r; ++q) at += inst.runs[q].count * step(inst.runs[q].si);
+  return at + e * step(inst.runs[r].si);
+}
+
+TEST(PortWindow, WindowEndingAtACheckpointsLastStartStopsABlockShort) {
+  const auto set = h264sis::build_h264_si_set();
+  const std::size_t block = SiSummary::kBlockRuns;
+  const WorkloadTrace trace = block_trace(3 * block);
+  // The last execution before the first checkpoint (HT's third in run 31).
+  const Cycles last = start_of(trace.instances[0], block - 1, 2);
+  for (const Cycles end : {last, last + 1}) {
+    SCOPED_TRACE("window end " + std::to_string(end));
+    WalkScript script = hardware_script();
+    script.events.emplace(end, std::pair<SiId, Cycles>{3, 2});
+    std::uint64_t stepped = 0;
+    expect_walks_agree(set, trace, script, &stepped);
+    // Ending at that start, the first block does not fit (the test is
+    // strict): its runs are stepped and the last one splits at the event.
+    // One cycle later the block is taken whole, the event falls inside its
+    // last execution, and the next window takes the rest.
+    EXPECT_EQ(stepped, end == last ? block : 0u);
+  }
+}
+
+TEST(PortWindow, WindowOpensInsideAPartlyConsumedRunBeforeACheckpoint) {
+  const auto set = h264sis::build_h264_si_set();
+  const std::size_t block = SiSummary::kBlockRuns;
+  const WorkloadTrace trace = block_trace(3 * block, {{block - 1, SiRun{3, 1000}}});
+  const HotSpotInstance& inst = trace.instances[0];
+  // SAD drops to 16 (step 21) after 101 of run 31's 1000 HTs, so the
+  // second window opens on that run just before the first checkpoint. HT
+  // drops to 2 where run 72's first SAD has started: that window takes the
+  // rest of run 31 and the second block whole and steps runs 64 to 72.
+  const Cycles run31_end = start_of(inst, block, 0);
+  const Cycles run72 = run31_end + 20 * (2 * 21 + 3 * 9);
+  WalkScript script = hardware_script();
+  script.events.emplace(start_of(inst, block - 1, 100) + 5, std::pair<SiId, Cycles>{0, 16});
+  script.events.emplace(run72 + 1, std::pair<SiId, Cycles>{3, 2});
+  const WalkObservation span = observe_walk(set, trace, script, nullptr, ReplayMode::kBatched);
+  std::uint64_t stepped = 0;
+  expect_walks_agree(set, trace, script, &stepped);
+  EXPECT_EQ(stepped, block + 9);
+  // Runs 73 to 95 (12 HT, 11 SAD runs) follow at the new steps.
+  EXPECT_EQ(span.result.total_cycles, run72 + 2 * 21 + 12 * 3 * 7 + 11 * 2 * 21u);
+}
+
+TEST(PortWindow, InstanceOfExactlyTwoBlocks) {
+  const auto set = h264sis::build_h264_si_set();
+  const std::size_t block = SiSummary::kBlockRuns;
+  const WorkloadTrace trace = block_trace(2 * block);
+  const SiSummary& summary = trace.instances[0].summary();
+  // One stored checkpoint; the second is the instance end.
+  ASSERT_EQ(summary.checkpoints(), 2u);
+  EXPECT_EQ(summary.checkpoint_runs(0), block);
+  EXPECT_EQ(summary.checkpoint_runs(1), 2 * block);
+  EXPECT_EQ(std::vector<std::uint64_t>(summary.checkpoint(0).begin(), summary.checkpoint(0).end()),
+            (std::vector<std::uint64_t>{block, 3 * block / 2}));
+  EXPECT_EQ(std::vector<std::uint64_t>(summary.checkpoint(1).begin(), summary.checkpoint(1).end()),
+            (std::vector<std::uint64_t>{2 * block, 3 * block}));
+  std::uint64_t stepped = 0;
+  expect_walks_agree(set, trace, hardware_script(), &stepped);
+  EXPECT_EQ(stepped, 0u);  // no port event: one window takes the end checkpoint
+  // SAD drops to 16 after run 40's first execution: the first window takes
+  // the first block and steps runs 32 to 40, the second takes the end.
+  WalkScript script = hardware_script();
+  script.events.emplace(start_of(trace.instances[0], 40, 0) + 1, std::pair<SiId, Cycles>{0, 16});
+  expect_walks_agree(set, trace, script, &stepped);
+  EXPECT_EQ(stepped, 9u);
+}
+
+TEST(PortWindow, StampOfAnSiOnlyInsideASkippedBlockComesFromTheBackwardWalk) {
+  const auto set = h264sis::build_h264_si_set();
+  const std::size_t block = SiSummary::kBlockRuns;
+  // LF_BS4 runs once, as run 5; SAD drops to 16 inside run 70, so the first
+  // window takes two blocks whole and the backward walk from run 63 finds
+  // LF_BS4's last start.
+  const WorkloadTrace trace = block_trace(3 * block, {{5, SiRun{8, 3}}});
+  const HotSpotInstance& inst = trace.instances[0];
+  WalkScript script = hardware_script();
+  script.events.emplace(start_of(inst, 70, 0) + 1, std::pair<SiId, Cycles>{0, 16});
+  const WalkObservation span = observe_walk(set, trace, script, nullptr, ReplayMode::kBatched);
+  std::uint64_t stepped = 0;
+  expect_walks_agree(set, trace, script, &stepped);
+  EXPECT_EQ(stepped, 7u);  // runs 64 to 70
+  EXPECT_EQ(span.lru[11], start_of(inst, 5, 2));
+  EXPECT_EQ(span.lru[12], start_of(inst, 5, 2));
+}
+
+TEST(PortWindow, FlaggedFirstUseSiAfterACheckpointBlocksTheBlockRule) {
+  const auto set = h264sis::build_h264_si_set();
+  const std::size_t block = SiSummary::kBlockRuns;
+  // Runs 0 to 39 alternate SAD and LF_BS4; HT first runs at run 40 (x10),
+  // after the first checkpoint, and is flagged for first use.
+  std::map<std::size_t, SiRun> replaced;
+  for (std::size_t r = 1; r < 40; r += 2) replaced[r] = SiRun{8, 2};
+  for (std::size_t r = 40; r < 3 * block; r += 2) replaced[r] = SiRun{3, 10};
+  for (std::size_t r = 41; r < 3 * block; r += 2) replaced[r] = SiRun{0, 2};
+  const WorkloadTrace trace = block_trace(3 * block, replaced);
+  std::uint64_t stepped = 0;
+  expect_walks_agree(set, trace, hardware_script(), &stepped);
+  EXPECT_EQ(stepped, 0u);
+  WalkScript script = hardware_script();
+  script.first_use = {3};
+  const WalkObservation span = observe_walk(set, trace, script, nullptr, ReplayMode::kBatched);
+  expect_walks_agree(set, trace, script, &stepped);
+  // The first window takes no block although the first checkpoint fits: it
+  // steps runs 0 to 39 and ends before HT's first run. HT's request ends
+  // the next window five executions into run 40; the last takes the rest.
+  ASSERT_EQ(span.requests.size(), 1u);
+  EXPECT_EQ(span.requests[0], (std::pair<SiId, Cycles>{3, start_of(trace.instances[0], 40, 0)}));
+  EXPECT_EQ(stepped, 41u);
 }
 
 }  // namespace
