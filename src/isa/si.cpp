@@ -115,6 +115,7 @@ SiId SpecialInstructionSet::add_si(const std::string& name, DataPathGraph graph,
   for (AtomTypeId t = 0; t < atom_type_count(); ++t)
     if (used[t] != 0) sis_using_[t].push_back(si.id);
   sis_.push_back(std::move(si));
+  fingerprint_.store(0, std::memory_order_relaxed);
   return sis_.back().id;
 }
 
@@ -175,6 +176,8 @@ std::uint64_t mix_string(std::uint64_t hash, const std::string& s) {
 }  // namespace
 
 std::uint64_t fingerprint(const SpecialInstructionSet& set) {
+  if (const std::uint64_t memo = set.fingerprint_.load(std::memory_order_relaxed); memo != 0)
+    return memo;
   std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV offset basis
   const AtomLibrary& library = set.library();
   hash = fingerprint_mix(hash, library.size());
@@ -196,6 +199,7 @@ std::uint64_t fingerprint(const SpecialInstructionSet& set) {
       for (const AtomCount count : m.atoms.counts()) hash = fingerprint_mix(hash, count);
     }
   }
+  set.fingerprint_.store(hash, std::memory_order_relaxed);
   return hash;
 }
 

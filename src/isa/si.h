@@ -8,6 +8,7 @@
 // automatically when the required atoms are not loaded (§3).
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <span>
@@ -57,7 +58,12 @@ class SpecialInstructionSet {
   // DataPathGraphs may point at it.
   SpecialInstructionSet(const SpecialInstructionSet&) = delete;
   SpecialInstructionSet& operator=(const SpecialInstructionSet&) = delete;
-  SpecialInstructionSet(SpecialInstructionSet&&) = default;
+  /// Carries the memoized fingerprint along.
+  SpecialInstructionSet(SpecialInstructionSet&& other) noexcept
+      : library_(std::move(other.library_)),
+        sis_(std::move(other.sis_)),
+        sis_using_(std::move(other.sis_using_)),
+        fingerprint_(other.fingerprint_.load(std::memory_order_relaxed)) {}
 
   const AtomLibrary& library() const { return *library_; }
   std::size_t atom_type_count() const { return library_->size(); }
@@ -96,9 +102,15 @@ class SpecialInstructionSet {
   std::span<const SiId> sis_using(AtomTypeId type) const;
 
  private:
+  friend std::uint64_t fingerprint(const SpecialInstructionSet& set);
+
   std::unique_ptr<AtomLibrary> library_;
   std::vector<SpecialInstruction> sis_;
   std::vector<std::vector<SiId>> sis_using_;  // per atom type
+  /// fingerprint(*this) once computed, else 0 (a fingerprint of 0 is
+  /// recomputed each time); add_si resets it. Relaxed: concurrent first
+  /// reads compute and store the same value.
+  mutable std::atomic<std::uint64_t> fingerprint_{0};
 };
 
 /// Order-sensitive 64-bit digest of the set's observable contents: atom
@@ -106,7 +118,8 @@ class SpecialInstructionSet {
 /// + latencies) and software latencies. Any change that could alter a
 /// recorded workload trace changes the fingerprint — cache keys (e.g. the
 /// bench trace cache) mix it in so a stale trace is never replayed against
-/// an edited library.
+/// an edited library. Memoized in the set, so repeated calls cost one
+/// relaxed atomic load.
 std::uint64_t fingerprint(const SpecialInstructionSet& set);
 
 /// FNV-1a accumulator the fingerprint is built from; exposed so callers can

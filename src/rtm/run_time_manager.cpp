@@ -64,9 +64,10 @@ RunTimeManager::RunTimeManager(const SpecialInstructionSet* set, std::size_t hot
     payback_cycles_per_atom_ =
         cycles_from_us(config_.bitstream.average_reconfig_us(set_->library())) /
         config_.payback_horizon;
-  // A shared memo keys every decision on this RTM's domain. The RTM's own
-  // memo serves it alone, so its keys use domain 0 unregistered — the SI-set
-  // fingerprint would cost more than building the rest of the RTM.
+  // A shared memo keys every decision on this RTM's domain, registered
+  // under the SI set's fingerprint (memoized in the set, so a fleet of
+  // sessions over one set hashes it once). The RTM's own memo serves it
+  // alone, so its keys use domain 0 unregistered.
   if (config_.decision_memo)
     memo_domain_ = config_.decision_memo->register_domain(
         fingerprint(*set_), config_.scheduler->name(), payback_cycles_per_atom_,

@@ -180,6 +180,28 @@ TEST(SpecialInstructionSet, DuplicateSiNameThrows) {
   EXPECT_THROW(set.add_si("T", std::move(g), Molecule{1, 0}, 10), std::logic_error);
 }
 
+/// Adds SI "U", one layer of two A ops, to `set`.
+void add_u(SpecialInstructionSet& set) {
+  DataPathGraph g(&set.library());
+  g.add_layer(0, 2);
+  set.add_si("U", std::move(g), Molecule{2, 0}, 20);
+}
+
+TEST(SpecialInstructionSet, FingerprintIsMemoizedUntilAddSiAndMovesAlong) {
+  auto set = tiny_set();
+  const std::uint64_t first = fingerprint(set);
+  EXPECT_EQ(fingerprint(set), first);
+  EXPECT_EQ(fingerprint(tiny_set()), first);  // a fresh set's, computed anew
+  add_u(set);
+  const std::uint64_t grown = fingerprint(set);
+  EXPECT_NE(grown, first);
+  auto fresh = tiny_set();
+  add_u(fresh);
+  EXPECT_EQ(grown, fingerprint(fresh));
+  const SpecialInstructionSet moved(std::move(set));
+  EXPECT_EQ(fingerprint(moved), grown);
+}
+
 // ---- Table 1 ---------------------------------------------------------------
 
 TEST(H264SiLibrary, Table1AtomTypesPerSi) {
