@@ -429,9 +429,13 @@ const bench::BenchContext& cached_context() {
 // Scalar vs run-batched replay of the cached H.264 bench trace (items =
 // SI execution events) through each reconfigurable backend: the HEF RTM,
 // Molen and OneChip, all 17 ACs. The ratio of a backend's two items/sec
-// rates is the fast-forward speedup of its port-quiet walk.
+// rates is the fast-forward speedup of its port-quiet walk; `runs_stepped`
+// is the walk's work per replay, the runs it steps one at a time
+// (sim.replay.runs_stepped; the scalar path steps none).
 void BM_TraceReplay(benchmark::State& state) {
   const auto& ctx = cached_context();
+  const MetricCounter& runs_stepped = metric_counter("sim.replay.runs_stepped");
+  const std::uint64_t stepped_before = runs_stepped.value();
   const auto mode = state.range(0) == 0 ? ReplayMode::kScalar : ReplayMode::kBatched;
   constexpr unsigned kContainers = 17;
   const HefScheduler hef;
@@ -457,6 +461,8 @@ void BM_TraceReplay(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ctx.trace.total_si_executions()));
+  state.counters["runs_stepped"] = static_cast<double>(runs_stepped.value() - stepped_before) /
+                                   static_cast<double>(state.iterations());
   static const char* const kBackend[] = {"HEF", "Molen", "OneChip"};
   state.SetLabel(std::string(mode == ReplayMode::kScalar ? "scalar " : "batched ") +
                  kBackend[state.range(1)]);

@@ -509,38 +509,41 @@ TEST(PortWindow, BlockRuleAgreesOnLongSeededInstances) {
       const auto si = static_cast<SiId>(rng.range(0, n - 1));
       if (std::find(pool.begin(), pool.end(), si) == pool.end()) pool.push_back(si);
     }
+    const auto pick = [&] {
+      return pool[static_cast<std::size_t>(rng.range(0, static_cast<std::int64_t>(pool.size()) - 1))];
+    };
     WorkloadTrace trace;
     trace.hot_spots = {HotSpotInfo{"X", pool, static_cast<Cycles>(rng.range(0, 20))}};
+    const Cycles overhead = trace.hot_spots[0].per_execution_overhead;
     Cycles horizon = 0;
     for (int i = 0; i < 4; ++i) {
       HotSpotInstance inst;
       inst.entry_overhead = static_cast<Cycles>(rng.range(0, 500));
       for (std::int64_t r = rng.range(1, 300); r > 0; --r) {
-        SiId si = pool[static_cast<std::size_t>(rng.range(0, static_cast<std::int64_t>(pool.size()) - 1))];
+        SiId si = pick();
         if (!inst.runs.empty() && inst.runs.back().si == si)
           si = pool[(std::find(pool.begin(), pool.end(), si) - pool.begin() + 1) % pool.size()];
         inst.append(si, static_cast<std::uint32_t>(rng.range(1, 40)));
       }
       horizon += inst.entry_overhead;
       for (const SiRun& run : inst.runs)
-        horizon += run.count * (set.si(run.si).software_latency + trace.hot_spots[0].per_execution_overhead);
+        horizon += run.count * (set.si(run.si).software_latency + overhead);
       replayed += inst.runs.size();
       trace.instances.push_back(std::move(inst));
     }
     WalkScript script;
     for (int e = 0; e < 24; ++e) {
-      const SiId si = pool[static_cast<std::size_t>(rng.range(0, static_cast<std::int64_t>(pool.size()) - 1))];
+      const SiId si = pick();
       const auto latency =
           static_cast<Cycles>(rng.range(1, static_cast<std::int64_t>(set.si(si).software_latency)));
-      script.events.emplace(static_cast<Cycles>(rng.range(1, static_cast<std::int64_t>(horizon / 3))),
-                            std::pair{si, latency});
+      script.events.emplace(
+          static_cast<Cycles>(rng.range(1, static_cast<std::int64_t>(horizon / 3))),
+          std::pair{si, latency});
     }
     for (int flagged = 0; flagged < 2; ++flagged) {
       SCOPED_TRACE(flagged == 0 ? "no first use" : "first use");
       if (flagged == 1)
-        for (std::int64_t f = rng.range(1, 2); f > 0; --f)
-          script.first_use.push_back(
-              pool[static_cast<std::size_t>(rng.range(0, static_cast<std::int64_t>(pool.size()) - 1))]);
+        for (std::int64_t f = rng.range(1, 2); f > 0; --f) script.first_use.push_back(pick());
       std::uint64_t seed_stepped = 0;
       expect_walks_agree(set, trace, script, &seed_stepped);
       stepped[flagged] += seed_stepped;
