@@ -1,7 +1,7 @@
 #include "alg/molecule.h"
 
 #include <algorithm>
-#include <cstring>
+#include <sstream>
 
 #include "base/check.h"
 
@@ -16,33 +16,27 @@ Molecule Molecule::unit(std::size_t dimension, AtomTypeId type) {
 
 void Molecule::assign_zero(std::size_t dimension) {
   size_ = dimension;
-  if (dimension > kInlineCapacity) heap_.resize(dimension);
-  std::fill_n(data(), dimension, AtomCount{0});
+  lanes_ = {};
+  if (spilled()) heap_.assign(dimension, AtomCount{0});
   det_ = 0;
   det_valid_ = true;
 }
 
 void Molecule::assign(std::span<const AtomCount> counts) {
   size_ = counts.size();
-  if (size_ > kInlineCapacity) heap_.resize(size_);
-  std::copy(counts.begin(), counts.end(), data());
+  if (spilled()) {
+    heap_.assign(counts.begin(), counts.end());
+  } else {
+    Lanes lanes{};  // `counts` may be this molecule's own
+    std::copy(counts.begin(), counts.end(), lanes.begin());
+    lanes_ = lanes;
+  }
   det_valid_ = false;
 }
 
 bool Molecule::empty() const {
   const AtomCount* d = data();
   return std::all_of(d, d + size_, [](AtomCount c) { return c == 0; });
-}
-
-unsigned Molecule::determinant() const {
-  if (!det_valid_) {
-    const AtomCount* d = data();
-    unsigned sum = 0;
-    for (std::size_t i = 0; i < size_; ++i) sum += d[i];
-    det_ = sum;
-    det_valid_ = true;
-  }
-  return det_;
 }
 
 unsigned Molecule::type_count() const {
@@ -66,12 +60,11 @@ std::string Molecule::to_string() const {
   return out;
 }
 
-namespace {
-void check_same_dimension(const Molecule& a, const Molecule& b) {
-  RISPP_CHECK_MSG(a.dimension() == b.dimension(),
-                  "dimension mismatch: " << a.dimension() << " vs " << b.dimension());
+void Molecule::dimension_mismatch(std::size_t a, std::size_t b) {
+  std::ostringstream os;
+  os << "dimension mismatch: " << a << " vs " << b;
+  detail::check_failed("a.dimension() == b.dimension()", __FILE__, __LINE__, os.str());
 }
-}  // namespace
 
 Molecule join(const Molecule& a, const Molecule& b) {
   Molecule out = a;
@@ -85,27 +78,14 @@ Molecule meet(const Molecule& a, const Molecule& b) {
   return out;
 }
 
-void join_into(Molecule& acc, const Molecule& m) {
-  check_same_dimension(acc, m);
-  AtomCount* dst = acc.data();
-  const AtomCount* src = m.data();
-  for (std::size_t i = 0; i < acc.size_; ++i) dst[i] = std::max(dst[i], src[i]);
-  acc.det_valid_ = false;
-}
-
 void meet_into(Molecule& acc, const Molecule& m) {
-  check_same_dimension(acc, m);
+  Molecule::check_same_dimension(acc, m);
   AtomCount* dst = acc.data();
   const AtomCount* src = m.data();
-  for (std::size_t i = 0; i < acc.size_; ++i) dst[i] = std::min(dst[i], src[i]);
+  // Inline, the zero lanes stay zero: min(0, 0) = 0.
+  const std::size_t n = acc.spilled() ? acc.size_ : Molecule::kInlineCapacity;
+  for (std::size_t i = 0; i < n; ++i) dst[i] = std::min(dst[i], src[i]);
   acc.det_valid_ = false;
-}
-
-bool leq(const Molecule& a, const Molecule& b) {
-  check_same_dimension(a, b);
-  for (std::size_t i = 0; i < a.dimension(); ++i)
-    if (a[i] > b[i]) return false;
-  return true;
 }
 
 Molecule missing(const Molecule& available, const Molecule& wanted) {
@@ -114,43 +94,51 @@ Molecule missing(const Molecule& available, const Molecule& wanted) {
   return out;
 }
 
-void missing_into(Molecule& out, const Molecule& available, const Molecule& wanted) {
-  check_same_dimension(available, wanted);
-  const std::size_t n = available.dimension();
+unsigned Molecule::spilled_sum(std::span<const AtomCount> counts) {
+  unsigned sum = 0;
+  for (const AtomCount c : counts) sum += c;
+  return sum;
+}
+
+void Molecule::spilled_join_into(Molecule& acc, const Molecule& m) {
+  for (std::size_t i = 0; i < acc.size_; ++i) acc.heap_[i] = std::max(acc.heap_[i], m.heap_[i]);
+}
+
+void Molecule::spilled_missing_into(Molecule& out, const Molecule& available,
+                                    const Molecule& wanted) {
+  const std::size_t n = available.size_;
   // Element i is written only from element i of the inputs, so `out` may
   // alias either operand; resize before capturing the input pointers (a
   // no-op when aliased, since the dimensions already match).
   out.size_ = n;
-  if (n > Molecule::kInlineCapacity) out.heap_.resize(n);
-  AtomCount* dst = out.data();
-  const AtomCount* have = available.counts().data();
-  const AtomCount* want = wanted.counts().data();
-  unsigned sum = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  out.heap_.resize(n);
+  AtomCount* dst = out.heap_.data();
+  const AtomCount* have = available.heap_.data();
+  const AtomCount* want = wanted.heap_.data();
+  for (std::size_t i = 0; i < n; ++i)
     dst[i] = want[i] > have[i] ? static_cast<AtomCount>(want[i] - have[i]) : 0;
-    sum += dst[i];
-  }
-  out.det_ = sum;
-  out.det_valid_ = true;
+  out.det_valid_ = false;
 }
 
-unsigned missing_determinant(const Molecule& available, const Molecule& wanted) {
-  check_same_dimension(available, wanted);
-  const AtomCount* have = available.counts().data();
-  const AtomCount* want = wanted.counts().data();
+unsigned Molecule::spilled_missing_determinant(const Molecule& available,
+                                               const Molecule& wanted) {
   unsigned sum = 0;
-  for (std::size_t i = 0; i < available.dimension(); ++i)
-    if (want[i] > have[i]) sum += static_cast<unsigned>(want[i] - have[i]);
+  for (std::size_t i = 0; i < available.size_; ++i)
+    if (wanted.heap_[i] > available.heap_[i])
+      sum += static_cast<unsigned>(wanted.heap_[i] - available.heap_[i]);
   return sum;
 }
 
-unsigned join_determinant(const Molecule& a, const Molecule& b) {
-  check_same_dimension(a, b);
-  const AtomCount* pa = a.counts().data();
-  const AtomCount* pb = b.counts().data();
+unsigned Molecule::spilled_join_determinant(const Molecule& a, const Molecule& b) {
   unsigned sum = 0;
-  for (std::size_t i = 0; i < a.dimension(); ++i) sum += std::max(pa[i], pb[i]);
+  for (std::size_t i = 0; i < a.size_; ++i) sum += std::max(a.heap_[i], b.heap_[i]);
   return sum;
+}
+
+bool Molecule::spilled_leq(const Molecule& a, const Molecule& b) {
+  for (std::size_t i = 0; i < a.size_; ++i)
+    if (a.heap_[i] > b.heap_[i]) return false;
+  return true;
 }
 
 Molecule sup(std::span<const Molecule> set, std::size_t dimension) {

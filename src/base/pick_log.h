@@ -14,12 +14,37 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <sstream>
 #include <vector>
+
+#include "base/check.h"
+#include "base/types.h"
 
 namespace rispp {
 
 /// The pick of a round in which no row qualifies (the loop ends there).
 inline constexpr std::uint32_t kNoPick = std::numeric_limits<std::uint32_t>::max();
+
+namespace detail {
+/// forecast_product's failure, out of line so the product itself inlines.
+[[noreturn, gnu::cold, gnu::noinline]] inline void forecast_product_overflow(
+    SiId si, std::uint64_t expected, std::uint64_t gain) {
+  std::ostringstream os;
+  os << "forecast product of SI " << si << " overflows 64 bits: " << expected << " * " << gain;
+  check_failed("expected[si] * gain < 2^64", __FILE__, __LINE__, os.str());
+}
+}  // namespace detail
+
+/// expected[si] · gain, the product every forecast pick ranks a row by.
+/// Throws, naming the SI, when it does not fit 64 bits, so no pick ranks a
+/// wrapped product.
+inline std::uint64_t forecast_product(const std::vector<std::uint64_t>& expected, SiId si,
+                                      std::uint64_t gain) {
+  std::uint64_t product = 0;
+  if (__builtin_mul_overflow(expected[si], gain, &product)) [[unlikely]]
+    detail::forecast_product_overflow(si, expected[si], gain);
+  return product;
+}
 
 /// Picks one row of a round's table under the forecast `expected` (per
 /// SiId), or returns kNoPick.

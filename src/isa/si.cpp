@@ -7,16 +7,6 @@
 
 namespace rispp {
 
-const MoleculeImpl& SpecialInstruction::molecule(MoleculeId m) const {
-  RISPP_CHECK(m < molecules.size());
-  return molecules[m];
-}
-
-Cycles SpecialInstruction::latency(MoleculeId m) const {
-  if (m == kSoftwareMolecule) return software_latency;
-  return molecule(m).latency;
-}
-
 SpecialInstructionSet::SpecialInstructionSet(AtomLibrary library)
     : library_(std::make_unique<AtomLibrary>(std::move(library))),
       sis_using_(library_->size()) {}
@@ -104,6 +94,9 @@ SiId SpecialInstructionSet::add_si(const std::string& name, DataPathGraph graph,
     RISPP_CHECK_MSG(m.latency < si.software_latency,
                     name << ": molecule " << m.atoms.to_string() << " slower than trap");
     RISPP_CHECK(m.atoms.dimension() == atom_type_count());
+    // Fill the determinant cache now: fastest_available reads it from
+    // every thread that shares the set.
+    (void)m.atoms.determinant();
     join_into(used, m.atoms);
   }
   si.latency_order.resize(si.molecules.size());
@@ -119,11 +112,6 @@ SiId SpecialInstructionSet::add_si(const std::string& name, DataPathGraph graph,
   return sis_.back().id;
 }
 
-const SpecialInstruction& SpecialInstructionSet::si(SiId id) const {
-  RISPP_CHECK(id < sis_.size());
-  return sis_[id];
-}
-
 std::optional<SiId> SpecialInstructionSet::find(const std::string& name) const {
   for (const auto& si : sis_)
     if (si.name == name) return si.id;
@@ -137,12 +125,10 @@ MoleculeId SpecialInstructionSet::fastest_available(SiId id, const Molecule& ava
   RISPP_CHECK_MSG(available.dimension() == atom_type_count(),
                   "dimension mismatch: " << available.dimension() << " vs "
                                          << atom_type_count());
-  const AtomCount* have = available.counts().data();
+  const unsigned have = available.determinant();
   for (const MoleculeId m : s.latency_order) {
-    const std::span<const AtomCount> need = s.molecules[m].atoms.counts();
-    std::size_t t = 0;
-    while (t < need.size() && need[t] <= have[t]) ++t;
-    if (t == need.size()) return m;
+    const Molecule& need = s.molecules[m].atoms;
+    if (need.determinant() <= have && leq(need, available)) return m;
   }
   return kSoftwareMolecule;
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "alg/molecule.h"
+#include "base/check.h"
 #include "base/types.h"
 #include "dpg/atom_library.h"
 #include "dpg/enumerate.h"
@@ -39,8 +40,14 @@ struct SpecialInstruction {
   /// Trap execution with base instructions (exception entry + emulation).
   Cycles software_latency = 0;
 
-  const MoleculeImpl& molecule(MoleculeId m) const;
-  Cycles latency(MoleculeId m) const;  // kSoftwareMolecule -> software_latency
+  const MoleculeImpl& molecule(MoleculeId m) const {
+    RISPP_CHECK(m < molecules.size());
+    return molecules[m];
+  }
+  Cycles latency(MoleculeId m) const {  // kSoftwareMolecule -> software_latency
+    if (m == kSoftwareMolecule) return software_latency;
+    return molecule(m).latency;
+  }
 };
 
 /// A concrete implementation choice: one SI plus one of its molecules.
@@ -83,7 +90,10 @@ class SpecialInstructionSet {
               Cycles trap_overhead, unsigned molecule_target = 0,
               unsigned min_determinant = 0, MakespanMemo* makespan_memo = nullptr);
 
-  const SpecialInstruction& si(SiId id) const;
+  const SpecialInstruction& si(SiId id) const {
+    RISPP_CHECK(id < sis_.size());
+    return sis_[id];
+  }
   std::size_t si_count() const { return sis_.size(); }
   std::optional<SiId> find(const std::string& name) const;
 
@@ -92,7 +102,9 @@ class SpecialInstructionSet {
   /// getFastestAvailableMolecule(a): lowest-latency molecule of `si` whose
   /// atoms are all within `available` (lowest id on equal latency); software
   /// molecule if none is. Walks the SI's latency_order and stops at the first
-  /// fit, so a fully loaded SI costs one molecule compare.
+  /// fit, so a fully loaded SI costs one molecule compare. A molecule whose
+  /// cached determinant exceeds |available| cannot fit and costs one integer
+  /// compare; the rest take one lane-parallel leq each.
   MoleculeId fastest_available(SiId si, const Molecule& available) const;
   Cycles fastest_available_latency(SiId si, const Molecule& available) const;
 

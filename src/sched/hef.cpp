@@ -22,7 +22,7 @@ std::uint32_t pick_highest_benefit(std::span<const CandidateRow> rows,
   std::uint32_t chosen = kNoPick;
   for (std::uint32_t i = 0; i < rows.size(); ++i) {
     // Cleaning guarantees gain > 0 and atoms > 0 for live candidates.
-    const Benefit b{expected[rows[i].candidate.si] * rows[i].gain, rows[i].atoms};
+    const Benefit b{forecast_product(expected, rows[i].candidate.si, rows[i].gain), rows[i].atoms};
     if (chosen == kNoPick ? b.gain_weighted > 0 : benefit_greater(b, best)) {
       best = b;
       chosen = i;

@@ -159,7 +159,7 @@ std::uint32_t pick_most_important(std::span<const CandidateRow> rows,
   std::uint32_t best = kNoPick;
   std::uint64_t best_importance = 0;
   for (std::uint32_t i = 0; i < rows.size(); ++i) {
-    const std::uint64_t importance = expected[rows[i].candidate.si] * rows[i].gain;
+    const std::uint64_t importance = forecast_product(expected, rows[i].candidate.si, rows[i].gain);
     if (best == kNoPick || importance > best_importance ||
         (importance == best_importance && rows[i].candidate.si < rows[best].candidate.si)) {
       best = i;

@@ -48,15 +48,16 @@ bool pays_back(const CandidateRow& row, const std::vector<std::uint64_t>& expect
                Cycles cycles_per_atom);
 
 /// by_importance's pick: the row with the largest importance expected[si] *
-/// gain (uint64 products), ties to the lower SiId, then to the first row.
-/// kNoPick only for an empty table.
+/// gain (forecast_product: it throws when that overflows 64 bits), ties to
+/// the lower SiId, then to the first row. kNoPick only for an empty table.
 std::uint32_t pick_most_important(std::span<const CandidateRow> rows,
                                   const std::vector<std::uint64_t>& expected);
 
 /// HEF's pick (Figure 6 lines 18-24, defined in sched/hef.cpp): the row with
 /// the highest benefit expected[si] * gain / atoms under the §5
-/// division-free compare; the first maximum wins. kNoPick when every benefit
-/// is 0.
+/// division-free compare (forecast_product: it throws when expected[si] *
+/// gain overflows 64 bits); the first maximum wins. kNoPick when every
+/// benefit is 0.
 std::uint32_t pick_highest_benefit(std::span<const CandidateRow> rows,
                                    const std::vector<std::uint64_t>& expected);
 

@@ -104,22 +104,38 @@ bool has_duplicate_sis(const std::vector<SiId>& sis) {
 
 }  // namespace
 
+// Exact pick. A trial scores the fraction profit·10⁹/1 when free, else
+// profit/growth, with profit < 2^64 (forecast_product) and growth < 2^32,
+// so each cross product stays below 2^94 · 2^32 = 2^126.
+//
+// Where it agrees with the reference's long double scores: the 64-bit
+// significand holds every profit exactly, and each score is then rounded
+// once (the division, or the 10⁹ scaling), monotonically. So the two
+// rankings can differ only where two distinct scores x > y round to one
+// long double r, which needs x - y <= ulp(r) <= 2^-63·x·(1 + 2^-64). Two
+// distinct fractions n/d and n'/d' differ by at least 1/(d·d'), and two
+// free scores by at least 10⁹; in every pairing that needs some row's
+// profit times some row's growth (taken as 1 for a free row) to reach
+// 2^63 - 2. Below that the picks agree: forecasts under 2^24 executions,
+// gains under 2^16 cycles and growths of at most 64 atoms stay under
+// 2^46. Above it the exact pick keeps the larger score where long double
+// ties, e.g. (2^62 + 5)/7 against 1,976,436,865,040,309,104/3.
 std::uint32_t pick_best_trial(std::span<const SelectionTrial> trials,
                               const std::vector<std::uint64_t>& expected) {
+  constexpr std::uint64_t kFreeScale = 1'000'000'000;  // zero-growth rows dominate
   std::uint32_t best = kNoPick;
-  long double best_score = 0.0L;
+  __uint128_t best_num = 0;
+  std::uint64_t best_den = 1;
   for (std::uint32_t i = 0; i < trials.size(); ++i) {
     const SelectionTrial& t = trials[i];
-    const long double profit =
-        static_cast<long double>(expected[t.si]) * static_cast<long double>(t.gain);
-    if (profit <= 0.0L) continue;  // never burn area on unexecuted SIs
-    const long double density =
-        profit / static_cast<long double>(t.growth == 0 ? 1 : t.growth);
-    // Zero-growth improvements dominate everything else.
-    const long double score = t.growth == 0 ? density * 1e9L : density;
-    if (best == kNoPick || score > best_score) {
+    const std::uint64_t profit = forecast_product(expected, t.si, t.gain);
+    if (profit == 0) continue;  // never burn area on unexecuted SIs
+    const __uint128_t num = t.growth == 0 ? static_cast<__uint128_t>(profit) * kFreeScale : profit;
+    const std::uint64_t den = t.growth == 0 ? 1 : t.growth;
+    if (best == kNoPick || num * best_den > best_num * den) {
       best = i;
-      best_score = score;
+      best_num = num;
+      best_den = den;
     }
   }
   return best;

@@ -42,9 +42,14 @@ struct SelectionTrial {
   Cycles gain = 0;         // latency of the SI's current molecule minus mol's, > 0
 };
 
-/// A round's pick: the trial with the highest profit density
-/// expected[si] * gain / max(growth, 1), zero-growth trials scaled by 1e9,
-/// in long double; the first maximum wins. kNoPick when no trial has profit.
+/// A round's pick: the trial with the highest profit density. A trial's
+/// profit is expected[si] * gain (forecast_product: it throws when that
+/// overflows 64 bits); it scores profit * 1e9 / 1 when it is free (growth 0)
+/// and profit / growth otherwise. Scores compare exactly, as 128-bit cross
+/// products, and the first maximum wins. kNoPick when no trial has profit.
+/// The long double ranking of select_molecules_reference agrees whenever
+/// the largest profit times the largest growth is below 2^63 - 2 (the
+/// argument is at the definition).
 std::uint32_t pick_best_trial(std::span<const SelectionTrial> trials,
                               const std::vector<std::uint64_t>& expected);
 
@@ -86,16 +91,18 @@ struct SelectionRequest {
 /// SI position, the exclusive sup (join of all *other* SIs' chosen molecules)
 /// from prefix/suffix joins, so each swap trial costs O(dim) instead of
 /// re-joining the whole selection — O(rounds·|SIs|·molecules·dim) total.
-/// Bit-exact with select_molecules_reference for every input: join is an
-/// elementwise max (grouping-independent), the trial determinant, growth,
-/// profit, and score expressions are verbatim those of the reference, and
-/// the trial iteration order is unchanged. Inputs whose hot_spot_sis contain
+/// Bit-exact with select_molecules_reference within pick_best_trial's bound:
+/// join is an elementwise max (grouping-independent), the trial determinant
+/// and growth expressions are verbatim those of the reference, the trial
+/// iteration order is unchanged, and the exact pick ranks as the
+/// reference's long double scores do. Inputs whose hot_spot_sis contain
 /// duplicate ids (the reference excludes by *value*) take the reference path
 /// and leave request.record untouched.
 std::vector<SiRef> select_molecules(const SelectionRequest& request);
 
-/// The original O(rounds·|SIs|²·molecules·dim) greedy, kept as the oracle for
-/// fuzz-equivalence tests and as the fallback for duplicate hot_spot_sis.
+/// The original O(rounds·|SIs|²·molecules·dim) greedy with its long double
+/// profit density, kept as the oracle for fuzz-equivalence tests and as the
+/// fallback for duplicate hot_spot_sis.
 std::vector<SiRef> select_molecules_reference(const SelectionRequest& request);
 
 /// NA of a selection: |sup M| — the Atom Containers it occupies.

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <string>
 
 #include "base/prng.h"
 #include "isa/h264_si_library.h"
@@ -292,6 +294,26 @@ TEST(Hef, BenefitComparisonMatchesExactRational) {
     const long double exact_b =
         static_cast<long double>(b.gain_weighted) / static_cast<long double>(b.atoms);
     EXPECT_EQ(fast, exact_a > exact_b);
+  }
+}
+
+TEST(Schedulers, ForecastPicksThrowNamingTheSiWhenAProductOverflows) {
+  std::vector<std::uint64_t> expected(4, 0);
+  expected[3] = std::numeric_limits<std::uint64_t>::max();
+  const std::vector<CandidateRow> rows{CandidateRow{SiRef{3, 0}, 1, 1}};
+  // 2^64 - 1 still fits.
+  EXPECT_EQ(pick_most_important(rows, expected), 0u);
+  EXPECT_EQ(pick_highest_benefit(rows, expected), 0u);
+  expected[3] = 1ull << 63;
+  const std::vector<CandidateRow> doubled{CandidateRow{SiRef{3, 0}, 1, 2}};
+  for (const auto pick : {pick_most_important, pick_highest_benefit}) {
+    try {
+      (void)pick(doubled, expected);
+      ADD_FAILURE() << "a product of 2^64 did not throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("forecast product of SI 3"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

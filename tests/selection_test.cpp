@@ -2,6 +2,11 @@
 // behaviour, budget monotonicity).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "isa/h264_si_library.h"
 #include "base/prng.h"
 #include "jpeg/jpeg_si_library.h"
@@ -213,6 +218,84 @@ TEST(Selection, ZeroExpectationsSelectNothing) {
   auto req = h264_me_request(set, 24);
   req.expected_executions.assign(set.si_count(), 0);
   EXPECT_TRUE(select_molecules(req).empty());
+}
+
+// ---- The exact pick against the long double ranking it replaced ---------
+
+/// The long double pick select_molecules_reference still ranks by.
+std::uint32_t long_double_pick(std::span<const SelectionTrial> trials,
+                               const std::vector<std::uint64_t>& expected) {
+  std::uint32_t best = kNoPick;
+  long double best_score = 0.0L;
+  for (std::uint32_t i = 0; i < trials.size(); ++i) {
+    const SelectionTrial& t = trials[i];
+    const long double profit =
+        static_cast<long double>(expected[t.si]) * static_cast<long double>(t.gain);
+    if (profit <= 0.0L) continue;
+    const long double density =
+        profit / static_cast<long double>(t.growth == 0 ? 1 : t.growth);
+    const long double score = t.growth == 0 ? density * 1e9L : density;
+    if (best == kNoPick || score > best_score) {
+      best = i;
+      best_score = score;
+    }
+  }
+  return best;
+}
+
+TEST(Selection, ExactPickMatchesLongDoubleOnRandomAndTieHeavyTables) {
+  Xoshiro256 rng(2718);
+  std::vector<std::uint64_t> expected(8);
+  std::vector<SelectionTrial> trials;
+  unsigned picks = 0, free_picks = 0;
+  for (int table = 0; table < 100'000; ++table) {
+    // Odd tables draw from tiny ranges, so equal scores are common.
+    const bool ties = table % 2 == 1;
+    for (auto& e : expected) e = ties ? rng.bounded(4) : rng.bounded(1u << 24);
+    trials.resize(1 + rng.bounded(12));
+    for (SelectionTrial& t : trials) {
+      t.si = static_cast<SiId>(rng.bounded(expected.size()));
+      t.gain = ties ? 1 + rng.bounded(4) : 1 + rng.bounded((1u << 16) - 1);
+      t.growth = static_cast<unsigned>(ties ? rng.bounded(5) : rng.bounded(65));
+    }
+    const std::uint32_t pick = pick_best_trial(trials, expected);
+    ASSERT_EQ(pick, long_double_pick(trials, expected)) << "table " << table;
+    if (pick != kNoPick) {
+      ++picks;
+      free_picks += trials[pick].growth == 0;
+    }
+  }
+  EXPECT_GT(picks, 90'000u);
+  EXPECT_GT(free_picks, 10'000u);
+}
+
+TEST(Selection, ExactPickTakesTheLargerOfTwoScoresLongDoubleTies) {
+  // (2^62 + 5)/7 < 1,976,436,865,040,309,104/3 by 1/21, below one ulp of a
+  // long double near 2^59.
+  const std::vector<std::uint64_t> expected{4'611'686'018'427'387'909ull,
+                                            1'976'436'865'040'309'104ull};
+  const std::vector<SelectionTrial> trials{
+      SelectionTrial{.si = 0, .mol = 0, .trial_det = 7, .growth = 7, .gain = 1},
+      SelectionTrial{.si = 1, .mol = 0, .trial_det = 3, .growth = 3, .gain = 1}};
+  ASSERT_LT(static_cast<__uint128_t>(expected[0]) * 3, static_cast<__uint128_t>(expected[1]) * 7);
+  EXPECT_EQ(long_double_pick(trials, expected), 0u);
+  EXPECT_EQ(pick_best_trial(trials, expected), 1u);
+}
+
+TEST(Selection, ExactPickThrowsNamingTheSiWhenAProfitOverflows) {
+  std::vector<std::uint64_t> expected(4, 0);
+  expected[3] = std::numeric_limits<std::uint64_t>::max();
+  std::vector<SelectionTrial> trials{SelectionTrial{.si = 3, .mol = 0, .growth = 1, .gain = 1}};
+  EXPECT_EQ(pick_best_trial(trials, expected), 0u);  // 2^64 - 1 still fits
+  expected[3] = 1ull << 63;
+  trials[0].gain = 2;
+  try {
+    (void)pick_best_trial(trials, expected);
+    FAIL() << "a profit of 2^64 did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("forecast product of SI 3"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -88,9 +88,12 @@ MoleculeId brute_force_fastest(const SpecialInstruction& si, const Molecule& ava
 }
 
 /// Checks fastest_available and sis_using against brute force on `samples`
-/// seeded random availability vectors per SI. Each count is drawn from
-/// [0, sup + 1] of that type over the SI's molecules, so fits, partial fits
-/// and no-fits all occur.
+/// seeded random availability vectors per SI, cycling through five shapes:
+/// nothing loaded; sparse (a quarter of the types loaded); dense (each count
+/// drawn from [0, sup + 1] of that type over the SI's molecules, so fits,
+/// partial fits and no-fits all occur); above every need; and exactly one
+/// molecule's atoms, where |available| equals that molecule's determinant
+/// (the lookup's prefilter boundary).
 void expect_lookup_matches_oracle(const SpecialInstructionSet& set, std::uint64_t seed,
                                   int samples) {
   const std::size_t dimension = set.atom_type_count();
@@ -114,8 +117,16 @@ void expect_lookup_matches_oracle(const SpecialInstructionSet& set, std::uint64_
     for (const MoleculeImpl& m : si.molecules) join_into(sup, m.atoms);
     Molecule available(dimension);
     for (int sample = 0; sample < samples; ++sample) {
-      for (std::size_t t = 0; t < dimension; ++t)
-        available[t] = static_cast<AtomCount>(rng.bounded(sup[t] + 2u));
+      const int shape = sample % 5;
+      available.assign_zero(dimension);
+      for (std::size_t t = 0; t < dimension; ++t) {
+        if (shape == 1 && rng.bounded(4) == 0)
+          available[t] = static_cast<AtomCount>(1 + rng.bounded(sup[t] + 1u));
+        if (shape == 2) available[t] = static_cast<AtomCount>(rng.bounded(sup[t] + 2u));
+        if (shape == 3) available[t] = static_cast<AtomCount>(sup[t] + rng.bounded(3));
+      }
+      if (shape == 4 && !si.molecules.empty())
+        available = si.molecules[rng.bounded(si.molecules.size())].atoms;
       const MoleculeId expected = brute_force_fastest(si, available);
       ASSERT_EQ(set.fastest_available(id, available), expected)
           << si.name << " at " << available.to_string();
@@ -129,7 +140,9 @@ void expect_lookup_matches_oracle(const SpecialInstructionSet& set, std::uint64_
 }
 
 TEST(SpecialInstructionSet, FastestAvailableMatchesOracleOnH264AndJpeg) {
-  expect_lookup_matches_oracle(build_h264_si_set(), 1, 400);
+  const SpecialInstructionSet h264 = build_h264_si_set();
+  ASSERT_EQ(h264.si(h264.find("SATD").value()).molecules.size(), 20u);
+  expect_lookup_matches_oracle(h264, 1, 400);
   expect_lookup_matches_oracle(jpegsis::build_jpeg_si_set(), 2, 400);
 }
 
