@@ -10,7 +10,6 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 #include <system_error>
 
@@ -104,6 +103,13 @@ void SiSummary::add(SiId si, std::uint32_t count, bool new_run) {
   totals_[open_] += count;
 }
 
+void SiSummary::shrink_to_fit() {
+  sis_.shrink_to_fit();
+  totals_.shrink_to_fit();
+  checkpoint_counts_.shrink_to_fit();
+  checkpoint_ends_.shrink_to_fit();
+}
+
 HotSpotInstance::HotSpotInstance(HotSpotId hs, const std::vector<SiId>& executions,
                                  Cycles entry)
     : hot_spot(hs), entry_overhead(entry) {
@@ -115,6 +121,7 @@ HotSpotInstance::HotSpotInstance(HotSpotId hs, const std::vector<SiId>& executio
     append(executions[i], static_cast<std::uint32_t>(end - i));
     i = end;
   }
+  shrink_to_fit();
 }
 
 void HotSpotInstance::append(SiId si, std::uint32_t count) {
@@ -129,6 +136,11 @@ void HotSpotInstance::append(SiId si, std::uint32_t count) {
   }
   summary_.add(si, count, !merge);
   execution_count += count;
+}
+
+void HotSpotInstance::shrink_to_fit() {
+  runs.shrink_to_fit();
+  summary_.shrink_to_fit();
 }
 
 std::size_t WorkloadTrace::total_si_executions() const {
@@ -164,7 +176,13 @@ bool WorkloadTrace::si_ids_below(std::size_t si_count) const {
 }
 
 void WorkloadTrace::save(std::ostream& os) const {
+  // Magic, the two record counts and the digest, then the records.
+  std::size_t size = sizeof kMagic + sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
+  for (const auto& hs : hot_spots)
+    size += kHotSpotBytes + hs.name.size() + hs.sis.size() * sizeof(SiId);
+  for (const auto& inst : instances) size += kInstanceBytes + inst.runs.size() * kRunBytes;
   std::string out;
+  out.reserve(size);
   put(out, kMagic);
   put<std::uint32_t>(out, static_cast<std::uint32_t>(hot_spots.size()));
   for (const auto& hs : hot_spots) {
@@ -185,13 +203,23 @@ void WorkloadTrace::save(std::ostream& os) const {
     }
   }
   put(out, payload_digest(out));
+  RISPP_CHECK(out.size() == size);
   os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 WorkloadTrace WorkloadTrace::load(std::istream& is) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const std::string bytes = std::move(buffer).str();
+  // Read from here to the end into a string of exactly that size.
+  const std::istream::pos_type begin = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  RISPP_CHECK_MSG(begin != std::istream::pos_type(-1) && end != std::istream::pos_type(-1) &&
+                      end >= begin,
+                  "trace stream size cannot be read");
+  is.seekg(begin);
+  std::string bytes(static_cast<std::size_t>(end - begin), '\0');
+  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  RISPP_CHECK_MSG(is.gcount() == static_cast<std::streamsize>(bytes.size()),
+                  "trace stream ended after " << is.gcount() << " of " << bytes.size() << " bytes");
   std::uint32_t magic = 0;
   RISPP_CHECK_MSG(bytes.size() >= sizeof magic, "not a RISPP trace");
   std::memcpy(&magic, bytes.data(), sizeof magic);
@@ -232,6 +260,7 @@ WorkloadTrace WorkloadTrace::load(std::istream& is) {
       RISPP_CHECK_MSG(r == 0 || inst.runs.back().si != si, "adjacent trace runs share SI " << si);
       inst.append(si, count);
     }
+    inst.shrink_to_fit();
   }
   RISPP_CHECK_MSG(in.bytes.empty(), "trailing bytes after the last trace instance");
   return trace;

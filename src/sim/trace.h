@@ -75,6 +75,7 @@ class SiSummary {
   /// Counts `count` executions of `si`, as a new run or merged into the
   /// open one (which then is `si`'s). A merge is O(1); a new run is O(k).
   void add(SiId si, std::uint32_t count, bool new_run);
+  void shrink_to_fit();
 
   std::vector<SiId> sis_;
   std::vector<std::uint64_t> totals_;
@@ -89,7 +90,7 @@ class SiSummary {
 struct HotSpotInstance {
   HotSpotInstance() = default;
   /// Encodes `executions` (SI executions in program order) through append(),
-  /// one call per stretch of equal SIs.
+  /// one call per stretch of equal SIs, then shrink_to_fit().
   HotSpotInstance(HotSpotId hs, const std::vector<SiId>& executions, Cycles entry);
 
   /// The only run encoder: appends `count` executions of `si`, merged into
@@ -100,6 +101,10 @@ struct HotSpotInstance {
   /// The per-SI tallies of `runs`, as append() built them. Editing `runs`
   /// directly (only the trace-format tests do) leaves it stale.
   const SiSummary& summary() const { return summary_; }
+
+  /// Drops the capacity the runs and the summary grew beyond their sizes,
+  /// for an instance that is complete.
+  void shrink_to_fit();
 
   HotSpotId hot_spot = 0;
   /// Base-processor cycles spent entering the hot spot (control code, cache

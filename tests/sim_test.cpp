@@ -6,6 +6,8 @@
 #include <map>
 #include <span>
 #include <sstream>
+#include <streambuf>
+#include <string>
 #include <utility>
 
 #include "base/metrics.h"
@@ -132,6 +134,37 @@ TEST(Trace, RejectsGarbage) {
   std::stringstream ss;
   ss << "this is not a trace";
   EXPECT_THROW(WorkloadTrace::load(ss), std::logic_error);
+}
+
+/// Reads its bytes but cannot seek, so a stream over it has no size.
+struct UnseekableBuffer : std::streambuf {
+  explicit UnseekableBuffer(std::string& bytes) {
+    setg(bytes.data(), bytes.data(), bytes.data() + bytes.size());
+  }
+};
+
+TEST(Trace, LoadRefusesAStreamWhoseSizeCannotBeRead) {
+  std::stringstream ss;
+  tiny_trace().save(ss);
+  std::string bytes = ss.str();
+  UnseekableBuffer buffer(bytes);
+  std::istream in(&buffer);
+  try {
+    WorkloadTrace::load(in);
+    FAIL() << "an unseekable stream loaded";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("trace stream size cannot be read"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Trace, LoadReadsFromTheStreamPosition) {
+  const WorkloadTrace trace = tiny_trace();
+  std::stringstream ss;
+  ss << "prefix";
+  trace.save(ss);
+  ss.seekg(6);
+  EXPECT_EQ(WorkloadTrace::load(ss), trace);
 }
 
 TEST(Trace, RoundTripCarriesRuns) {
